@@ -51,7 +51,7 @@ def _arrows(page: Page, prop: Propagation, towers_by_bid) -> list[tuple]:
             if s_mono.u1 >= page.window.N:
                 continue
             si = _tower_index(src_towers, s_mono)
-            for i, coeff in col:
+            for i, exp in col:
                 t_mono = lm.target.summands[i].mono
                 if t_mono.u1 >= page.window.N:
                     continue
@@ -59,7 +59,7 @@ def _arrows(page: Page, prop: Propagation, towers_by_bid) -> list[tuple]:
                 if si is None or ti is None:
                     continue
                 pairs.setdefault((si, ti), []).append(
-                    (j, i, coeff, lm.source.summands[j], lm.target.summands[i]))
+                    (exp, lm.source.summands[j], lm.target.summands[i]))
         for (si, ti), hits in pairs.items():
             src_slots = [s for s in lm.source.summands
                          if _tower_index(src_towers, s.mono) == si
@@ -68,8 +68,8 @@ def _arrows(page: Page, prop: Propagation, towers_by_bid) -> list[tuple]:
                          if _tower_index(tgt_towers, t.mono) == ti
                          and t.mono.u1 < page.window.N]
             iso = (len(hits) == len(src_slots) == len(tgt_slots)
-                   and all(c.is_unit() and s.order == t.order
-                           for (_, _, c, s, t) in hits))
+                   and all(exp == 0 and s.order == t.order
+                           for (exp, s, t) in hits))
             arrows.append(((stem, filt), tgt_key, not iso))
     return sorted(set(arrows))
 

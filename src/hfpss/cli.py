@@ -55,7 +55,11 @@ def _write(path: str | None, text: str) -> None:
 
 def cmd_compute(args) -> int:
     lo, hi = args.stems if args.stems else (None, None)
-    window = default_window(args.target, lo, hi, K=args.witt_trunc, N=args.u1_trunc)
+    try:
+        window = default_window(args.target, lo, hi, K=args.witt_trunc, N=args.u1_trunc)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return USAGE_ERROR
     result = compute(args.target, window)
     groups = {str(stem): g.expr.render() for stem, g in sorted(result.groups.items())}
     if args.format == "json":

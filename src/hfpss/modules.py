@@ -1,11 +1,13 @@
 """Bidegree modules over the truncated Witt ring and homology of maps.
 
 A BidegreeModule is a direct sum of cyclic W/2^order summands, each
-generated by a 2-power multiple of a single monomial.  Linear maps are
-stored column-sparse.  Homology ker(d_out)/im(d_in) is computed by Smith
-normal form over the chain ring; surviving generators are renamed by
-their minimal pure lifts 2^j * monomial, ordered by (u1-exponent,
-u-exponent) within the bidegree.
+generated by a 2-power multiple of a single monomial, ordered by
+(u1-exponent, u-exponent) within the bidegree.  Every differential sends
+a generator to a 2-power times one generator and hits each generator at
+most once, so a LinearMap stores (row, 2-exponent) integer pairs, and
+homology ker(d_out)/im(d_in) is slotwise valuation arithmetic.  Surviving
+generators are renamed by their minimal pure lifts 2^j * monomial.  The
+general Smith normal form route lives in snf.py, as the test oracle.
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .monomials import Monomial
-from .scalars import Witt
-from .snf import (Lattice, kernel_gens, presentation_decomposition,
-                  presentation_invariants)
 from .targets import Target, Window
 
 
@@ -75,110 +74,78 @@ def zero_module(stem: int, filt: int) -> BidegreeModule:
 
 @dataclass
 class LinearMap:
-    """Map between bidegree modules; cols[j] lists (row, coefficient)."""
+    """A monomial-sparse map between bidegree modules.
+
+    cols[j] is [] or [(row, exp)]: the j-th source generator goes to 2^exp
+    times the row-th target generator.  Every differential acts this way,
+    so a map with two entries in one column or on one row, or one that
+    does not respect the summand orders, is rejected when built.
+    """
 
     source: BidegreeModule
     target: BidegreeModule
-    cols: list[list[tuple[int, Witt]]]
+    cols: list[list[tuple[int, int]]]
+
+    def __post_init__(self):
+        rows = set()
+        for j, col in enumerate(self.cols):
+            for i, exp in col:
+                src, tgt = self.source.summands[j], self.target.summands[i]
+                if len(col) > 1 or i in rows:
+                    raise PipelineError(
+                        f"map not monomial-sparse at {src.label()} -> {tgt.label()}")
+                if src.order + exp < tgt.order:
+                    raise PipelineError(
+                        f"map not well defined on presentations: "
+                        f"{src.label()} -> {tgt.label()}")
+                rows.add(i)
 
     def is_zero(self) -> bool:
         return all(not col for col in self.cols)
 
-    def check_well_defined(self, K: int) -> None:
-        # matrix * (source relations) must lie in (target relations)
-        for j, col in enumerate(self.cols):
-            e_src = self.source.summands[j].order
-            for i, coeff in col:
-                e_tgt = self.target.summands[i].order
-                if e_src + coeff.val() < e_tgt:
-                    raise PipelineError(
-                        f"map not well defined on presentations: "
-                        f"{self.source.summands[j].label()} -> "
-                        f"{self.target.summands[i].label()}")
 
-    def column_vectors(self, K: int) -> list[list[Witt]]:
-        n = len(self.target.summands)
-        out = []
-        for col in self.cols:
-            v = [Witt.zero(K)] * n
-            for i, coeff in col:
-                v[i] = v[i] + coeff
-            out.append(v)
-        return out
+def compose_cols(first: LinearMap, second: LinearMap, K: int) -> list[list[tuple[int, int]]]:
+    """Columns of second∘first (first.target must equal second.source).
 
-
-def compose_cols(first: LinearMap, second: LinearMap) -> list[list[tuple[int, Witt]]]:
-    """Columns of second∘first (first.target must equal second.source)."""
-    out = []
-    for col in first.cols:
-        acc: dict[int, Witt] = {}
-        for mid, c1 in col:
-            for row, c2 in second.cols[mid]:
-                prod = c1 * c2
-                if row in acc:
-                    acc[row] = acc[row] + prod
-                else:
-                    acc[row] = prod
-        out.append([(i, c) for i, c in sorted(acc.items()) if c])
-    return out
-
-
-def _rel_vectors(module: BidegreeModule, K: int) -> list[list[Witt]]:
-    n = len(module.summands)
-    rels = []
-    for i, s in enumerate(module.summands):
-        if s.order >= K:
-            continue  # 2^K is already zero in W/2^K
-        v = [Witt.zero(K)] * n
-        v[i] = Witt.two_power(s.order, K)
-        rels.append(v)
-    return rels
-
-
-def _basis_vector(n: int, i: int, j: int, K: int) -> list[Witt]:
-    v = [Witt.zero(K)] * n
-    v[i] = Witt.two_power(j, K)
-    return v
-
-
-def _monomial_sparse(lm: LinearMap | None) -> bool:
-    """At most one entry per column and per row (how differentials act)."""
-    if lm is None:
-        return True
-    rows = set()
-    for col in lm.cols:
-        if len(col) > 1:
-            return False
-        for i, _ in col:
-            if i in rows:
-                return False
-            rows.add(i)
-    return True
-
-
-def _homology_sparse(module: BidegreeModule,
-                     d_in: LinearMap | None,
-                     d_out: LinearMap | None,
-                     K: int) -> tuple[BidegreeModule, dict[Summand, tuple[Summand, int]]]:
-    """Slotwise homology when both maps are monomial-sparse.
-
-    Each slot sits in its own little complex W/2^{e_src} -> W/2^{e} ->
-    W/2^{e_tgt} of cyclic modules, where homology is plain valuation
-    arithmetic: the kernel is generated by 2^a with a = clamp(e_tgt - v_out, 0, e),
-    the image by 2^t with t = max(v_in, e - e_src), and the subquotient is
-    cyclic of order 2^(t - a) on 2^a * generator.
+    Exponents add; a sum of at least K is the zero entry, since 2^K = 0.
     """
-    n = len(module.summands)
+    return [[(row, e1 + e2) for mid, e1 in col for row, e2 in second.cols[mid]
+             if e1 + e2 < K]
+            for col in first.cols]
+
+
+def homology_at(module: BidegreeModule,
+                d_in: LinearMap | None,
+                d_out: LinearMap | None,
+                K: int) -> tuple[BidegreeModule, dict[Summand, tuple[Summand, int]]]:
+    """ker(d_out)/im(d_in) at `module`, with named surviving generators.
+
+    The maps are monomial-sparse, so each slot sits in its own little
+    complex W/2^{e_src} -> W/2^{e} -> W/2^{e_tgt} of cyclic modules, where
+    homology is plain valuation arithmetic: the kernel is generated by 2^a
+    with a = clamp(e_tgt - v_out, 0, e), the image by 2^t with
+    t = max(v_in, e - e_src), and the subquotient is cyclic of order
+    2^(t - a) on the pure lift 2^a * generator.  The returned section maps
+    each new summand to (old summand, a).  The page truncation K is not
+    needed here (an exponent of at least K acts as zero by these formulas);
+    it keeps the signature of the oracle snf.homology_at.  Raises
+    PipelineError if a map does not start or end at `module`, or if im is
+    not contained in ker.
+    """
+    if d_out is not None and d_out.source is not module:
+        raise PipelineError(f"d_out source mismatch at ({module.stem},{module.filt})")
+    if d_in is not None and d_in.target is not module:
+        raise PipelineError(f"d_in target mismatch at ({module.stem},{module.filt})")
     out_entry: dict[int, tuple[int, int]] = {}
     if d_out is not None:
         for j, col in enumerate(d_out.cols):
-            for i, coeff in col:
-                out_entry[j] = (coeff.val(), d_out.target.summands[i].order)
+            for i, exp in col:
+                out_entry[j] = (exp, d_out.target.summands[i].order)
     in_entry: dict[int, tuple[int, int]] = {}
     if d_in is not None:
         for j, col in enumerate(d_in.cols):
-            for i, coeff in col:
-                in_entry[i] = (coeff.val(), d_in.source.summands[j].order)
+            for i, exp in col:
+                in_entry[i] = (exp, d_in.source.summands[j].order)
 
     new_summands = []
     section: dict[Summand, tuple[Summand, int]] = {}
@@ -202,118 +169,6 @@ def _homology_sparse(module: BidegreeModule,
             new = Summand(s.scalar + a, s.mono, t - a)
             new_summands.append(new)
             section[new] = (s, a)
-    return BidegreeModule(module.stem, module.filt, tuple(new_summands)), section
-
-
-def homology_at(module: BidegreeModule,
-                d_in: LinearMap | None,
-                d_out: LinearMap | None,
-                K: int) -> tuple[BidegreeModule, dict[Summand, tuple[Summand, int]]]:
-    """ker(d_out)/im(d_in) at `module`, with named surviving generators.
-
-    Every surviving generator is a pure lift 2^j * (old generator); the
-    returned section maps each new summand to (old summand, extra 2-power
-    j).  Raises PipelineError if im is not contained in ker or if pure
-    lifts cannot realize the canonical invariants (which cannot happen
-    for the monomial-sparse maps this engine produces).
-    """
-    if _monomial_sparse(d_in) and _monomial_sparse(d_out):
-        return _homology_sparse(module, d_in, d_out, K)
-    return _homology_general(module, d_in, d_out, K)
-
-
-def _homology_general(module: BidegreeModule,
-                      d_in: LinearMap | None,
-                      d_out: LinearMap | None,
-                      K: int) -> tuple[BidegreeModule, dict[Summand, tuple[Summand, int]]]:
-    n = len(module.summands)
-    if n == 0:
-        return module, {}
-    if d_out is not None and d_out.source is not module:
-        raise PipelineError("d_out source mismatch")
-    if d_in is not None and d_in.target is not module:
-        raise PipelineError("d_in target mismatch")
-
-    rels = _rel_vectors(module, K)
-
-    # Kernel lattice of d_out inside W^n (always contains the relations).
-    if d_out is None or d_out.is_zero() or not d_out.target.summands:
-        ker_vecs = [_basis_vector(n, i, 0, K) for i in range(n)]
-    else:
-        n_t = len(d_out.target.summands)
-        cols = d_out.column_vectors(K)
-        tgt_rels = _rel_vectors(d_out.target, K)
-        # rows: target coordinates; columns: source coords then relation coords
-        B = [[cols[j][i] for j in range(n)]
-             + [r[i] for r in tgt_rels] for i in range(n_t)]
-        ker_vecs = [v[:n] for v in kernel_gens(B, K)]
-        ker_vecs.extend(rels)
-    ker_lat = Lattice(n, K, ker_vecs)
-
-    im_vecs = list(rels)
-    if d_in is not None and not d_in.is_zero():
-        im_vecs.extend(d_in.column_vectors(K))
-    im_lat = Lattice(n, K, im_vecs)
-
-    for v in im_vecs:
-        if not ker_lat.contains(v):
-            raise PipelineError(
-                f"image not contained in kernel at bidegree "
-                f"({module.stem},{module.filt}): d∘d != 0")
-
-    # Canonical invariants of ker/im via a presentation in kernel coordinates.
-    a = len(ker_vecs)
-    G_cols = ker_vecs
-    m = len(im_vecs)
-    B2 = [[G_cols[t][i] for t in range(a)] + [im_vecs[t][i] for t in range(m)]
-          for i in range(n)]
-    rel_z = [v[:a] for v in kernel_gens(B2, K)]
-    invariants = presentation_invariants(rel_z, a, K)
-
-    # Greedy pure-lift naming, slots in canonical (u1, u) order.
-    new_summands: list[Summand] = []
-    section: dict[Summand, tuple[Summand, int]] = {}
-    acc = im_lat
-    for i, old in enumerate(module.summands):
-        lift = None
-        for j in range(K):
-            if ker_lat.contains(_basis_vector(n, i, j, K)):
-                lift = j
-                break
-        if lift is None:
-            continue
-        vec = _basis_vector(n, i, lift, K)
-        order = 0
-        while order + lift < K and not acc.contains(_basis_vector(n, i, lift + order, K)):
-            order += 1
-        if order == 0:
-            continue
-        new = Summand(old.scalar + lift, old.mono, order)
-        new_summands.append(new)
-        section[new] = (old, lift)
-        acc = acc.extended(vec)
-
-    if sorted(s.order for s in new_summands) != invariants:
-        # Pure monomial lifts cannot realize the decomposition (possible
-        # only for maps mixing monomials, which the differential engine
-        # never produces).  Fall back to SNF-transform generators, labeled
-        # by the lowest-valuation slot of each lift vector.
-        new_summands, section = [], {}
-        for e, zvec in presentation_decomposition(rel_z, a, K):
-            lift = [Witt.zero(K)] * n
-            for t, z in enumerate(zvec):
-                if z:
-                    for i in range(n):
-                        lift[i] = lift[i] + z * G_cols[t][i]
-            lead = min((x.val(), module.summands[i].mono.u1,
-                        module.summands[i].mono.u, i)
-                       for i, x in enumerate(lift) if x)
-            i = lead[3]
-            old = module.summands[i]
-            new = Summand(old.scalar + lift[i].val(), old.mono, e)
-            new_summands.append(new)
-            section[new] = (old, lift[i].val())
-
     return BidegreeModule(module.stem, module.filt, tuple(new_summands)), section
 
 

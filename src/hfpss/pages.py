@@ -43,8 +43,6 @@ def turn_page(page: Page, prop: Propagation, rule_r: int) -> Page:
     for (stem, filt), mod in page.modules.items():
         d_out = prop.maps.get((stem, filt))
         d_in = prop.maps.get((stem + 1, filt - r))
-        if d_in is not None and d_in.target is not mod:
-            d_in = None
         new_mod, _section = homology_at(mod, d_in, d_out, page.K)
         if new_mod.total_length > mod.total_length:
             raise PipelineError(
@@ -59,9 +57,9 @@ def check_d_squared(page: Page, prop: Propagation, r: int) -> None:
         second = prop.maps.get((stem - 1, filt + r))
         if second is None:
             continue
-        for col in compose_cols(first, second):
-            for i, coeff in col:
-                if coeff.val() < second.target.summands[i].order:
+        for col in compose_cols(first, second, page.K):
+            for i, exp in col:
+                if exp < second.target.summands[i].order:
                     raise CertificateError(
                         f"d{r} o d{r} != 0 at bidegree ({stem},{filt})")
 

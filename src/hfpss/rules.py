@@ -26,13 +26,11 @@ Y_D7_VALUES below.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from .modules import LinearMap, Page, PipelineError
 from .monomials import Monomial, parse_monomial
-from .scalars import Witt
 from .targets import Target
 
 
@@ -201,7 +199,7 @@ def propagate(page: Page, rules: RuleSet) -> Propagation:
     for (stem, filt), mod in sorted(page.modules.items()):
         tgt_bid = (stem - 1, filt + r)
         tgt = page.module(*tgt_bid)
-        cols: list[list[tuple[int, Witt]]] = []
+        cols: list[list[tuple[int, int]]] = []
         for s in mod.summands:
             v = rules.value_on(s.mono)
             if v is None:
@@ -229,45 +227,11 @@ def propagate(page: Page, rules: RuleSet) -> Propagation:
             if exp >= page.K:
                 cols.append([])
                 continue
-            cols.append([(row, Witt.two_power(exp, page.K))])
+            cols.append([(row, exp)])
         lm = LinearMap(mod, tgt, cols)
-        lm.check_well_defined(page.K)
         if not lm.is_zero():
             out.maps[(stem, filt)] = lm
     return out
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange, so rule sets can be tweaked without editing code.
-
-def ruleset_to_json(rules: RuleSet) -> dict:
-    return {
-        "target": rules.target.value,
-        "page": rules.page,
-        "u_modulus": rules.u_modulus,
-        "y_mode": rules.y_mode,
-        "linearity": list(rules.linearity),
-        "transversal": [str(g) for g in rules.transversal],
-        "values": [{"gen": str(g), "val": str(v)} for g, v in sorted(rules.values.items())],
-    }
-
-
-def ruleset_from_json(data: dict) -> RuleSet:
-    return RuleSet(
-        target=Target.from_string(data["target"]),
-        page=data["page"],
-        u_modulus=data["u_modulus"],
-        transversal=tuple(parse_monomial(g) for g in data["transversal"]),
-        values={parse_monomial(e["gen"]): parse_monomial(e["val"])
-                for e in data["values"]},
-        linearity=tuple(data["linearity"]),
-        y_mode=data.get("y_mode", False),
-    )
-
-
-def load_ruleset(path: str) -> RuleSet:
-    with open(path, encoding="utf-8") as fh:
-        return ruleset_from_json(json.load(fh))
 
 
 # Published standalone C6-family differential tables, kept as cross-checks

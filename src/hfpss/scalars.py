@@ -160,10 +160,6 @@ class Witt:
         """Reduction to F4 along W/2^K ->> W/2 = F4."""
         return (self.a0 & 1) | ((self.a1 & 1) << 1)
 
-    def lift(self, K_new: int) -> "Witt":
-        """Reinterpret the same digits at a different truncation."""
-        return Witt(self.a0, self.a1, K_new)
-
 
 def two_adic_valuation(a: Witt) -> int:
     return a.val()

@@ -10,10 +10,16 @@ transforms are accumulated directly, never inverted:
 A "lattice" here is a subgroup of (W/2^K)^n spanned by a finite list of
 vectors; membership tests reduce to valuation checks against the SNF of
 the generator matrix.
+
+The engine never calls this module: its differentials are
+monomial-sparse, and modules.homology_at turns pages by valuation
+arithmetic.  The homology routine here handles arbitrary maps and serves
+the tests as an independent oracle for it.
 """
 
 from __future__ import annotations
 
+from .modules import BidegreeModule, LinearMap, PipelineError, Summand
 from .scalars import Witt
 
 
@@ -171,77 +177,102 @@ def presentation_invariants(rel_vectors: list[Vector], n: int, K: int) -> list[i
     W/2^e per entry; e = K entries are indistinguishable from free
     summands at this truncation.  Zero summands are dropped.
     """
-    return [e for e, _v in presentation_decomposition(rel_vectors, n, K)]
-
-
-def presentation_decomposition(rel_vectors: list[Vector], n: int,
-                               K: int) -> list[tuple[int, Vector]]:
-    """Invariant exponents with cyclic generator vectors.
-
-    For (W/2^K)^n / <rel_vectors> returns pairs (e, v) sorted by e, one
-    per nonzero cyclic summand W/2^e with generator the class of v.
-    """
-    if n == 0:
-        return []
-    one = Witt.one(K)
     if not rel_vectors:
-        return [(K, [one if i == t else Witt.zero(K) for i in range(n)])
-                for t in range(n)]
-    A = [[g[i] for g in rel_vectors] for i in range(n)]
-    # Run SNF while tracking the inverse row transform: with E*A*F = S the
-    # coordinate change y = E*z turns the relation lattice into the span
-    # of 2^{s_t} e_t, so the t-th summand is generated by E^{-1} e_t.
-    m = len(rel_vectors)
-    S = [row[:] for row in A]
-    E_inv = identity(n, K)
-    r = min(n, m)
-    diag = [K] * r
-    for k in range(r):
-        best, bv = None, K
-        for i in range(k, n):
-            for j in range(k, m):
-                v = S[i][j].val()
-                if v < bv:
-                    best, bv = (i, j), v
-                    if v == 0:
-                        break
-            if bv == 0:
-                break
-        if best is None:
-            break
-        i0, j0 = best
-        if i0 != k:
-            S[k], S[i0] = S[i0], S[k]
-            for row in E_inv:
-                row[k], row[i0] = row[i0], row[k]
-        if j0 != k:
-            for row in S:
-                row[k], row[j0] = row[j0], row[k]
-        u = S[k][k].unit_part()
-        u_inv = u.inv()
-        S[k] = [u_inv * x for x in S[k]]
-        for row in E_inv:
-            row[k] = row[k] * u
-        for i in range(k + 1, n):
-            x = S[i][k]
-            if not x:
-                continue
-            q = x.shift_down(bv)
-            S[i] = [a - q * b for a, b in zip(S[i], S[k])]
-            for row in E_inv:
-                row[k] = row[k] + q * row[i]
-        for j in range(k + 1, m):
-            x = S[k][j]
-            if not x:
-                continue
-            q = x.shift_down(bv)
-            for row in S:
-                row[j] = row[j] - q * row[k]
-        diag[k] = bv
-    out = []
-    for t in range(n):
-        e = diag[t] if t < len(diag) else K
-        if e > 0:
-            out.append((e, [E_inv[i][t] for i in range(n)]))
-    out.sort(key=lambda p: p[0])
-    return out
+        return [K] * n
+    diag, _E, _F = chain_ring_snf([[g[i] for g in rel_vectors] for i in range(n)], K)
+    return sorted(e for e in diag + [K] * (n - len(diag)) if e > 0)
+
+
+# ---------------------------------------------------------------------------
+# Homology by Smith normal form: the oracle for modules.homology_at.
+
+def _unit_vector(n: int, i: int, j: int, K: int) -> Vector:
+    v = [Witt.zero(K)] * n
+    v[i] = Witt.two_power(j, K)
+    return v
+
+
+def _relations(orders: list[int], K: int) -> list[Vector]:
+    """The relations 2^e * e_i of the sum of W/2^e; 2^K is already zero."""
+    return [_unit_vector(len(orders), i, e, K) for i, e in enumerate(orders) if e < K]
+
+
+def subquotient(orders: list[int], in_cols: list[Vector], out_cols: list[Vector],
+                out_orders: list[int], K: int) -> tuple[Lattice, Lattice, list[int]]:
+    """Kernel and image lattices of ker(d_out)/im(d_in), and its invariants.
+
+    The module is the sum of W/2^e over `orders`.  in_cols are the images
+    of the d_in source generators in it, and out_cols the images of its
+    generators in the d_out target (the sum of W/2^e over out_orders),
+    both as dense vectors over W/2^K.  Raises PipelineError if im is not
+    contained in ker.
+    """
+    n = len(orders)
+    rels = _relations(orders, K)
+    if any(x for col in out_cols for x in col):
+        tgt_rels = _relations(out_orders, K)
+        # rows: target coordinates; columns: source coords then relation coords
+        B = [[col[i] for col in out_cols] + [r[i] for r in tgt_rels]
+             for i in range(len(out_orders))]
+        ker_vecs = [v[:n] for v in kernel_gens(B, K)] + rels
+    else:
+        ker_vecs = [_unit_vector(n, i, 0, K) for i in range(n)]
+    im_vecs = rels + list(in_cols)
+    ker, im = Lattice(n, K, ker_vecs), Lattice(n, K, im_vecs)
+    if not all(ker.contains(v) for v in im_vecs):
+        raise PipelineError("image not contained in kernel: d∘d != 0")
+    # ker/im presented in kernel coordinates
+    a = len(ker_vecs)
+    B2 = [[g[i] for g in ker_vecs] + [v[i] for v in im_vecs] for i in range(n)]
+    rel_z = [v[:a] for v in kernel_gens(B2, K)]
+    return ker, im, presentation_invariants(rel_z, a, K)
+
+
+def homology(module: BidegreeModule, in_cols: list[Vector], out_cols: list[Vector],
+             out_orders: list[int], K: int) -> tuple[BidegreeModule, dict[Summand, tuple[Summand, int]]]:
+    """ker(d_out)/im(d_in) at `module`, maps as in subquotient.
+
+    Surviving generators are named greedily by minimal pure lifts
+    2^j * (old generator), slots in canonical (u1, u) order; the section
+    maps each new summand to (old summand, j).  Raises PipelineError if
+    pure lifts cannot realize the invariants (possible only for maps that
+    mix monomials).
+    """
+    n = len(module.summands)
+    if n == 0:
+        return module, {}
+    ker, acc, invariants = subquotient([s.order for s in module.summands],
+                                       in_cols, out_cols, out_orders, K)
+    new_summands: list[Summand] = []
+    section: dict[Summand, tuple[Summand, int]] = {}
+    for i, old in enumerate(module.summands):
+        lift = next((j for j in range(K) if ker.contains(_unit_vector(n, i, j, K))), None)
+        if lift is None:
+            continue
+        order = 0
+        while order + lift < K and not acc.contains(_unit_vector(n, i, lift + order, K)):
+            order += 1
+        if order == 0:
+            continue
+        new = Summand(old.scalar + lift, old.mono, order)
+        new_summands.append(new)
+        section[new] = (old, lift)
+        acc = acc.extended(_unit_vector(n, i, lift, K))
+    if sorted(s.order for s in new_summands) != invariants:
+        raise PipelineError(
+            f"pure lifts cannot realize the invariants {invariants} "
+            f"at ({module.stem},{module.filt})")
+    return BidegreeModule(module.stem, module.filt, tuple(new_summands)), section
+
+
+def homology_at(module: BidegreeModule, d_in: LinearMap | None, d_out: LinearMap | None,
+                K: int) -> tuple[BidegreeModule, dict[Summand, tuple[Summand, int]]]:
+    """modules.homology_at by Smith normal form: each (row, exp) becomes 2^exp."""
+    def dense(lm: LinearMap | None) -> list[Vector]:
+        if lm is None:
+            return []
+        n_t = len(lm.target.summands)
+        return [_unit_vector(n_t, *col[0], K) if col else [Witt.zero(K)] * n_t
+                for col in lm.cols]
+    out_orders = [t.order for t in d_out.target.summands] if d_out is not None else []
+    return homology(module, dense(d_in), dense(d_out), out_orders, K)

@@ -58,8 +58,8 @@ class Window:
 
     stem_lo..stem_hi is inclusive; filt_max caps the filtration of
     reported classes.  K is the 2-adic truncation of the Witt ring and N
-    the u1-truncation of reported power series towers.  Computation
-    internally pads all three directions.
+    the u1-truncation of reported power series towers; both must be at
+    least 1.  Computation internally pads all three directions.
     """
 
     stem_lo: int
@@ -67,6 +67,11 @@ class Window:
     filt_max: int = 40
     K: int = 3
     N: int = 12
+
+    def __post_init__(self):
+        for name, value in (("K", self.K), ("N", self.N)):
+            if value < 1:
+                raise ValueError(f"truncation {name} must be >= 1, got {value}")
 
     @property
     def stem_range(self) -> range:

@@ -103,8 +103,8 @@ def test_criterion_5_periodicity():
 def test_criterion_6_oracle_equivalence():
     from test_snf import test_homology_agrees_with_enumeration_on_100_random_presentations
     test_homology_agrees_with_enumeration_on_100_random_presentations()
-    _report(6, "chain-ring SNF homology matches exhaustive enumeration "
-               "on 100 random presentations over W/8")
+    _report(6, "the chain-ring SNF oracle's homology matches exhaustive "
+               "enumeration on 100 random presentations over W/8")
 
 
 def test_criterion_7_les_order_checks():

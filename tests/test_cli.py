@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from hfpss.cli import main
 
 ENV = {**os.environ, "PYTHONPATH": "src"}
@@ -128,3 +130,11 @@ def test_module_entry_point():
         env=ENV, timeout=300)
     assert proc.returncode == 0
     assert "pi_3(c2) = a^{3}F4" in proc.stdout
+
+
+@pytest.mark.parametrize("flag, value", [("--witt-trunc", "0"), ("--u1-trunc", "-3"),
+                                         ("--u1-trunc", "0")])
+def test_nonpositive_truncation_is_usage_error(flag, value, capsys):
+    code, out = run_cli("compute", "--target", "c2", "--stems", "3:3", flag, value)
+    assert code == 2 and out == ""
+    assert "must be >= 1" in capsys.readouterr().err

@@ -1,13 +1,15 @@
-"""The sparse slotwise homology path against the general SNF path.
+"""The slotwise homology path against the Smith normal form oracle.
 
-Both must produce identical pages on real pipeline data, not just on
-random matrices: the fast path is an optimization, never a semantic
-fork.
+Every page turn of real pipeline runs goes through both routes, which
+must name identical summands and sections: valuation arithmetic is how
+the engine turns pages, and the general SNF route checks it.
 """
 
 import pytest
 
 import hfpss.modules as modules
+import hfpss.pages as pages
+import hfpss.snf as snf
 from hfpss.engine import compute
 from hfpss.targets import Target, Window
 
@@ -15,14 +17,17 @@ from hfpss.targets import Target, Window
 @pytest.mark.parametrize("target", [Target.C2, Target.C2_V0, Target.C6_Y])
 def test_pipeline_identical_through_general_snf(target, monkeypatch):
     window = Window(0, 10, filt_max=12, N=6)
-    fast = compute(target, window)
-    with monkeypatch.context() as mp:
-        mp.setattr(modules, "_monomial_sparse", lambda lm: False)
-        slow = compute(target, window)
-    for r in (2, 4, 8):
-        ps, pf = slow.stack.pages[r], fast.stack.pages[r]
-        assert ps.modules.keys() == pf.modules.keys()
-        for key in ps.modules:
-            assert ps.modules[key].summands == pf.modules[key].summands, (r, key)
-    assert {s: g.expr.render() for s, g in slow.groups.items()} == \
-        {s: g.expr.render() for s, g in fast.groups.items()}
+    calls = []
+
+    def both_routes(module, d_in, d_out, K):
+        got = modules.homology_at(module, d_in, d_out, K)
+        assert snf.homology_at(module, d_in, d_out, K) == got, \
+            (module.stem, module.filt, K)
+        calls.append((module.stem, module.filt, K))
+        return got
+
+    monkeypatch.setattr(pages, "homology_at", both_routes)
+    result = compute(target, window)
+    # every bidegree of E2 and E4, at K and at K+1, was turned through both
+    turned = sum(len(result.stack.pages[r].modules) for r in (2, 4))
+    assert len(calls) >= 2 * turned > 0

@@ -2,12 +2,14 @@
 
 import pytest
 
-from hfpss.modules import BidegreeModule, LinearMap, PipelineError, Summand, homology_at
+from hfpss.modules import (BidegreeModule, LinearMap, Page, PipelineError, Summand,
+                           homology_at)
 from hfpss.monomials import Monomial, parse_monomial
 from hfpss.pages import (check_collapse,
                          check_even_r_vanishing, hurewicz_permanent_cycles,
-                         periodicity_check, run_to_einfty, towers_of_module)
-from hfpss.scalars import Witt
+                         periodicity_check, run_to_einfty, towers_of_module,
+                         turn_page)
+from hfpss.rules import Propagation
 from hfpss.targets import Target, Window
 
 m = parse_monomial
@@ -24,7 +26,7 @@ def test_homology_kernel_of_mod2_surjection():
     # W-tower mapping onto an F4 class: kernel generated by 2*(generator)
     src = BidegreeModule(4, 0, (Summand(0, m("u^{-2}"), 3),))
     tgt = BidegreeModule(3, 3, (Summand(0, m("u1a^{3}"), 1),))
-    d_out = LinearMap(src, tgt, [[(0, Witt.one(3))]])
+    d_out = LinearMap(src, tgt, [[(0, 0)]])
     H, section = homology_at(src, None, d_out, 3)
     assert [(s.label(), s.order) for s in H.summands] == [("2u^{-2}", 2)]
 
@@ -38,7 +40,7 @@ def test_homology_cokernel_of_u1_shift():
     cols = []
     for j, s in enumerate(src.summands):
         row = tgt.slot_of(Monomial(0, s.mono.u1 + 1, 3))
-        cols.append([] if row is None else [(row, Witt.one(3))])
+        cols.append([] if row is None else [(row, 0)])
     d_in = LinearMap(src, tgt, cols)
     H, _ = homology_at(tgt, d_in, None, 3)
     assert [s.label() for s in H.summands] == ["a^{3}"]
@@ -50,10 +52,34 @@ def test_dd_nonzero_rejected():
     mid = BidegreeModule(0, 0, (Summand(0, m("u1"), 1),))
     tgt = BidegreeModule(-1, 7, (Summand(0, m("u1a^{7}"), 1),))
     src = BidegreeModule(1, -7, (Summand(0, m("u^{4}u1"), 1),))
-    d_in = LinearMap(src, mid, [[(0, Witt.one(3))]])
-    d_out = LinearMap(mid, tgt, [[(0, Witt.one(3))]])
+    d_in = LinearMap(src, mid, [[(0, 0)]])
+    d_out = LinearMap(mid, tgt, [[(0, 0)]])
     with pytest.raises(PipelineError):
         homology_at(mid, d_in, d_out, 3)
+
+
+def test_map_with_two_columns_on_one_row_rejected():
+    src = BidegreeModule(4, 0, (Summand(0, m("u^{-2}"), 1), Summand(0, m("u^{-2}u1"), 1)))
+    tgt = BidegreeModule(3, 3, (Summand(0, m("u1a^{3}"), 1),))
+    with pytest.raises(PipelineError):
+        LinearMap(src, tgt, [[(0, 0)], [(0, 0)]])
+
+
+def test_map_with_two_entries_in_one_column_rejected():
+    src = BidegreeModule(4, 0, (Summand(0, m("u^{-2}"), 1),))
+    tgt = BidegreeModule(3, 3, (Summand(0, m("u1a^{3}"), 1), Summand(0, m("u1^{2}a^{3}"), 1)))
+    with pytest.raises(PipelineError):
+        LinearMap(src, tgt, [[(0, 0), (1, 0)]])
+
+
+def test_turn_page_rejects_d_in_on_another_module():
+    mod = BidegreeModule(3, 3, (Summand(0, m("u1a^{3}"), 1),))
+    copy = BidegreeModule(3, 3, mod.summands)
+    src = BidegreeModule(4, 0, (Summand(0, m("u^{-2}"), 1),))
+    page = Page(Target.C2_V0, 3, Window(0, 5), 3, modules={(3, 3): mod, (4, 0): src})
+    prop = Propagation(maps={(4, 0): LinearMap(src, copy, [[(0, 0)]])})
+    with pytest.raises(PipelineError):
+        turn_page(page, prop, 3)
 
 
 def test_c2_e4_bidegree_4_0():

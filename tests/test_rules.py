@@ -7,8 +7,7 @@ from hfpss.monomials import parse_monomial
 from hfpss.rules import (C6_D3_CROSS_CHECKS, C6_D7_CROSS_CHECKS,
                          C6_V0_D3_CROSS_CHECKS, C6_V0_D7_CROSS_CHECKS,
                          RuleCoverageError, Y_D7_PUBLISHED_VALUES, Y_D7_VALUES,
-                         propagate, rule_table, ruleset_from_json,
-                         ruleset_to_json, validate_coverage)
+                         propagate, rule_table, validate_coverage)
 from hfpss.targets import Target, Window
 
 m = parse_monomial
@@ -106,9 +105,9 @@ def test_propagate_d3_on_u():
     # d3(u) = u^4 * d3(u^-3) = a^3 u^3 u1, a class at stem -3, filt 3
     lm = prop.maps[(-2, 0)]
     j = lm.source.slot_of(m("u"))
-    (row, coeff), = lm.cols[j]
+    (row, exp), = lm.cols[j]
     assert lm.target.summands[row].mono == m("u^{3}u1a^{3}")
-    assert coeff.is_unit()
+    assert exp == 0
 
 
 def test_propagate_d3_zero_on_u_minus_4():
@@ -177,11 +176,3 @@ def test_restriction_compatibility():
                 for s in mod.summands:
                     assert big.value_on(s.mono) == small.value_on(s.mono)
 
-
-def test_ruleset_json_roundtrip(tmp_path):
-    rules = rule_table(Target.C6_Y, 7)
-    data = ruleset_to_json(rules)
-    back = ruleset_from_json(data)
-    assert back.values == rules.values
-    assert back.transversal == rules.transversal
-    assert back.y_mode and back.u_modulus == 24

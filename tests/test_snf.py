@@ -1,14 +1,17 @@
-"""Smith normal form over W/2^K against a brute-force enumeration oracle.
+"""Homology over W/2^K against a brute-force enumeration oracle.
 
-The oracle enumerates module elements directly (modules are capped at
-4^6 = 4096 elements), computes kernels and images pointwise, and reads
-off the invariant factors from order statistics.  It shares no code path
-with the SNF engine.
+The enumeration enumerates module elements directly (modules are capped
+at 4^6 = 4096 elements), computes kernels and images pointwise, and
+reads off the invariant factors from order statistics.  It shares no
+code path with either the Smith normal form oracle (dense maps with
+arbitrary Galois-ring entries) or the production slotwise path
+(monomial-sparse maps), and checks both.
 """
 
 import itertools
 import random
 
+from hfpss import snf
 from hfpss.modules import BidegreeModule, LinearMap, Summand, homology_at
 from hfpss.monomials import Monomial
 from hfpss.scalars import Witt, witt_elements
@@ -203,92 +206,167 @@ def _random_map_into_kernel(rng, src, mid, ker_elements):
                              for x, e in zip(v, [t.order for t in mid.summands]))]
         v = rng.choice(candidates)
         cols.append([(i, x) for i, x in enumerate(v) if x])
-    return LinearMap(src, mid, cols)
+    return cols
 
 
-def test_homology_agrees_with_enumeration_on_100_random_presentations():
-    rng = random.Random(20240817)
+def _random_dense_map(rng, mid, tgt):
+    """Well-defined d_out with random Galois-ring entries anywhere."""
+    cols = []
+    for s in mid.summands:
+        col = []
+        for i, t in enumerate(tgt.summands):
+            v_min = max(0, t.order - s.order)
+            if rng.random() < 0.5:
+                continue
+            val = rng.randrange(1 << K), rng.randrange(1 << K)
+            w = Witt(val[0], val[1], K)
+            if w.val() < v_min:
+                w = Witt.two_power(v_min, K) * w
+            if w:
+                col.append((i, w))
+        cols.append(col)
+    return cols
+
+
+def _random_sparse_map(rng, src, tgt, allowed):
+    """Monomial-sparse (row, exp) columns, each row hit at most once.
+
+    allowed(i, exp) says whether a source generator may go to 2^exp
+    times target generator i."""
+    free = set(range(len(tgt.summands)))
+    cols = []
+    for s in src.summands:
+        candidates = [(i, e) for i in sorted(free) for e in range(K)
+                      if s.order + e >= tgt.summands[i].order and allowed(i, e)]
+        if not candidates or rng.random() < 0.3:
+            cols.append([])
+            continue
+        i, e = rng.choice(candidates)
+        free.discard(i)
+        cols.append([(i, e)])
+    return cols
+
+
+def _witt_cols(cols):
+    return [[(i, Witt.two_power(e, K)) for i, e in col] for col in cols]
+
+
+def _dense(cols, n):
+    """Dense vectors of length n from (row, coefficient) columns."""
+    out = []
+    for col in cols:
+        v = [W(0)] * n
+        for i, c in col:
+            v[i] = c
+        out.append(v)
+    return out
+
+
+def _enumerated_subquotient(mid, ker_elements, image):
+    """Invariants of <ker_elements>/<image> from order statistics of cosets."""
+    mid_exps = [s.order for s in mid.summands]
+    seen = set()
+    reps = []
+    mods = [1 << e for e in mid_exps]
+    for v in ker_elements:
+        key = min(tuple(((v[i].a0 + d[i][0]) % mods[i],
+                         (v[i].a1 + d[i][1]) % mods[i])
+                        for i in range(len(v))) for d in image)
+        if key not in seen:
+            seen.add(key)
+            reps.append(key)
+
+    def order_exp(rep):
+        for t in range(K + 1):
+            scaled = tuple((((rep[i][0] << t)) % mods[i],
+                            ((rep[i][1] << t)) % mods[i])
+                           for i in range(len(rep)))
+            key = min(tuple(((scaled[i][0] + d[i][0]) % mods[i],
+                             (scaled[i][1] + d[i][1]) % mods[i])
+                            for i in range(len(rep))) for d in image)
+            if all(x == (0, 0) for x in key):
+                return t
+        raise AssertionError
+
+    counts = [sum(1 for r in reps if order_exp(r) <= t) for t in range(K + 1)]
+    logs = []
+    for c in counts:
+        l = 0
+        while 4 ** l < c:
+            l += 1
+        assert 4 ** l == c
+        logs.append(l)
+    n_ge = [logs[t] - logs[t - 1] for t in range(1, K + 1)]
+    oracle = []
+    for t in range(K, 0, -1):
+        oracle.extend([t] * (n_ge[t - 1] - sum(1 for e in oracle if e > t)))
+    return sorted(oracle)
+
+
+def _random_presentations(seed, sparse):
+    """100 random complexes src -> mid -> tgt with enumerated homology.
+
+    Yields (mid, tgt, src, in_cols, out_cols, invariants); src is None
+    (no d_in) on even trials.  Dense columns hold (row, Witt) pairs,
+    monomial-sparse ones (row, exp) pairs."""
+    rng = random.Random(seed)
     for trial in range(100):
         mid = _random_module(rng, 0, 0)
         tgt = _random_module(rng, -1, 7)
-        n, m = len(mid.summands), len(tgt.summands)
-        # random well-defined d_out
-        cols = []
-        for s in mid.summands:
-            col = []
-            for i, t in enumerate(tgt.summands):
-                v_min = max(0, t.order - s.order)
-                if rng.random() < 0.5:
-                    continue
-                val = rng.randrange(1 << K), rng.randrange(1 << K)
-                w = Witt(val[0], val[1], K)
-                if w.val() < v_min:
-                    w = Witt.two_power(v_min, K) * w
-                if w:
-                    col.append((i, w))
-            cols.append(col)
-        d_out = LinearMap(mid, tgt, cols)
-        d_out.check_well_defined(K)
+        if sparse:
+            out_cols = _random_sparse_map(rng, mid, tgt, lambda i, e: True)
+            out_witt = _witt_cols(out_cols)
+        else:
+            out_cols = out_witt = _random_dense_map(rng, mid, tgt)
 
-        # oracle: enumerate the kernel of d_out inside mid
+        # enumerate the kernel of d_out inside mid
         mid_exps = [s.order for s in mid.summands]
         tgt_exps = [t.order for t in tgt.summands]
         ker_elements = [v for v in _module_elements(mid_exps)
                         if all(x.val() >= e or not x
-                               for x, e in zip(_apply(cols, v, tgt_exps), tgt_exps))]
+                               for x, e in zip(_apply(out_witt, v, tgt_exps), tgt_exps))]
 
         if trial % 2 == 0:
-            d_in = None
+            src, in_cols = None, []
             image = {tuple((0, 0) for _ in mid.summands)}
         else:
             src = _random_module(rng, 1, 0)
-            d_in = _random_map_into_kernel(rng, src, mid, ker_elements)
+            if sparse:
+                def in_kernel(i, e):
+                    return all(e + f >= tgt.summands[t].order for t, f in out_cols[i])
+                in_cols = _random_sparse_map(rng, src, mid, in_kernel)
+                in_witt = _witt_cols(in_cols)
+            else:
+                in_cols = in_witt = _random_map_into_kernel(rng, src, mid, ker_elements)
             image = set()
             for v in _module_elements([s.order for s in src.summands]):
-                w = _apply(d_in.cols, v, mid_exps)
+                w = _apply(in_witt, v, mid_exps)
                 image.add(tuple((x.a0 % (1 << e), x.a1 % (1 << e))
                                 for x, e in zip(w, mid_exps)))
 
-        # oracle invariants of ker/im from order statistics of cosets
-        seen = set()
-        reps = []
-        mods = [1 << e for e in mid_exps]
-        for v in ker_elements:
-            key = min(tuple(((v[i].a0 + d[i][0]) % mods[i],
-                             (v[i].a1 + d[i][1]) % mods[i])
-                            for i in range(len(v))) for d in image)
-            if key not in seen:
-                seen.add(key)
-                reps.append(key)
+        yield mid, tgt, src, in_cols, out_cols, _enumerated_subquotient(mid, ker_elements, image)
 
-        def order_exp(rep):
-            for t in range(K + 1):
-                scaled = tuple((((rep[i][0] << t)) % mods[i],
-                                ((rep[i][1] << t)) % mods[i])
-                               for i in range(len(rep)))
-                key = min(tuple(((scaled[i][0] + d[i][0]) % mods[i],
-                                 (scaled[i][1] + d[i][1]) % mods[i])
-                                for i in range(len(rep))) for d in image)
-                if all(x == (0, 0) for x in key):
-                    return t
-            raise AssertionError
 
-        counts = [sum(1 for r in reps if order_exp(r) <= t) for t in range(K + 1)]
-        logs = []
-        for c in counts:
-            l = 0
-            while 4 ** l < c:
-                l += 1
-            assert 4 ** l == c
-            logs.append(l)
-        n_ge = [logs[t] - logs[t - 1] for t in range(1, K + 1)]
-        oracle = []
-        for t in range(K, 0, -1):
-            oracle.extend([t] * (n_ge[t - 1] - sum(1 for e in oracle if e > t)))
-        oracle.sort()
+def test_homology_agrees_with_enumeration_on_100_random_presentations():
+    """The SNF oracle on dense maps with arbitrary Galois-ring entries."""
+    for trial, (mid, tgt, _src, in_cols, out_cols, oracle) in enumerate(
+            _random_presentations(20240817, sparse=False)):
+        n, n_t = len(mid.summands), len(tgt.summands)
+        _ker, _im, invariants = snf.subquotient(
+            [s.order for s in mid.summands], _dense(in_cols, n), _dense(out_cols, n_t),
+            [t.order for t in tgt.summands], K)
+        assert invariants == oracle, f"trial {trial}"
 
-        H, _section = homology_at(mid, d_in, d_out, K)
+
+def test_sparse_homology_agrees_with_enumeration_on_100_random_presentations():
+    """The production path, and the SNF oracle on the same monomial-sparse maps."""
+    for trial, (mid, tgt, src, in_cols, out_cols, oracle) in enumerate(
+            _random_presentations(20261017, sparse=True)):
+        d_out = LinearMap(mid, tgt, out_cols)
+        d_in = None if src is None else LinearMap(src, mid, in_cols)
+        H, section = homology_at(mid, d_in, d_out, K)
         assert H.invariants() == oracle, f"trial {trial}"
+        assert snf.homology_at(mid, d_in, d_out, K) == (H, section), f"trial {trial}"
 
 
 def test_kernel_gens_span_the_kernel():
@@ -308,15 +386,16 @@ def test_homology_basis_order_independence():
     rng = random.Random(7)
     mid = _random_module(rng, 0, 0, max_rank=3)
     tgt = _random_module(rng, -1, 7, max_rank=3)
+    n_t = len(tgt.summands)
+    tgt_orders = [t.order for t in tgt.summands]
     cols = [[(i, W(2)) for i, t in enumerate(tgt.summands)
              if t.order <= s.order + 1][:1] for s in mid.summands]
-    d_out = LinearMap(mid, tgt, cols)
-    H1, _ = homology_at(mid, None, d_out, K)
+    H1, _ = snf.homology(mid, [], _dense(cols, n_t), tgt_orders, K)
     perm = BidegreeModule(0, 0, tuple(reversed(mid.summands)))
     # rebuild the map against the permuted basis
     idx = {s: j for j, s in enumerate(mid.summands)}
     cols2 = [cols[idx[s]] for s in perm.summands]
-    H2, _ = homology_at(perm, None, LinearMap(perm, tgt, cols2), K)
+    H2, _ = snf.homology(perm, [], _dense(cols2, n_t), tgt_orders, K)
     assert H1.invariants() == H2.invariants()
     assert {(s.scalar, s.mono, s.order) for s in H1.summands} == \
         {(s.scalar, s.mono, s.order) for s in H2.summands}
