@@ -11,6 +11,10 @@ Each page is assembled monomial by monomial:
 * smash-with-Y page: the cokernel of eta-multiplication on the mod-2 C6
   page; concretely the weight-0 monomials with u1-exponent 0 or
   alpha-exponent 0, and u1 annihilates everything with alpha-exponent >= 1.
+
+So free summands sit only in filtration 0 of the integral pages.  Every d_r
+raises filtration by r >= 3 and never enters them, so they are flagged free
+here, once, and page turns carry the flag.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ def e2_summands(target: Target, stem: int, filt: int, K: int, n_u1: int) -> tupl
     a = (filt - stem) // 2
     if target.even_u_only and a % 2 != 0:
         return ()
-    order = 1 if (target.mod2 or c >= 1) else K
-    return tuple(Summand(0, Monomial(a, b, c), order)
+    free = not target.mod2 and c == 0
+    return tuple(Summand(0, Monomial(a, b, c), K if free else 1, free)
                  for b in _basis_u1_exponents(target, a, c, n_u1))
 
 

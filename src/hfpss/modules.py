@@ -24,7 +24,7 @@ class PipelineError(Exception):
 
 @dataclass(frozen=True)
 class Summand:
-    """One cyclic summand: the class 2^scalar * mono of order 2^order."""
+    """One cyclic summand 2^scalar * mono of order 2^order (K - scalar if free)."""
 
     scalar: int
     mono: Monomial
@@ -126,11 +126,11 @@ def homology_at(module: BidegreeModule,
     with a = clamp(e_tgt - v_out, 0, e), the image by 2^t with
     t = max(v_in, e - e_src), and the subquotient is cyclic of order
     2^(t - a) on the pure lift 2^a * generator.  The returned section maps
-    each new summand to (old summand, a).  The page truncation K is not
-    needed here (an exponent of at least K acts as zero by these formulas);
-    it keeps the signature of the oracle snf.homology_at.  Raises
-    PipelineError if a map does not start or end at `module`, or if im is
-    not contained in ker.
+    each new summand to (old summand, a); new is free iff old is.  The page
+    truncation K is not needed here (an exponent of at least K acts as zero
+    by these formulas); it keeps the signature of the oracle
+    snf.homology_at.  Raises PipelineError if a map does not start or end
+    at `module`, if d_in enters a free summand, or if im is not in ker.
     """
     if d_out is not None and d_out.source is not module:
         raise PipelineError(f"d_out source mismatch at ({module.stem},{module.filt})")
@@ -145,6 +145,9 @@ def homology_at(module: BidegreeModule,
     if d_in is not None:
         for j, col in enumerate(d_in.cols):
             for i, exp in col:
+                if module.summands[i].free:
+                    raise PipelineError(f"d_in enters free summand {module.summands[i].label()}"
+                                        f" at ({module.stem},{module.filt})")
                 in_entry[i] = (exp, d_in.source.summands[j].order)
 
     new_summands = []
@@ -166,7 +169,7 @@ def homology_at(module: BidegreeModule,
                 f"image exceeds kernel at ({module.stem},{module.filt}) "
                 f"slot {s.label()}: d∘d != 0")
         if t > a:
-            new = Summand(s.scalar + a, s.mono, t - a)
+            new = Summand(s.scalar + a, s.mono, t - a, s.free)
             new_summands.append(new)
             section[new] = (s, a)
     return BidegreeModule(module.stem, module.filt, tuple(new_summands)), section

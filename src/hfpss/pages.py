@@ -11,9 +11,10 @@ must propagate to zero maps, the even-r case by checking that no nonzero
 source/target bidegree pair exists, and collapse at E8 by checking that
 every d_r with r >= 8 has zero source or zero target.
 
-Freeness of a tower cannot be read off at one 2-adic truncation, so the
-whole pipeline runs at K and K+1 and a summand is certified free exactly
-when its annihilator exponent grows with the truncation.
+Freeness of a tower comes from E2, which flags the free summands
+(filtration 0 of the integral pages); page turns carry the flag from each
+old summand to its survivor, and homology_at rejects any differential
+that enters a free summand.  So the pipeline runs once, at truncation K.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .e2 import build_e2
-from .modules import (BidegreeModule, Page, PipelineError, Summand,
-                      compose_cols, homology_at)
+from .modules import (BidegreeModule, Page, PipelineError, compose_cols,
+                      homology_at)
 from .monomials import NAMED, Monomial
 from .rules import Propagation, propagate, rule_table, validate_coverage
 from .targets import Target, Window
@@ -116,9 +117,11 @@ class PageStack:
         return self.pages[8]
 
 
-def _run_once(target: Target, window: Window, K: int) -> tuple[dict[int, Page], dict[int, Propagation]]:
-    p2 = build_e2(target, window, K)
-    for r in (3, 5, 7):
+def _run_once(target: Target, window: Window) -> tuple[dict[int, Page], dict[int, Propagation]]:
+    p2 = build_e2(target, window)
+    # propagate(p2, d3) factorizes every E2 slot itself; d5 and d7 act on
+    # E4 and only see survivors, so their coverage is checked on all of E2
+    for r in (5, 7):
         validate_coverage(rule_table(target, r), p2)
 
     prop3 = propagate(p2, rule_table(target, 3))
@@ -136,39 +139,9 @@ def _run_once(target: Target, window: Window, K: int) -> tuple[dict[int, Page], 
     return {2: p2, 4: p4, 8: p8}, {3: prop3, 7: prop7}
 
 
-def _certify_freeness(pages_lo: dict[int, Page], pages_hi: dict[int, Page], K: int) -> None:
-    """Mark summands free when their annihilator grows with the truncation."""
-    for r, page in pages_lo.items():
-        hi = pages_hi[r]
-        for key, mod in page.modules.items():
-            hm = hi.modules.get(key)
-            hi_orders = {(s.scalar, s.mono): s.order for s in (hm.summands if hm else ())}
-            new = []
-            for s in mod.summands:
-                o_hi = hi_orders.get((s.scalar, s.mono))
-                if o_hi is None:
-                    raise PipelineError(
-                        f"summand {s.label()} at {key} missing from K={K + 1} run")
-                if o_hi == s.order + 1 and s.order == K - s.scalar:
-                    new.append(Summand(s.scalar, s.mono, s.order, free=True))
-                elif o_hi == s.order:
-                    new.append(s)
-                else:
-                    raise PipelineError(
-                        f"truncation-unstable order for {s.label()} at {key}: "
-                        f"{s.order} vs {o_hi}")
-            page.modules[key] = BidegreeModule(mod.stem, mod.filt, tuple(new))
-
-
 def run_to_einfty(target: Target, window: Window) -> PageStack:
-    """E2 through Einfty with all structural certificates.
-
-    Runs at K and K+1; the returned stack holds the K-truncated pages with
-    free towers certified by the comparison.
-    """
-    pages, maps = _run_once(target, window, window.K)
-    pages_hi, _ = _run_once(target, window, window.K + 1)
-    _certify_freeness(pages, pages_hi, window.K)
+    """E2 through Einfty at truncation K with all structural certificates."""
+    pages, maps = _run_once(target, window)
 
     certificates = []
     check_even_r_vanishing(pages[2], rs=(2,))

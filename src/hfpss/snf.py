@@ -254,7 +254,7 @@ def homology(module: BidegreeModule, in_cols: list[Vector], out_cols: list[Vecto
             order += 1
         if order == 0:
             continue
-        new = Summand(old.scalar + lift, old.mono, order)
+        new = Summand(old.scalar + lift, old.mono, order, old.free)
         new_summands.append(new)
         section[new] = (old, lift)
         acc = acc.extended(_unit_vector(n, i, lift, K))

@@ -58,8 +58,11 @@ class Window:
 
     stem_lo..stem_hi is inclusive; filt_max caps the filtration of
     reported classes.  K is the 2-adic truncation of the Witt ring and N
-    the u1-truncation of reported power series towers; both must be at
-    least 1.  Computation internally pads all three directions.
+    the u1-truncation of reported power series towers.  K >= 3 so that
+    W/4 differs from a free tower (4 != 0 mod 2^K, as term_order_exp
+    needs); N >= 4, one past the largest series period 3, since below it a
+    lone class at u1-offset 0 reaches N and reads as a series.
+    Computation internally pads all three directions.
     """
 
     stem_lo: int
@@ -69,9 +72,9 @@ class Window:
     N: int = 12
 
     def __post_init__(self):
-        for name, value in (("K", self.K), ("N", self.N)):
-            if value < 1:
-                raise ValueError(f"truncation {name} must be >= 1, got {value}")
+        for name, value, least in (("K", self.K, 3), ("N", self.N, 4)):
+            if value < least:
+                raise ValueError(f"truncation {name} must be >= {least}, got {value}")
 
     @property
     def stem_range(self) -> range:

@@ -133,8 +133,13 @@ def test_module_entry_point():
 
 
 @pytest.mark.parametrize("flag, value", [("--witt-trunc", "0"), ("--u1-trunc", "-3"),
-                                         ("--u1-trunc", "0")])
+                                         ("--u1-trunc", "0"), ("--witt-trunc", "1"),
+                                         ("--witt-trunc", "2"), ("--u1-trunc", "2"),
+                                         ("--u1-trunc", "3")])
 def test_nonpositive_truncation_is_usage_error(flag, value, capsys):
+    # below K = 3 or N = 4 the output is wrong, so small truncations are
+    # rejected along with nonpositive ones
     code, out = run_cli("compute", "--target", "c2", "--stems", "3:3", flag, value)
     assert code == 2 and out == ""
-    assert "must be >= 1" in capsys.readouterr().err
+    least = {"--witt-trunc": 3, "--u1-trunc": 4}[flag]
+    assert f"must be >= {least}" in capsys.readouterr().err

@@ -5,6 +5,8 @@ must name identical summands and sections: valuation arithmetic is how
 the engine turns pages, and the general SNF route checks it.
 """
 
+from dataclasses import replace
+
 import pytest
 
 import hfpss.modules as modules
@@ -27,7 +29,8 @@ def test_pipeline_identical_through_general_snf(target, monkeypatch):
         return got
 
     monkeypatch.setattr(pages, "homology_at", both_routes)
-    result = compute(target, window)
+    results = [compute(target, w) for w in (window, replace(window, K=window.K + 1))]
     # every bidegree of E2 and E4, at K and at K+1, was turned through both
-    turned = sum(len(result.stack.pages[r].modules) for r in (2, 4))
-    assert len(calls) >= 2 * turned > 0
+    turned = sum(len(res.stack.pages[r].modules) for res in results for r in (2, 4))
+    assert len(calls) == turned > 0
+    assert {K for (_, _, K) in calls} == {window.K, window.K + 1}

@@ -17,6 +17,7 @@ def test_c2_page_has_even_u_powers_and_witt_bottoms():
         for s in mod.summands:
             assert s.mono.u % 2 == 0
             assert s.order == (3 if filt == 0 else 1)
+            assert s.free == (filt == 0)
 
 
 def test_c2_v0_page_all_torsion_all_u_powers():
@@ -25,6 +26,7 @@ def test_c2_v0_page_all_torsion_all_u_powers():
     for mod in page.modules.values():
         for s in mod.summands:
             assert s.order == 1
+            assert not s.free
 
 
 def test_c2_v0_stem_one_column():
@@ -110,7 +112,7 @@ def test_eta_injectivity_full_window():
 
 
 def test_eta_injectivity_on_zero_page_is_vacuous():
-    page = build_e2(Target.C6_V0, Window(5, 5, filt_max=0, N=3))
+    page = build_e2(Target.C6_V0, Window(5, 5, filt_max=0, N=4))
     page.modules = {}
     report = eta_injectivity_check(page)
     assert report.ok and not report.coker_dims

@@ -1,7 +1,10 @@
 """Page turning, certificates, periodicity, and tower recognition."""
 
+from dataclasses import replace
+
 import pytest
 
+from hfpss.engine import compute
 from hfpss.modules import (BidegreeModule, LinearMap, Page, PipelineError, Summand,
                            homology_at)
 from hfpss.monomials import Monomial, parse_monomial
@@ -56,6 +59,18 @@ def test_dd_nonzero_rejected():
     d_out = LinearMap(mid, tgt, [[(0, 0)]])
     with pytest.raises(PipelineError):
         homology_at(mid, d_in, d_out, 3)
+
+
+def test_d_in_into_free_summand_rejected():
+    # freeness is carried from E2, never recomputed, so a differential into
+    # a free Witt tower is a pipeline fault; into a torsion summand it is not
+    src = BidegreeModule(1, -3, (Summand(0, m("u^{2}u1"), 3),))
+    torsion = BidegreeModule(0, 0, (Summand(0, m("u1"), 3),))
+    H, _ = homology_at(torsion, LinearMap(src, torsion, [[(0, 1)]]), None, 3)
+    assert [(s.label(), s.order) for s in H.summands] == [("u1", 1)]
+    tower = BidegreeModule(0, 0, (Summand(0, m("u1"), 3, free=True),))
+    with pytest.raises(PipelineError, match="free summand"):
+        homology_at(tower, LinearMap(src, tower, [[(0, 1)]]), None, 3)
 
 
 def test_map_with_two_columns_on_one_row_rejected():
@@ -150,6 +165,29 @@ def test_free_certification_distinguishes_w4():
                     assert s.order == page.K - s.scalar
                 else:
                     assert s.order == 1
+
+
+def test_freeness_matches_the_k_plus_one_run(computed_all):
+    # a summand is free exactly when its order grows with the truncation:
+    # the same pages at K + 1 pair every summand with one of equal
+    # (scalar, mono, free), free orders K - scalar and K + 1 - scalar,
+    # all other orders equal
+    for target, res in computed_all.items():
+        K = res.window.K
+        hi = compute(target, replace(res.window, K=K + 1)).stack
+        for r in (2, 4, 8):
+            lo_page, hi_page = res.stack.pages[r], hi.pages[r]
+            assert lo_page.modules.keys() == hi_page.modules.keys(), (target, r)
+            for key, mod in lo_page.modules.items():
+                hi_orders = {(s.scalar, s.mono, s.free): s.order
+                             for s in hi_page.modules[key].summands}
+                assert len(hi_orders) == len(mod.summands), (target, r, key)
+                for s in mod.summands:
+                    o_hi = hi_orders[(s.scalar, s.mono, s.free)]
+                    if s.free:
+                        assert (s.order, o_hi) == (K - s.scalar, K + 1 - s.scalar)
+                    else:
+                        assert o_hi == s.order, (target, r, key, s.label())
 
 
 def test_tower_recognition():

@@ -382,20 +382,28 @@ def test_kernel_gens_span_the_kernel():
 
 
 def test_homology_basis_order_independence():
-    # permuting the input summands leaves the canonical invariants alone
-    rng = random.Random(7)
-    mid = _random_module(rng, 0, 0, max_rank=3)
-    tgt = _random_module(rng, -1, 7, max_rank=3)
-    n_t = len(tgt.summands)
-    tgt_orders = [t.order for t in tgt.summands]
-    cols = [[(i, W(2)) for i, t in enumerate(tgt.summands)
-             if t.order <= s.order + 1][:1] for s in mid.summands]
-    H1, _ = snf.homology(mid, [], _dense(cols, n_t), tgt_orders, K)
-    perm = BidegreeModule(0, 0, tuple(reversed(mid.summands)))
-    # rebuild the map against the permuted basis
-    idx = {s: j for j, s in enumerate(mid.summands)}
-    cols2 = [cols[idx[s]] for s in perm.summands]
-    H2, _ = snf.homology(perm, [], _dense(cols2, n_t), tgt_orders, K)
-    assert H1.invariants() == H2.invariants()
-    assert {(s.scalar, s.mono, s.order) for s in H1.summands} == \
-        {(s.scalar, s.mono, s.order) for s in H2.summands}
+    # snf.homology takes the d_out target coordinates (out_cols rows with
+    # out_orders) and the d_in source generators (in_cols) as plain lists;
+    # reversing either must leave the named summands and sections alone,
+    # and it changes the input on at least 30 of the 100 presentations
+    permuted = {"d_out": 0, "d_in": 0}
+    for trial, (mid, tgt, _src, in_cols, out_cols, _oracle) in enumerate(
+            _random_presentations(20261017, sparse=True)):
+        n, n_t = len(mid.summands), len(tgt.summands)
+        in_vecs = _dense(_witt_cols(in_cols), n)
+        out_vecs = _dense(_witt_cols(out_cols), n_t)
+        out_orders = [t.order for t in tgt.summands]
+        expected = snf.homology(mid, in_vecs, out_vecs, out_orders, K)
+        rows = range(n_t - 1, -1, -1)
+        perm_out = [[v[i] for i in rows] for v in out_vecs]
+        perm_orders = [out_orders[i] for i in rows]
+        perm_in = in_vecs[::-1]
+        if (perm_out, perm_orders) != (out_vecs, out_orders):
+            permuted["d_out"] += 1
+            assert snf.homology(mid, in_vecs, perm_out, perm_orders, K) == expected, \
+                f"trial {trial}"
+        if perm_in != in_vecs:
+            permuted["d_in"] += 1
+            assert snf.homology(mid, perm_in, out_vecs, out_orders, K) == expected, \
+                f"trial {trial}"
+    assert min(permuted.values()) >= 30, permuted
