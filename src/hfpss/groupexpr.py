@@ -128,10 +128,6 @@ def parse_group_expr(s: str) -> GroupExpr:
     return GroupExpr(tuple(parse_term(p) for p in parts))
 
 
-def render_group_expr(g: GroupExpr) -> str:
-    return g.render()
-
-
 @dataclass(frozen=True)
 class TruncatedSummand:
     order: int        # exponent: the summand is W/2^order as a group
@@ -182,8 +178,3 @@ def truncate_group(g: GroupExpr, K: int, N: int) -> list[TruncatedSummand]:
 def iso_invariants(g: GroupExpr, K: int, N: int) -> list[int]:
     """Multiset of cyclic summand orders at truncation (K, N)."""
     return sorted(s.order for s in truncate_group(g, K, N))
-
-
-def log4_order(g: GroupExpr, K: int, N: int) -> int:
-    """log base 4 of the truncated group order."""
-    return sum(s.order for s in truncate_group(g, K, N))

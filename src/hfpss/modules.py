@@ -189,9 +189,6 @@ class Page:
     def module(self, stem: int, filt: int) -> BidegreeModule:
         return self.modules.get((stem, filt)) or zero_module(stem, filt)
 
-    def nonzero_bidegrees(self) -> list[tuple[int, int]]:
-        return sorted(k for k, m in self.modules.items() if m)
-
     def is_trusted(self, stem: int, filt: int) -> bool:
         return self.window.trusted(stem, filt) and (stem, filt) not in self.untrusted
 

@@ -6,10 +6,12 @@ The page succession is
 
 the intermediate equalities hold because the d5 rule sets are empty and
 no even-r differential can exist (source and target bidegrees always have
-opposite parity).  Both facts are certified, not assumed: the d5 pass
-must propagate to zero maps, the even-r case by checking that no nonzero
-source/target bidegree pair exists, and collapse at E8 by checking that
-every d_r with r >= 8 has zero source or zero target.
+opposite parity).  Both facts are certified, not assumed: the d5 table
+must be empty, the even-r case by checking that no nonzero source/target
+bidegree pair exists, and collapse at E8 by checking that every d_r with
+r >= 8 has zero source or zero target.  Each page turn checks that no
+module grew.  Rule coverage is checked by propagate, which factorizes
+each slot of the page it acts on once: E2 for d3, E4 for d7.
 
 Freeness of a tower comes from E2, which flags the free summands
 (filtration 0 of the integral pages); page turns carry the flag from each
@@ -25,10 +27,9 @@ from .e2 import build_e2
 from .modules import (BidegreeModule, Page, PipelineError, compose_cols,
                       homology_at)
 from .monomials import NAMED, Monomial
-from .rules import Propagation, propagate, rule_table, validate_coverage
+from .rules import Propagation, propagate, rule_table
 from .targets import Target, Window
 
-PAGE_ORDER = (2, 3, 4, 5, 6, 7, 8)
 ALIASES = {3: 2, 5: 4, 6: 4, 7: 4}
 
 
@@ -46,8 +47,7 @@ def turn_page(page: Page, prop: Propagation, rule_r: int) -> Page:
         d_in = prop.maps.get((stem + 1, filt - r))
         new_mod, _section = homology_at(mod, d_in, d_out, page.K)
         if new_mod.total_length > mod.total_length:
-            raise PipelineError(
-                f"homology grew at ({stem},{filt})")
+            raise CertificateError(f"module length grew at ({stem},{filt})")
         if new_mod:
             out.modules[(stem, filt)] = new_mod
     return out
@@ -117,49 +117,31 @@ class PageStack:
         return self.pages[8]
 
 
-def _run_once(target: Target, window: Window) -> tuple[dict[int, Page], dict[int, Propagation]]:
+def run_to_einfty(target: Target, window: Window) -> PageStack:
+    """E2 through Einfty at truncation K with all structural certificates."""
     p2 = build_e2(target, window)
-    # propagate(p2, d3) factorizes every E2 slot itself; d5 and d7 act on
-    # E4 and only see survivors, so their coverage is checked on all of E2
-    for r in (5, 7):
-        validate_coverage(rule_table(target, r), p2)
-
     prop3 = propagate(p2, rule_table(target, 3))
     check_d_squared(p2, prop3, 3)
     p4 = turn_page(p2, prop3, 3)
 
-    prop5 = propagate(p4, rule_table(target, 5))
-    if prop5.maps:
-        raise CertificateError("nontrivial d5 propagated from an empty rule set")
+    if rule_table(target, 5).values:
+        raise CertificateError(f"d5 rule set of {target.value} is not empty")
 
     prop7 = propagate(p4, rule_table(target, 7))
     check_d_squared(p4, prop7, 7)
     p8 = turn_page(p4, prop7, 7)
 
-    return {2: p2, 4: p4, 8: p8}, {3: prop3, 7: prop7}
-
-
-def run_to_einfty(target: Target, window: Window) -> PageStack:
-    """E2 through Einfty at truncation K with all structural certificates."""
-    pages, maps = _run_once(target, window)
-
-    certificates = []
-    check_even_r_vanishing(pages[2], rs=(2,))
-    check_even_r_vanishing(pages[4], rs=(4, 6))
-    certificates.append("even-r source/target overlap: none")
-    certificates.append("d5 rule set empty and propagates to zero")
-    check_collapse(pages[8])
-    certificates.append("E8 collapse: every d_r (r>=8) has zero source or target")
-    for r_new, r_old in ((4, 2), (8, 4)):
-        for key in pages[r_new].modules:
-            lo = pages[r_new].modules[key].total_length
-            hi = pages[r_old].modules[key].total_length if key in pages[r_old].modules else 0
-            if lo > hi:
-                raise CertificateError(f"module length grew at {key}")
-    certificates.append("monotone death of total module length")
-
-    return PageStack(target=target, window=window, pages=pages, maps=maps,
-                     certificates=certificates)
+    check_even_r_vanishing(p2, rs=(2,))
+    check_even_r_vanishing(p4, rs=(4, 6))
+    check_collapse(p8)
+    certificates = [
+        "even-r source/target overlap: none",
+        "d5 rule set empty and propagates to zero",
+        "E8 collapse: every d_r (r>=8) has zero source or target",
+        "monotone death of total module length",
+    ]
+    return PageStack(target=target, window=window, pages={2: p2, 4: p4, 8: p8},
+                     maps={3: prop3, 7: prop7}, certificates=certificates)
 
 
 # ---------------------------------------------------------------------------

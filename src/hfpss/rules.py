@@ -170,7 +170,14 @@ def rule_table(target: Target, page: int) -> RuleSet:
 
 
 def validate_coverage(rules: RuleSet, page: Page) -> None:
-    """Factorization totality over the padded window, checked at load time."""
+    """Factorization totality of a rule table over every slot of a page.
+
+    The pipeline does not call this: propagate factorizes each slot it
+    evaluates and raises the same error.  The tests run it on the E2
+    pages of Window(0, 48), which covers every window: the factor g of a
+    monomial depends only on u mod u_modulus (on Y, u + u1 mod 24 and
+    alpha mod 3), and that padded window meets every transversal class.
+    """
     for mod in page.modules.values():
         for s in mod.summands:
             try:

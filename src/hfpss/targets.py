@@ -56,12 +56,14 @@ U1_PAD = 6
 class Window:
     """Trusted region plus truncation parameters.
 
-    stem_lo..stem_hi is inclusive; filt_max caps the filtration of
-    reported classes.  K is the 2-adic truncation of the Witt ring and N
+    stem_lo..stem_hi is inclusive and not empty (stem_hi >= stem_lo);
+    filt_max >= 0 caps the filtration of reported classes (0 reports
+    filtration 0 only).  K is the 2-adic truncation of the Witt ring and N
     the u1-truncation of reported power series towers.  K >= 3 so that
     W/4 differs from a free tower (4 != 0 mod 2^K, as term_order_exp
     needs); N >= 4, one past the largest series period 3, since below it a
-    lone class at u1-offset 0 reaches N and reads as a series.
+    lone class at u1-offset 0 reaches N and reads as a series.  A window
+    outside these bounds raises ValueError when built.
     Computation internally pads all three directions.
     """
 
@@ -72,6 +74,10 @@ class Window:
     N: int = 12
 
     def __post_init__(self):
+        if self.stem_hi < self.stem_lo:
+            raise ValueError(f"empty stem range {self.stem_lo}..{self.stem_hi}")
+        if self.filt_max < 0:
+            raise ValueError(f"filt_max must be >= 0, got {self.filt_max}")
         for name, value, least in (("K", self.K, 3), ("N", self.N, 4)):
             if value < least:
                 raise ValueError(f"truncation {name} must be >= {least}, got {value}")

@@ -8,11 +8,12 @@ from hfpss.engine import compute
 from hfpss.modules import (BidegreeModule, LinearMap, Page, PipelineError, Summand,
                            homology_at)
 from hfpss.monomials import Monomial, parse_monomial
-from hfpss.pages import (check_collapse,
+from hfpss import pages
+from hfpss.pages import (CertificateError, check_collapse,
                          check_even_r_vanishing, hurewicz_permanent_cycles,
                          periodicity_check, run_to_einfty, towers_of_module,
                          turn_page)
-from hfpss.rules import Propagation
+from hfpss.rules import Propagation, RuleCoverageError, RuleSet, rule_table
 from hfpss.targets import Target, Window
 
 m = parse_monomial
@@ -134,6 +135,60 @@ def test_monotone_death(computed_all):
             for key, mod in new.modules.items():
                 prev = old.modules.get(key)
                 assert prev is not None and mod.total_length <= prev.total_length
+
+
+def test_each_slot_factorized_once_per_differential(monkeypatch):
+    # d3 reads every E2 slot and d7 every E4 slot, once each; nothing
+    # else factorizes
+    calls = []
+    factorize = RuleSet.factorize
+
+    def counting(self, mono):
+        calls.append(self.page)
+        return factorize(self, mono)
+
+    monkeypatch.setattr(RuleSet, "factorize", counting)
+    stack = run_to_einfty(Target.C2_V0, Window(0, 15, N=6))
+    slots = {r: sum(len(mod.summands) for mod in stack.pages[r].modules.values())
+             for r in (2, 4)}
+    assert calls.count(3) == slots[2] and calls.count(7) == slots[4]
+    assert len(calls) == slots[2] + slots[4]
+
+
+def _patched_rule_table(monkeypatch, page, **changes):
+    def patched(target, r):
+        rules = rule_table(target, r)
+        return replace(rules, **changes) if r == page else rules
+    monkeypatch.setattr(pages, "rule_table", patched)
+
+
+def test_nonempty_d5_table_rejected(monkeypatch):
+    # d5(u^-3) = a^5 is well graded, and is rejected for being there at all
+    _patched_rule_table(monkeypatch, 5, values={m("u^{-3}"): m("a^{5}")})
+    with pytest.raises(CertificateError, match="d5"):
+        run_to_einfty(Target.C2_V0, Window(0, 15, N=6))
+
+
+def test_d7_table_missing_an_e4_residue_rejected(monkeypatch):
+    window = Window(0, 15, N=6)
+    d7 = rule_table(Target.C2_V0, 7)
+    missing = m("u^{-6}")
+    e4 = run_to_einfty(Target.C2_V0, window).pages[4]
+    assert any(d7.factorize(s.mono)[1] == missing
+               for mod in e4.modules.values() for s in mod.summands)
+    _patched_rule_table(monkeypatch, 7,
+                        transversal=tuple(g for g in d7.transversal if g != missing))
+    with pytest.raises(RuleCoverageError, match="not in transversal"):
+        run_to_einfty(Target.C2_V0, window)
+
+
+@pytest.mark.parametrize("bounds", [dict(stem_lo=5, stem_hi=3),
+                                    dict(stem_lo=0, stem_hi=15, filt_max=-1)])
+def test_empty_window_rejected(bounds):
+    with pytest.raises(ValueError):
+        Window(**bounds)
+    # a single stem and filtration 0 alone are not empty
+    assert Window(5, 5, filt_max=0).trusted(5, 0)
 
 
 def test_hurewicz_classes_survive(computed_c6):

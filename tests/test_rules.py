@@ -91,11 +91,17 @@ def test_factorize_rejects_mixed_y_monomial():
 
 
 def test_coverage_over_padded_windows():
+    # the window meets every transversal class, so coverage here is
+    # coverage on every window
     win = Window(0, 48)
     for target in Target:
         page = build_e2(target, win)
         for r in (3, 5, 7):
-            validate_coverage(rule_table(target, r), page)
+            rules = rule_table(target, r)
+            validate_coverage(rules, page)
+            reached = {rules.factorize(s.mono)[1]
+                       for mod in page.modules.values() for s in mod.summands}
+            assert reached == set(rules.transversal), (target, r)
 
 
 def test_propagate_d3_on_u():
