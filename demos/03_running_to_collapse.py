@@ -17,7 +17,7 @@ rules = rule_table(Target.C2_V0, 3)
 print("d3 rule set of the mod-2 C2 tower:")
 for g, v in sorted(rules.values.items()):
     print(f"  d3({g}) = {v}")
-print(f"  linear over {', '.join(rules.linearity)};"
+print(f"  linear over a, u1, u^{{+-{rules.u_modulus}}};"
       f" {len(rules.transversal)} transversal classes")
 
 print("\nPropagation by factorization, e.g. d3(u) = u^4 * d3(u^-3):")

@@ -12,11 +12,12 @@ the smash-with-Y target every extension splits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .groupexpr import GroupExpr, Term
+from .les import ETA_ALPHA_CLIMB
 from .monomials import Monomial
-from .pages import PageStack, Tower, towers_of_page
+from .pages import PageStack, towers_of_page
 from .targets import Target
 
 
@@ -42,27 +43,12 @@ def extension_directives(target: Target) -> list[ExtensionDirective]:
     return [ExtensionDirective("split", None)]
 
 
-def _tower_term(t: Tower) -> Term:
-    if t.free:
-        coeff = "W"
-    elif t.order == 1:
-        coeff = "F4"
-    elif t.order == 2:
-        coeff = "W/4"
-    else:
-        raise ExtensionError(f"tower {t.label()} has unexpected order 2^{t.order}")
-    return Term(t.scalar, t.mono, coeff, t.period)
-
-
-def _eta_alpha_partner(lower: Tower, upper: Tower) -> bool:
+def _eta_alpha_partner(lower: Term, upper: Term) -> bool:
     """Is `upper` the alpha^2*u*u1-shift of the series `lower`?"""
     return (lower.period is not None and upper.period == lower.period
-            and lower.mono.al == 0 and upper.mono.al == 2
-            and upper.mono.u == lower.mono.u + 1
-            and lower.order == 1 and upper.order == 1
-            and not lower.free and not upper.free
-            and (upper.mono.u1 - lower.mono.u1 - 1) % lower.period == 0
-            and upper.mono.u1 <= lower.mono.u1 + 1)
+            and lower.mono.al == 0
+            and lower.coeff == upper.coeff == "F4"
+            and upper.covers(lower.mono * ETA_ALPHA_CLIMB))
 
 
 @dataclass
@@ -73,7 +59,7 @@ class AssembledGroup:
     merged: list[tuple[str, str]] = field(default_factory=list)  # provenance
 
 
-def assemble_pi(stem: int, towers: list[Tower], target: Target) -> AssembledGroup:
+def assemble_pi(stem: int, towers: list[Term], target: Target) -> AssembledGroup:
     """Resolve the extensions in one Einfty column."""
     directives = extension_directives(target)
     merge = next((d for d in directives if d.action == "merge-eta-alpha"
@@ -98,23 +84,20 @@ def assemble_pi(stem: int, towers: list[Tower], target: Target) -> AssembledGrou
                     f"the eta*alpha partner of {lower.label()}")
             towers.remove(lower)
             towers.remove(upper)
-            terms.append(Term(lower.scalar, lower.mono, "W/4", lower.period))
+            terms.append(replace(lower, coeff="W/4"))
             merged.append((lower.label(), upper.label()))
             # upper classes below the pairing threshold stay as F4 summands
-            b = upper.mono.u1
-            while b <= lower.mono.u1:
-                terms.append(Term(upper.scalar,
-                                  Monomial(upper.mono.u, b, upper.mono.al),
-                                  "F4", None))
-                b += upper.period
+            terms.extend(Term(upper.scalar, Monomial(upper.mono.u, b, upper.mono.al),
+                              "F4", None)
+                         for b in upper.offsets(lower.mono.u1 + 1))
 
-    terms.extend(_tower_term(t) for t in towers)
+    terms.extend(towers)
     return AssembledGroup(stem, GroupExpr(tuple(terms)), consulted, merged)
 
 
 def assemble_all(stack: PageStack) -> dict[int, AssembledGroup]:
     """Homotopy groups for every trusted stem of the window."""
-    by_stem: dict[int, list[Tower]] = {}
+    by_stem: dict[int, list[Term]] = {}
     for (stem, filt), towers in towers_of_page(stack.einfty).items():
         if stack.einfty.is_trusted(stem, filt):
             by_stem.setdefault(stem, []).extend(towers)

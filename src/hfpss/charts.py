@@ -14,60 +14,50 @@ for byte-exact golden tests.
 
 from __future__ import annotations
 
-from .modules import Page
+from .groupexpr import Term
+from .modules import BidegreeModule, Page
 from .monomials import NAMED
-from .pages import Tower, towers_of_module, towers_of_page
+from .pages import towers_of_module, towers_of_page
 from .rules import Propagation
 
 GLYPHS = {"f4": ".", "f4_series": "o", "w": "#"}
 
 
-def _glyph(t: Tower) -> str:
+def _glyph(t: Term) -> str:
     if t.free:
         return GLYPHS["w"]
     return GLYPHS["f4_series"] if t.period is not None else GLYPHS["f4"]
 
 
-def _tower_index(towers: list[Tower], mono) -> int | None:
-    for i, t in enumerate(towers):
-        if t.mono.u == mono.u and t.mono.al == mono.al \
-                and mono.u1 >= t.mono.u1 \
-                and (t.period is None and mono.u1 == t.mono.u1
-                     or t.period is not None and (mono.u1 - t.mono.u1) % t.period == 0):
-            return i
-    return None
+def _slot_towers(mod: BidegreeModule, towers: list[Term], N: int) -> list[int | None]:
+    """Per summand of mod, the index of the first tower covering it.
+
+    None for a slot at or beyond the horizon N or in no tower.
+    """
+    return [next((i for i, t in enumerate(towers) if t.covers(s.mono)), None)
+            if s.mono.u1 < N else None for s in mod.summands]
 
 
 def _arrows(page: Page, prop: Propagation, towers_by_bid) -> list[tuple]:
     """(source bid, target bid, dashed) per tower-to-tower differential."""
     arrows = []
+    N = page.window.N
     for (stem, filt), lm in sorted(prop.maps.items()):
-        src_towers = towers_by_bid.get((stem, filt), [])
         tgt_key = (lm.target.stem, lm.target.filt)
-        tgt_towers = towers_by_bid.get(tgt_key, [])
+        src_of = _slot_towers(lm.source, towers_by_bid.get((stem, filt), []), N)
+        tgt_of = _slot_towers(lm.target, towers_by_bid.get(tgt_key, []), N)
         pairs: dict[tuple[int, int], list] = {}
         for j, col in enumerate(lm.cols):
-            s_mono = lm.source.summands[j].mono
-            if s_mono.u1 >= page.window.N:
+            si = src_of[j]
+            if si is None:
                 continue
-            si = _tower_index(src_towers, s_mono)
             for i, exp in col:
-                t_mono = lm.target.summands[i].mono
-                if t_mono.u1 >= page.window.N:
-                    continue
-                ti = _tower_index(tgt_towers, t_mono)
-                if si is None or ti is None:
-                    continue
-                pairs.setdefault((si, ti), []).append(
-                    (exp, lm.source.summands[j], lm.target.summands[i]))
+                ti = tgt_of[i]
+                if ti is not None:
+                    pairs.setdefault((si, ti), []).append(
+                        (exp, lm.source.summands[j], lm.target.summands[i]))
         for (si, ti), hits in pairs.items():
-            src_slots = [s for s in lm.source.summands
-                         if _tower_index(src_towers, s.mono) == si
-                         and s.mono.u1 < page.window.N]
-            tgt_slots = [t for t in lm.target.summands
-                         if _tower_index(tgt_towers, t.mono) == ti
-                         and t.mono.u1 < page.window.N]
-            iso = (len(hits) == len(src_slots) == len(tgt_slots)
+            iso = (len(hits) == src_of.count(si) == tgt_of.count(ti)
                    and all(exp == 0 and s.order == t.order
                            for (exp, s, t) in hits))
             arrows.append(((stem, filt), tgt_key, not iso))

@@ -40,9 +40,9 @@ def _parse_stems(spec: str) -> tuple[int, int]:
 
 def _target(s: str) -> Target:
     try:
-        return Target.from_string(s)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e))
+        return Target(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"unknown target {s!r}")
 
 
 def _write(path: str | None, text: str) -> None:

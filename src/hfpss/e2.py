@@ -26,17 +26,6 @@ from .monomials import NAMED, Monomial
 from .targets import Target, Window
 
 
-def _basis_u1_exponents(target: Target, a: int, c: int, n_u1: int) -> list[int]:
-    out = []
-    for b in range(n_u1):
-        if target.weight_filtered and (a + b + 2 * c) % 3 != 0:
-            continue
-        if target.y_page and c > 0 and b > 0:
-            continue
-        out.append(b)
-    return out
-
-
 def e2_summands(target: Target, stem: int, filt: int, K: int, n_u1: int) -> tuple[Summand, ...]:
     if filt < 0 or (stem + filt) % 2 != 0:
         return ()
@@ -45,8 +34,11 @@ def e2_summands(target: Target, stem: int, filt: int, K: int, n_u1: int) -> tupl
     if target.even_u_only and a % 2 != 0:
         return ()
     free = not target.mod2 and c == 0
-    return tuple(Summand(0, Monomial(a, b, c), K if free else 1, free)
-                 for b in _basis_u1_exponents(target, a, c, n_u1))
+    period = target.period  # C6 pages keep weight 0: a + b + 2c = 0 mod 3
+    bs = range(-(a + 2 * c) % period, n_u1, period)
+    if target.y_page and c > 0:
+        bs = [0] if 0 in bs else []
+    return tuple(Summand(0, Monomial(a, b, c), K if free else 1, free) for b in bs)
 
 
 def build_e2(target: Target, window: Window, K: int | None = None) -> Page:

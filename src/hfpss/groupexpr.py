@@ -10,9 +10,13 @@ for example "2u^{-4}W + u^{-4}u1W[[u1]]" or "a^{2}F4 + u^{-1}W/4[[u1]]".
 The zero group renders as "0".  Parsing is permissive about whitespace,
 factor order, and braces; render(parse(s)) is the canonical form.
 
-Every term determines a truncated module over W/2^K once (K, N) are
-fixed: a series term expands into one cyclic summand per u1-exponent
-offset, offset+period, ... below N; W summands are free-at-K.
+A term is also what tower recognition on a computed page returns, so
+pages, assembly, charts, the long exact sequences and serialization all
+read one record.  Every term determines a truncated module over W/2^K
+once (K, N) are fixed: a series term expands into one cyclic summand per
+u1-exponent offset, offset+period, ... below N (Term.offsets); W
+summands are free-at-K.  Term.covers tests membership in the untruncated
+series.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .modules import Summand
 from .monomials import Monomial, parse_monomial
 
 
@@ -47,6 +52,35 @@ class Term:
     @property
     def filt(self) -> int:
         return self.mono.filt
+
+    @property
+    def free(self) -> bool:
+        return self.coeff == "W"
+
+    def label(self) -> str:
+        """Generator name: scalar prefix and monomial, without coefficient."""
+        prefix = "" if self.scalar == 0 else str(1 << self.scalar)
+        return prefix + str(self.mono)
+
+    def offsets(self, N: int) -> range:
+        """u1-exponents of the slots below N (one for an isolated class).
+
+        >>> list(parse_term("u1F4[[u1^3]]").offsets(8))
+        [1, 4, 7]
+        >>> list(parse_term("u1^{5}F4").offsets(5))
+        []
+        """
+        if self.period is None:
+            return range(self.mono.u1, min(self.mono.u1 + 1, N))
+        return range(self.mono.u1, N, self.period)
+
+    def covers(self, mono: Monomial) -> bool:
+        """Does mono generate one of the untruncated slots of this term?"""
+        g = self.mono
+        step = mono.u1 - g.u1
+        if mono.u != g.u or mono.al != g.al or step < 0:
+            return False
+        return step == 0 if self.period is None else step % self.period == 0
 
     def render(self) -> str:
         parts = []
@@ -128,14 +162,6 @@ def parse_group_expr(s: str) -> GroupExpr:
     return GroupExpr(tuple(parse_term(p) for p in parts))
 
 
-@dataclass(frozen=True)
-class TruncatedSummand:
-    order: int        # exponent: the summand is W/2^order as a group
-    free: bool        # genuinely free before truncation
-    scalar: int
-    mono: Monomial    # generator with explicit u1-exponent
-
-
 def term_order_exp(t: Term, K: int) -> int:
     if t.coeff == "W":
         if t.scalar >= K:
@@ -148,19 +174,13 @@ def term_order_exp(t: Term, K: int) -> int:
     return 1
 
 
-def truncate_term(t: Term, K: int, N: int) -> list[TruncatedSummand]:
+def truncate_term(t: Term, K: int, N: int) -> list[Summand]:
     order = term_order_exp(t, K)
-    free = t.coeff == "W"
-    if t.period is None:
-        offsets = [t.mono.u1] if t.mono.u1 < N else []
-    else:
-        offsets = list(range(t.mono.u1, N, t.period))
-    return [TruncatedSummand(order, free, t.scalar,
-                             Monomial(t.mono.u, b, t.mono.al))
-            for b in offsets]
+    return [Summand(t.scalar, Monomial(t.mono.u, b, t.mono.al), order, t.free)
+            for b in t.offsets(N)]
 
 
-def truncate_group(g: GroupExpr, K: int, N: int) -> list[TruncatedSummand]:
+def truncate_group(g: GroupExpr, K: int, N: int) -> list[Summand]:
     """Canonical truncated module: one cyclic summand per series slot.
 
     >>> [s.order for s in truncate_group(parse_group_expr("W/4[[u1]]"), 3, 4)]

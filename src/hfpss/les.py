@@ -29,7 +29,7 @@ there, it just contributes no in-horizon image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .groupexpr import GroupExpr, Term
 from .monomials import Monomial
@@ -57,9 +57,7 @@ def expand_slots(expr: GroupExpr, K: int, N: int) -> list[Slot]:
     """Horizon-honest summand list of a truncated group expression."""
     slots = []
     for t in expr.terms:
-        offsets = [t.mono.u1] if t.period is None else \
-            list(range(t.mono.u1, N, t.period))
-        for b in offsets:
+        for b in t.offsets(N):
             mono = Monomial(t.mono.u, b, t.mono.al)
             if t.coeff == "F4":
                 slots.append(Slot(mono, 1, "f4", t.scalar, None))
@@ -79,24 +77,15 @@ def degraded_log4(expr: GroupExpr, K: int, N: int) -> int:
     return sum(s.log4 for s in expand_slots(expr, K, N))
 
 
-def _family_contains(term: Term, mono: Monomial, allow_partner: bool) -> bool:
-    gens = [term.mono]
-    if allow_partner and term.coeff == "W/4":
-        gens.append(term.mono * ETA_ALPHA_CLIMB)
-    for g in gens:
-        if mono.u != g.u or mono.al != g.al or mono.u1 < g.u1:
-            continue
-        if term.period is None:
-            if mono.u1 == g.u1:
-                return True
-        elif (mono.u1 - g.u1) % term.period == 0:
-            return True
-    return False
+def _partner(t: Term) -> Term:
+    """The filtration-2 series a W/4 term swallowed, one climb step up."""
+    return replace(t, mono=t.mono * ETA_ALPHA_CLIMB)
 
 
 def group_contains(expr: GroupExpr, mono: Monomial) -> bool:
     """Does the untruncated group contain a class detected by mono?"""
-    return any(_family_contains(t, mono, allow_partner=True) for t in expr.terms)
+    return any(t.covers(mono) or t.coeff == "W/4" and _partner(t).covers(mono)
+               for t in expr.terms)
 
 
 def _find_beyond_horizon(expr: GroupExpr, mono: Monomial) -> tuple[int, int] | None:
@@ -105,11 +94,9 @@ def _find_beyond_horizon(expr: GroupExpr, mono: Monomial) -> tuple[int, int] | N
         if t.period is None:
             continue  # isolated classes are always inside the horizon
         f = 2 if t.coeff == "W/4" else 1
-        if _family_contains(t, mono, allow_partner=False):
+        if t.covers(mono):
             return f, 0
-        if t.coeff == "W/4" and _family_contains(
-                Term(t.scalar, t.mono * ETA_ALPHA_CLIMB, "F4", t.period),
-                mono, allow_partner=False):
+        if t.coeff == "W/4" and _partner(t).covers(mono):
             return f, 1
     return None
 

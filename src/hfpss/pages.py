@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .e2 import build_e2
+from .groupexpr import Term, term_order_exp
 from .modules import (BidegreeModule, Page, PipelineError, compose_cols,
                       homology_at)
 from .monomials import NAMED, Monomial
@@ -147,33 +148,16 @@ def run_to_einfty(target: Target, window: Window) -> PageStack:
 # ---------------------------------------------------------------------------
 # Tower (power series) recognition on a computed page.
 
-@dataclass(frozen=True)
-class Tower:
-    scalar: int
-    mono: Monomial       # generator, u1-exponent = series offset
-    order: int
-    free: bool
-    period: int | None   # None for an isolated class
-
-    @property
-    def stem(self) -> int:
-        return self.mono.stem
-
-    @property
-    def filt(self) -> int:
-        return self.mono.filt
-
-    def label(self) -> str:
-        prefix = "" if self.scalar == 0 else str(1 << self.scalar)
-        return prefix + str(self.mono)
+_COEFF = {1: "F4", 2: "W/4"}   # group of a non-free tower by order exponent
 
 
-def towers_of_module(mod: BidegreeModule, period: int, N: int) -> list[Tower]:
+def towers_of_module(mod: BidegreeModule, period: int, N: int) -> list[Term]:
     """Group reported summands into truncated power series towers.
 
     A run of slots with u1-exponents beta, beta+p, ... is a series tower
     exactly when it reaches the reporting horizon N; shorter runs are
-    isolated classes.
+    isolated classes.  A free run is a W term, a run of order 2 a W/4
+    term and a run of order 1 an F4 term; any other order is an error.
     """
     towers = []
     groups: dict[tuple[int, int, bool, int, int], list[int]] = {}
@@ -183,15 +167,18 @@ def towers_of_module(mod: BidegreeModule, period: int, N: int) -> list[Tower]:
         key = (s.scalar, s.order, s.free, s.mono.u, s.mono.al)
         groups.setdefault(key, []).append(s.mono.u1)
     for (scalar, order, free, u, al), bs in sorted(groups.items()):
+        coeff = "W" if free else _COEFF.get(order)
+        if coeff is None:
+            raise PipelineError(f"tower of order 2^{order} at "
+                                f"({mod.stem},{mod.filt}) is not F4, W/4 or W")
         bs.sort()
         run: list[int] = []
         for b in bs + [None]:
             if run and (b is None or b != run[-1] + period):
                 if run[-1] + period >= N:
-                    towers.append(Tower(scalar, Monomial(u, run[0], al),
-                                        order, free, period))
+                    towers.append(Term(scalar, Monomial(u, run[0], al), coeff, period))
                 else:
-                    towers.extend(Tower(scalar, Monomial(u, bb, al), order, free, None)
+                    towers.extend(Term(scalar, Monomial(u, bb, al), coeff, None)
                                   for bb in run)
                 run = []
             if b is not None:
@@ -200,7 +187,7 @@ def towers_of_module(mod: BidegreeModule, period: int, N: int) -> list[Tower]:
     return towers
 
 
-def towers_of_page(page: Page) -> dict[tuple[int, int], list[Tower]]:
+def towers_of_page(page: Page) -> dict[tuple[int, int], list[Term]]:
     period = page.target.period
     out = {}
     for key, mod in sorted(page.modules.items()):
@@ -263,7 +250,7 @@ def page_to_json(page: Page) -> dict:
             "trusted": page.is_trusted(stem, filt),
             "towers": [{
                 "gen": t.label(),
-                "ann_exp": "free" if t.free else t.order,
+                "ann_exp": "free" if t.free else term_order_exp(t, page.K),
                 "period": t.period,
                 "offset": t.mono.u1,
             } for t in ts],

@@ -40,12 +40,10 @@ class RuleCoverageError(Exception):
 
 @dataclass(frozen=True)
 class RuleSet:
-    target: Target
     page: int
     u_modulus: int
     transversal: tuple[Monomial, ...]
     values: Mapping[Monomial, Monomial]
-    linearity: tuple[str, ...]
     y_mode: bool = False
 
     def __post_init__(self):
@@ -148,25 +146,23 @@ def rule_table(target: Target, page: int) -> RuleSet:
 
     if target is Target.C6_Y:
         if page in (3, 5):
-            return RuleSet(target, page, 24, _y_transversal(), {},
-                           ("a^3", "u^{+-24}", "v1"), y_mode=True)
-        return RuleSet(target, page, 24, _y_transversal(), dict(Y_D7_VALUES),
-                       ("a^3", "u^{+-24}", "v1"), y_mode=True)
+            return RuleSet(page, 24, _y_transversal(), {}, y_mode=True)
+        return RuleSet(page, 24, _y_transversal(), dict(Y_D7_VALUES), y_mode=True)
 
     if page == 3:
         values = {_u(-2): _m("u1a^{3}")}
         if mod2:
             values[_u(-3)] = _m("u^{-1}u1a^{3}")
         transversal = _all_residues(4) if mod2 else _even_residues(4)
-        return RuleSet(target, 3, 4, transversal, values, ("a", "u1", "u^{+-4}"))
+        return RuleSet(3, 4, transversal, values)
     if page == 5:
         transversal = _all_residues(4) if mod2 else _even_residues(4)
-        return RuleSet(target, 5, 4, transversal, {}, ("a", "u1", "u^{+-4}"))
+        return RuleSet(5, 4, transversal, {})
     values = {_u(-4): _m("a^{7}")}
     if mod2:
         values[_u(-5)] = _m("u^{-1}a^{7}")
     transversal = _all_residues(8) if mod2 else _even_residues(8)
-    return RuleSet(target, 7, 8, transversal, values, ("a", "u1", "u^{+-8}"))
+    return RuleSet(7, 8, transversal, values)
 
 
 def validate_coverage(rules: RuleSet, page: Page) -> None:

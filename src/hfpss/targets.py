@@ -37,13 +37,6 @@ class Target(Enum):
     def y_page(self) -> bool:
         return self is Target.C6_Y
 
-    @classmethod
-    def from_string(cls, s: str) -> "Target":
-        for t in cls:
-            if t.value == s:
-                return t
-        raise ValueError(f"unknown target {s!r}")
-
 
 # Padding applied around the requested window so that every d3..d7
 # source/target of an interior class is present during computation.

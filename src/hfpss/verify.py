@@ -40,29 +40,37 @@ def fixtures_dir() -> str | None:
 
 
 def load_fixtures(target: Target, path: str | None = None) -> list[FixtureEntry]:
+    """Parse one fixture table; a malformed file raises FixtureError."""
     name = f"{target.value}.json"
     override = path or fixtures_dir()
     if override:
-        full = os.path.join(override, name)
-        if not os.path.exists(full):
-            raise FixtureError(f"fixture file not found: {full}")
-        with open(full, encoding="utf-8") as fh:
-            data = json.load(fh)
+        source = os.path.join(override, name)
+        if not os.path.exists(source):
+            raise FixtureError(f"fixture file not found: {source}")
+        with open(source, encoding="utf-8") as fh:
+            text = fh.read()
     else:
         ref = resources.files("hfpss.fixtures").joinpath(name)
         if not ref.is_file():
             raise FixtureError(f"fixture resource not found: {name}")
-        data = json.loads(ref.read_text(encoding="utf-8"))
-    entries = []
-    for e in data["entries"]:
-        entries.append(FixtureEntry(
-            stem=e["stem"],
-            expr=parse_group_expr(e["expr"]),
-            underlined=e.get("underlined", False),
-            table_expr=e.get("table_expr"),
-            exception=e.get("exception"),
-            note=e.get("note"),
-        ))
+        source, text = name, ref.read_text(encoding="utf-8")
+    entries, stem = [], None
+    try:
+        for e in json.loads(text)["entries"]:
+            stem = e.get("stem") if isinstance(e, dict) else None
+            if not isinstance(e["stem"], int):
+                raise TypeError(f"stem {stem!r} is not an integer")
+            entries.append(FixtureEntry(
+                stem=e["stem"],
+                expr=parse_group_expr(e["expr"]),
+                underlined=e.get("underlined", False),
+                table_expr=e.get("table_expr"),
+                exception=e.get("exception"),
+                note=e.get("note"),
+            ))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        where = "" if stem is None else f", stem {stem}"
+        raise FixtureError(f"malformed fixture file {source}{where}: {exc!r}") from exc
     return entries
 
 

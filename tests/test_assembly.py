@@ -4,8 +4,8 @@ import pytest
 
 from hfpss.assembly import (ExtensionError, assemble_pi, column_log4_order,
                             extension_directives)
+from hfpss.groupexpr import Term
 from hfpss.les import degraded_log4
-from hfpss.pages import Tower
 from hfpss.monomials import Monomial
 from hfpss.targets import Target
 from hfpss.verify import load_fixtures
@@ -64,16 +64,16 @@ def test_underlined_stems_consulted(computed_all):
 
 
 def test_merge_predicate_rejects_wrong_partner():
-    lower = Tower(0, Monomial(-1, 0, 0), 1, False, 1)
-    upper = Tower(0, Monomial(3, 0, 2), 1, False, 1)  # wrong u-power
+    lower = Term(0, Monomial(-1, 0, 0), "F4", 1)
+    upper = Term(0, Monomial(3, 0, 2), "F4", 1)  # wrong u-power
     with pytest.raises(ExtensionError):
         assemble_pi(2, [lower, upper], Target.C2_V0)
 
 
 def test_merge_residual_classes():
     # lower offset 0, upper offset 0: the bottom upper class survives as F4
-    lower = Tower(0, Monomial(-1, 0, 0), 1, False, 1)
-    upper = Tower(0, Monomial(0, 0, 2), 1, False, 1)
+    lower = Term(0, Monomial(-1, 0, 0), "F4", 1)
+    upper = Term(0, Monomial(0, 0, 2), "F4", 1)
     g = assemble_pi(2, [lower, upper], Target.C2_V0)
     assert g.expr.render() == "a^{2}F4 + u^{-1}W/4[[u1]]"
 

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from hfpss.cli import main
+from hfpss.targets import Target
+from hfpss.verify import FixtureError, load_fixtures
 
 ENV = {**os.environ, "PYTHONPATH": "src"}
 
@@ -103,14 +105,33 @@ def test_chart_bad_page_is_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("content, where", [
+    ('{"target": "c2", "entries": [{"stem": 0,', None),
+    ("{}", None),
+    (json.dumps({"target": "c2", "entries": [{"stem": 3, "expr": "Q"}]}), "stem 3"),
+    (json.dumps({"target": "c2", "entries": [{"stem": "x", "expr": "W"}]}), "stem x"),
+], ids=["truncated", "no-entries", "bad-expr", "bad-stem"])
+def test_malformed_fixture_is_usage_error(tmp_path, capsys, content, where):
+    path = tmp_path / "c2.json"
+    path.write_text(content)
+    with pytest.raises(FixtureError) as err:
+        load_fixtures(Target.C2, str(tmp_path))
+    assert str(path) in str(err.value)
+    code, _ = run_cli("verify", "--target", "c2", "--fixtures", str(tmp_path))
+    assert code == 2
+    message = capsys.readouterr().err
+    assert str(path) in message and (where is None or where in message)
+
+
 def test_bad_stem_range_is_usage_error():
     code, _ = run_cli("compute", "--target", "c6", "--stems", "9")
     assert code == 2
 
 
-def test_unknown_target_is_usage_error():
+def test_unknown_target_is_usage_error(capsys):
     code, _ = run_cli("compute", "--target", "c7")
     assert code == 2
+    assert "unknown target 'c7'" in capsys.readouterr().err
 
 
 def test_env_var_fixture_override(tmp_path, monkeypatch):

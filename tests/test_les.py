@@ -64,6 +64,13 @@ def test_expand_slots_partner_monomials():
     assert sum(1 for s in slots if s.kind == "f4") == 1  # the boundary slot
 
 
+def test_expand_slots_stop_at_the_horizon():
+    # an isolated class at u1 >= N lies beyond the horizon, as series slots do
+    assert expand_slots(parse_group_expr("u1^{5}F4 + u1^{5}W[[u1]]"), 3, 4) == []
+    slots = expand_slots(parse_group_expr("u1^{2}F4[[u1]] + u1^{3}F4"), 3, 4)
+    assert sorted(s.mono.u1 for s in slots) == [2, 3, 3]
+
+
 def test_two_les_catches_wrong_groups(extended_groups):
     # drop the alpha^4 summand of pi_4: the order identity must fail
     broken = dict(extended_groups[Target.C2_V0])

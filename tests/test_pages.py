@@ -1,10 +1,12 @@
 """Page turning, certificates, periodicity, and tower recognition."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from hfpss.engine import compute
+from hfpss.groupexpr import truncate_term
 from hfpss.modules import (BidegreeModule, LinearMap, Page, PipelineError, Summand,
                            homology_at)
 from hfpss.monomials import Monomial, parse_monomial
@@ -12,7 +14,7 @@ from hfpss import pages
 from hfpss.pages import (CertificateError, check_collapse,
                          check_even_r_vanishing, hurewicz_permanent_cycles,
                          periodicity_check, run_to_einfty, towers_of_module,
-                         turn_page)
+                         towers_of_page, turn_page)
 from hfpss.rules import Propagation, RuleCoverageError, RuleSet, rule_table
 from hfpss.targets import Target, Window
 
@@ -266,6 +268,37 @@ def test_short_run_is_isolated():
     mod = BidegreeModule(3, 3, summands)
     (tower,) = towers_of_module(mod, 1, 12)
     assert tower.period is None
+
+
+def test_tower_of_unexpected_order_rejected():
+    summands = tuple(Summand(0, Monomial(-4, b, 0), 3) for b in range(12))
+    with pytest.raises(PipelineError, match=r"order 2\^3 at \(8,0\)"):
+        towers_of_module(BidegreeModule(8, 0, summands), 1, 12)
+
+
+def test_towers_partition_the_reported_slots(computed_all):
+    """Each reported slot lies in exactly one tower of its bidegree.
+
+    A tower covers exactly its offsets below N at its (u, alpha), and
+    truncating the towers gives back the reported summands.
+    """
+    for target, res in computed_all.items():
+        N = res.window.N
+        for r in (2, 4, 8):
+            page = res.stack.page(r)
+            assert towers_of_page(page), (target, r)
+            for key, mod in page.modules.items():
+                towers = towers_of_module(mod, target.period, N)
+                reported = [s for s in mod.summands if s.mono.u1 < N]
+                for s in reported:
+                    assert sum(t.covers(s.mono) for t in towers) == 1, \
+                        (target, r, key, s.label())
+                rebuilt = []
+                for t in towers:
+                    assert [s.mono.u1 for s in reported if t.covers(s.mono)] \
+                        == list(t.offsets(N)), (target, r, key, t.render())
+                    rebuilt.extend(truncate_term(t, page.K, N))
+                assert Counter(rebuilt) == Counter(reported), (target, r, key)
 
 
 def test_boundary_effects_marked_untrusted():

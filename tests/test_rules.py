@@ -61,8 +61,8 @@ def test_y_values_weight_and_grading():
 def test_ruleset_rejects_misgraded_value():
     from hfpss.rules import RuleSet
     with pytest.raises(ValueError):
-        RuleSet(Target.C2, 3, 4, (m("1"), m("u^{-2}")),
-                {m("u^{-2}"): m("a^{3}u^{-2}")}, ("a",))
+        RuleSet(3, 4, (m("1"), m("u^{-2}")),
+                {m("u^{-2}"): m("a^{3}u^{-2}")})
 
 
 def test_unknown_page_rejected():
