@@ -30,12 +30,12 @@ def _glyph(t: Term) -> str:
 
 
 def _slot_towers(mod: BidegreeModule, towers: list[Term], N: int) -> list[int | None]:
-    """Per summand of mod, the index of the first tower covering it.
+    """Per slot of mod, the index of the first tower covering it.
 
     None for a slot at or beyond the horizon N or in no tower.
     """
-    return [next((i for i, t in enumerate(towers) if t.covers(s.mono)), None)
-            if s.mono.u1 < N else None for s in mod.summands]
+    covered = [t.offsets(N) for t in towers]  # the towers share mod's u and alpha
+    return [next((i for i, bs in enumerate(covered) if b in bs), None) for b in mod.u1s]
 
 
 def _arrows(page: Page, prop: Propagation, towers_by_bid) -> list[tuple]:
@@ -55,11 +55,10 @@ def _arrows(page: Page, prop: Propagation, towers_by_bid) -> list[tuple]:
                 ti = tgt_of[i]
                 if ti is not None:
                     pairs.setdefault((si, ti), []).append(
-                        (exp, lm.source.summands[j], lm.target.summands[i]))
+                        (exp, lm.source.orders[j], lm.target.orders[i]))
         for (si, ti), hits in pairs.items():
             iso = (len(hits) == src_of.count(si) == tgt_of.count(ti)
-                   and all(exp == 0 and s.order == t.order
-                           for (exp, s, t) in hits))
+                   and all(exp == 0 and e_src == e_tgt for (exp, e_src, e_tgt) in hits))
             arrows.append(((stem, filt), tgt_key, not iso))
     return sorted(set(arrows))
 

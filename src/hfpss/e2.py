@@ -1,13 +1,14 @@
 """Starting pages of the five spectral sequences.
 
-Each page is assembled monomial by monomial:
+A bidegree (stem, filt) fixes a = (filt - stem)/2 and c = filt, so each
+page is built column by column, as the range of u1-exponents b of its
+monomials u^a u1^b alpha^c:
 
-* integral C2 page: monomials u^a u1^b alpha^c with a even; the c = 0
-  towers are free over the truncated Witt ring, everything with c >= 1 is
-  killed by 2,
+* integral C2 page: a even, every b; the c = 0 towers are free over the
+  truncated Witt ring, everything with c >= 1 is killed by 2,
 * mod-2 C2 page: all integer u-powers, every tower 2-torsion,
 * C6 family: the weight-0 part of the corresponding C2 page, so the u1
-  towers have period 3,
+  towers have period 3 (b runs through one residue class mod 3),
 * smash-with-Y page: the cokernel of eta-multiplication on the mod-2 C6
   page; concretely the weight-0 monomials with u1-exponent 0 or
   alpha-exponent 0, and u1 annihilates everything with alpha-exponent >= 1.
@@ -21,34 +22,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modules import BidegreeModule, Page, PipelineError, Summand
-from .monomials import NAMED, Monomial
+from .modules import BidegreeModule, Page, PipelineError
 from .targets import Target, Window
 
 
-def e2_summands(target: Target, stem: int, filt: int, K: int, n_u1: int) -> tuple[Summand, ...]:
-    if filt < 0 or (stem + filt) % 2 != 0:
-        return ()
-    c = filt
+def _u1_range(target: Target, stem: int, filt: int, n_u1: int) -> range:
+    """u1-exponents of the E2 slots at (stem, filt) below n_u1."""
     a = (filt - stem) // 2
-    if target.even_u_only and a % 2 != 0:
-        return ()
-    free = not target.mod2 and c == 0
-    period = target.period  # C6 pages keep weight 0: a + b + 2c = 0 mod 3
-    bs = range(-(a + 2 * c) % period, n_u1, period)
-    if target.y_page and c > 0:
-        bs = [0] if 0 in bs else []
-    return tuple(Summand(0, Monomial(a, b, c), K if free else 1, free) for b in bs)
+    if filt < 0 or (stem + filt) % 2 != 0 or target.even_u_only and a % 2 != 0:
+        return range(0)
+    bs = range(-(a + 2 * filt) % target.period, n_u1, target.period)
+    if target.y_page and filt > 0:
+        return bs[:1] if 0 in bs else range(0)
+    return bs
 
 
 def build_e2(target: Target, window: Window, K: int | None = None) -> Page:
     K = window.K if K is None else K
     page = Page(target=target, r=2, window=window, K=K)
+    columns: dict[tuple[range, bool], tuple] = {}  # shared by equal columns
     for stem in window.stem_range:
         for filt in window.filt_range:
-            summands = e2_summands(target, stem, filt, K, window.n_u1)
-            if summands:
-                page.modules[(stem, filt)] = BidegreeModule(stem, filt, summands)
+            bs = _u1_range(target, stem, filt, window.n_u1)
+            if not bs:
+                continue
+            free, n = not target.mod2 and filt == 0, len(bs)
+            col = columns.setdefault((bs, free), (tuple(bs), (0,) * n, (K if free else 1,) * n))
+            page.modules[(stem, filt)] = BidegreeModule.column(stem, filt, *col, free)
     return page
 
 
@@ -85,32 +85,20 @@ def eta_injectivity_check(page: Page) -> EtaReport:
     """
     if page.target is not Target.C6_V0:
         raise ValueError("eta injectivity is checked on the mod-2 C6 page")
-    eta = NAMED["eta"]
     failures = []
     coker: dict[tuple[int, int], int] = {}
     horizon = page.window.n_u1 - 1  # slots whose image stays below truncation
     for (stem, filt), mod in sorted(page.modules.items()):
         tgt = page.module(stem + 1, filt + 1)
-        hit = set()
-        for s in mod.summands:
-            if s.mono.u1 >= horizon:
-                continue
-            t = s.mono * eta
-            row = tgt.slot_of(t)
-            if row is None:
-                if page.window.in_padded(stem + 1, filt + 1):
-                    failures.append(f"eta kills {s.label()} at ({stem},{filt})")
-                continue
-            hit.add(row)
-        if page.window.trusted(stem, filt):
-            n_coker = sum(1 for t in tgt.summands if t.mono.u1 == 0 or t.mono.al == 0)
-            # the unhit slots must be exactly the b = 0 / c = 0 monomials
-            for i, t in enumerate(tgt.summands):
-                if i not in hit and not (t.mono.u1 == 0 or t.mono.al == 0) \
-                        and t.mono.u1 < horizon:
-                    failures.append(f"unexpected cokernel slot {t.label()}")
-            if tgt:
-                coker[(stem + 1, filt + 1)] = n_coker
+        images = {b + 1 for b in mod.u1s if b < horizon}
+        if page.window.in_padded(stem + 1, filt + 1):
+            failures += [f"eta kills {mod.label(i)} at ({stem},{filt})"
+                         for i, b in enumerate(mod.u1s) if b < horizon and b + 1 not in tgt.u1s]
+        if page.window.trusted(stem, filt) and tgt:
+            # the unhit slots must be exactly the b = 0 monomials (c >= 1 here)
+            failures += [f"unexpected cokernel slot {tgt.label(i)}"
+                         for i, b in enumerate(tgt.u1s) if b not in images and 0 < b < horizon]
+            coker[(stem + 1, filt + 1)] = tgt.u1s.count(0)
     return EtaReport(ok=not failures, failures=failures, coker_dims=coker)
 
 
@@ -122,7 +110,7 @@ def check_y_page_is_eta_cokernel(window: Window) -> None:
         raise PipelineError("; ".join(report.failures[:5]))
     y = build_e2(Target.C6_Y, window)
     for (stem, filt), dim in report.coker_dims.items():
-        got = len(y.module(stem, filt).summands)
+        got = len(y.module(stem, filt))
         if got != dim:
             raise PipelineError(
                 f"Y page at ({stem},{filt}) has {got} slots, cokernel has {dim}")

@@ -1,17 +1,23 @@
 """Bidegree modules over the truncated Witt ring and homology of maps.
 
-A BidegreeModule is a direct sum of cyclic W/2^order summands, each
-generated by a 2-power multiple of a single monomial, ordered by
-(u1-exponent, u-exponent) within the bidegree.  Every differential sends
-a generator to a 2-power times one generator and hits each generator at
-most once, so a LinearMap stores (row, 2-exponent) integer pairs, and
-homology ker(d_out)/im(d_in) is slotwise valuation arithmetic.  Surviving
-generators are renamed by their minimal pure lifts 2^j * monomial.  The
-general Smith normal form route lives in snf.py, as the test oracle.
+A bidegree (stem, filt) fixes a = (filt - stem)/2 and c = filt, so its
+cyclic summands differ only in their u1-exponent, one per exponent at
+most.  A BidegreeModule is its u1-column: the sorted u1-exponents b and,
+parallel to them, scalars j and orders e (slot b is W/2^e generated by
+2^j u^a u1^b alpha^c), with one flag for free summands (order K - j),
+which only ever fill a whole filtration-0 bidegree of an integral page.
+Every differential sends a generator to a 2-power times one generator
+and hits each generator at most once, so a LinearMap stores (row,
+2-exponent) integer pairs, and homology ker(d_out)/im(d_in) is slotwise
+valuation arithmetic; a surviving slot keeps its u1-exponent and is
+renamed by its minimal pure lift.  Summand and Monomial records appear
+only at the edges: the `summands` view (labels, JSON, tests) and the
+Smith normal form oracle in snf.py.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .monomials import Monomial
@@ -36,40 +42,81 @@ class Summand:
         return prefix + str(self.mono)
 
 
-def _slot_key(s: Summand) -> tuple[int, int, int]:
-    return (s.mono.u1, s.mono.u, s.scalar)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class BidegreeModule:
+    """The u1-column of one bidegree.
+
+    Built from Summand records at the edges, and from columns by
+    BidegreeModule.column in the engine:
+
+    >>> mod = BidegreeModule(4, 0, (Summand(0, Monomial(-2, 1, 0), 1),
+    ...                             Summand(1, Monomial(-2, 0, 0), 2)))
+    >>> mod.u1s, mod.scalars, mod.orders, mod.free
+    ((0, 1), (1, 0), (2, 1), False)
+    >>> mod == BidegreeModule.column(4, 0, (0, 1), (1, 0), (2, 1))
+    True
+    >>> [s.label() for s in mod.summands]
+    ['2u^{-2}', 'u^{-2}u1']
+    >>> mod.slot_of(Monomial(-2, 1, 0)), mod.slot_of(Monomial(-2, 2, 0))
+    (1, None)
+    """
+
     stem: int
     filt: int
-    summands: tuple[Summand, ...]
+    u1s: tuple[int, ...]
+    scalars: tuple[int, ...]
+    orders: tuple[int, ...]
+    free: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "summands",
-                           tuple(sorted(self.summands, key=_slot_key)))
+    def __init__(self, stem: int, filt: int, summands=()):
+        ss = tuple(sorted(summands, key=lambda s: s.mono.u1))
+        _fill(self, stem, filt, tuple(s.mono.u1 for s in ss), tuple(s.scalar for s in ss),
+              tuple(s.order for s in ss), any(s.free for s in ss))
+        if len(set(self.u1s)) < len(ss) or self.summands != ss:
+            raise PipelineError(f"summands do not form a u1-column at ({stem},{filt})")
 
-    def __bool__(self) -> bool:
-        return bool(self.summands)
+    @classmethod
+    def column(cls, stem: int, filt: int, u1s: tuple[int, ...], scalars: tuple[int, ...],
+               orders: tuple[int, ...], free: bool = False) -> BidegreeModule:
+        """The module with these columns; u1s must be strictly increasing."""
+        mod = object.__new__(cls)
+        _fill(mod, stem, filt, u1s, scalars, orders, free)
+        return mod
+
+    def __len__(self) -> int:
+        return len(self.u1s)
+
+    def mono(self, b: int) -> Monomial:
+        """The monomial of this bidegree with u1-exponent b."""
+        return Monomial((self.filt - self.stem) // 2, b, self.filt)
+
+    @property
+    def summands(self) -> tuple[Summand, ...]:
+        """Read-only view of the slots as Summand records, in u1 order."""
+        return tuple(Summand(j, self.mono(b), e, self.free)
+                     for b, j, e in zip(self.u1s, self.scalars, self.orders))
+
+    def label(self, i: int) -> str:
+        return self.summands[i].label()
 
     @property
     def total_length(self) -> int:
-        return sum(s.order for s in self.summands)
+        return sum(self.orders)
 
     def invariants(self) -> list[int]:
         """Multiset of cyclic orders, the isomorphism type at this K."""
-        return sorted(s.order for s in self.summands)
+        return sorted(self.orders)
 
     def slot_of(self, mono: Monomial) -> int | None:
-        for i, s in enumerate(self.summands):
-            if s.mono == mono:
-                return i
-        return None
+        """Index of the slot of mono, by its u1-exponent, if it is here."""
+        i = bisect_left(self.u1s, mono.u1)
+        found = i < len(self.u1s) and self.u1s[i] == mono.u1 and mono == self.mono(mono.u1)
+        return i if found else None
 
 
-def zero_module(stem: int, filt: int) -> BidegreeModule:
-    return BidegreeModule(stem, filt, ())
+def _fill(mod: BidegreeModule, *values) -> None:
+    for name, value in zip(BidegreeModule.__slots__, values):
+        object.__setattr__(mod, name, value)
 
 
 @dataclass
@@ -90,18 +137,15 @@ class LinearMap:
         rows = set()
         for j, col in enumerate(self.cols):
             for i, exp in col:
-                src, tgt = self.source.summands[j], self.target.summands[i]
                 if len(col) > 1 or i in rows:
+                    raise PipelineError(f"map not monomial-sparse at {self._arrow(j, i)}")
+                if self.source.orders[j] + exp < self.target.orders[i]:
                     raise PipelineError(
-                        f"map not monomial-sparse at {src.label()} -> {tgt.label()}")
-                if src.order + exp < tgt.order:
-                    raise PipelineError(
-                        f"map not well defined on presentations: "
-                        f"{src.label()} -> {tgt.label()}")
+                        f"map not well defined on presentations: {self._arrow(j, i)}")
                 rows.add(i)
 
-    def is_zero(self) -> bool:
-        return all(not col for col in self.cols)
+    def _arrow(self, j: int, i: int) -> str:
+        return f"{self.source.label(j)} -> {self.target.label(i)}"
 
 
 def compose_cols(first: LinearMap, second: LinearMap, K: int) -> list[list[tuple[int, int]]]:
@@ -117,7 +161,7 @@ def compose_cols(first: LinearMap, second: LinearMap, K: int) -> list[list[tuple
 def homology_at(module: BidegreeModule,
                 d_in: LinearMap | None,
                 d_out: LinearMap | None,
-                K: int) -> tuple[BidegreeModule, dict[Summand, tuple[Summand, int]]]:
+                K: int) -> tuple[BidegreeModule, tuple[int, ...]]:
     """ker(d_out)/im(d_in) at `module`, with named surviving generators.
 
     The maps are monomial-sparse, so each slot sits in its own little
@@ -125,10 +169,11 @@ def homology_at(module: BidegreeModule,
     homology is plain valuation arithmetic: the kernel is generated by 2^a
     with a = clamp(e_tgt - v_out, 0, e), the image by 2^t with
     t = max(v_in, e - e_src), and the subquotient is cyclic of order
-    2^(t - a) on the pure lift 2^a * generator.  The returned section maps
-    each new summand to (old summand, a); new is free iff old is.  The page
-    truncation K is not needed here (an exponent of at least K acts as zero
-    by these formulas); it keeps the signature of the oracle
+    2^(t - a) on the pure lift 2^a * generator.  Returns the new module
+    and its lifts: per new slot, the a of the old slot with the same
+    u1-exponent.  The new module is free iff the old one is.  The page
+    truncation K is not needed here (an exponent of at least K acts as
+    zero by these formulas); it keeps the signature of the oracle
     snf.homology_at.  Raises PipelineError if a map does not start or end
     at `module`, if d_in enters a free summand, or if im is not in ker.
     """
@@ -136,43 +181,29 @@ def homology_at(module: BidegreeModule,
         raise PipelineError(f"d_out source mismatch at ({module.stem},{module.filt})")
     if d_in is not None and d_in.target is not module:
         raise PipelineError(f"d_in target mismatch at ({module.stem},{module.filt})")
-    out_entry: dict[int, tuple[int, int]] = {}
-    if d_out is not None:
-        for j, col in enumerate(d_out.cols):
-            for i, exp in col:
-                out_entry[j] = (exp, d_out.target.summands[i].order)
-    in_entry: dict[int, tuple[int, int]] = {}
-    if d_in is not None:
-        for j, col in enumerate(d_in.cols):
-            for i, exp in col:
-                if module.summands[i].free:
-                    raise PipelineError(f"d_in enters free summand {module.summands[i].label()}"
-                                        f" at ({module.stem},{module.filt})")
-                in_entry[i] = (exp, d_in.source.summands[j].order)
-
-    new_summands = []
-    section: dict[Summand, tuple[Summand, int]] = {}
-    for idx, s in enumerate(module.summands):
-        e = s.order
-        if idx in out_entry:
-            v_out, e_tgt = out_entry[idx]
-            a = min(max(e_tgt - v_out, 0), e)
-        else:
-            a = 0
-        if idx in in_entry:
-            v_in, e_src = in_entry[idx]
-            t = min(max(v_in, e - e_src), e)
-        else:
-            t = e
+    orders = module.orders
+    if d_out is None and d_in is None:
+        return module, (0,) * len(orders)
+    kers = [0] * len(orders)   # kernel generated by 2^a
+    ims = list(orders)         # image generated by 2^t
+    for j, col in enumerate(d_out.cols if d_out is not None else ()):
+        for i, exp in col:
+            kers[j] = min(max(d_out.target.orders[i] - exp, 0), orders[j])
+    for j, col in enumerate(d_in.cols if d_in is not None else ()):
+        for i, exp in col:
+            if module.free:
+                raise PipelineError(f"d_in enters free summand {module.label(i)}"
+                                    f" at ({module.stem},{module.filt})")
+            ims[i] = min(max(exp, orders[i] - d_in.source.orders[j]), orders[i])
+    for idx, (a, t) in enumerate(zip(kers, ims)):
         if t < a:
-            raise PipelineError(
-                f"image exceeds kernel at ({module.stem},{module.filt}) "
-                f"slot {s.label()}: d∘d != 0")
-        if t > a:
-            new = Summand(s.scalar + a, s.mono, t - a, s.free)
-            new_summands.append(new)
-            section[new] = (s, a)
-    return BidegreeModule(module.stem, module.filt, tuple(new_summands)), section
+            raise PipelineError(f"image exceeds kernel at ({module.stem},{module.filt}) "
+                                f"slot {module.label(idx)}: d∘d != 0")
+    kept = [(b, j + a, t - a, a)
+            for b, j, a, t in zip(module.u1s, module.scalars, kers, ims) if t > a]
+    u1s, scalars, new_orders, lifts = map(tuple, zip(*kept)) if kept else ((),) * 4
+    return BidegreeModule.column(module.stem, module.filt, u1s, scalars, new_orders,
+                                 module.free), lifts
 
 
 @dataclass
@@ -187,15 +218,11 @@ class Page:
     untrusted: set[tuple[int, int]] = field(default_factory=set)
 
     def module(self, stem: int, filt: int) -> BidegreeModule:
-        return self.modules.get((stem, filt)) or zero_module(stem, filt)
+        return self.modules.get((stem, filt)) or BidegreeModule.column(stem, filt, (), (), ())
 
     def is_trusted(self, stem: int, filt: int) -> bool:
         return self.window.trusted(stem, filt) and (stem, filt) not in self.untrusted
 
-    def total_length(self) -> int:
-        return sum(m.total_length for m in self.modules.values())
-
     def reported_summands(self, stem: int, filt: int) -> list[Summand]:
         """Summands below the u1 reporting horizon."""
-        mod = self.module(stem, filt)
-        return [s for s in mod.summands if s.mono.u1 < self.window.N]
+        return [s for s in self.module(stem, filt).summands if s.mono.u1 < self.window.N]

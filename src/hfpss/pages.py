@@ -11,7 +11,7 @@ must be empty, the even-r case by checking that no nonzero source/target
 bidegree pair exists, and collapse at E8 by checking that every d_r with
 r >= 8 has zero source or zero target.  Each page turn checks that no
 module grew.  Rule coverage is checked by propagate, which factorizes
-each slot of the page it acts on once: E2 for d3, E4 for d7.
+each (bidegree, residue class) of the page it acts on: E2 for d3, E4 for d7.
 
 Freeness of a tower comes from E2, which flags the free summands
 (filtration 0 of the integral pages); page turns carry the flag from each
@@ -46,7 +46,7 @@ def turn_page(page: Page, prop: Propagation, rule_r: int) -> Page:
     for (stem, filt), mod in page.modules.items():
         d_out = prop.maps.get((stem, filt))
         d_in = prop.maps.get((stem + 1, filt - r))
-        new_mod, _section = homology_at(mod, d_in, d_out, page.K)
+        new_mod, _lifts = homology_at(mod, d_in, d_out, page.K)
         if new_mod.total_length > mod.total_length:
             raise CertificateError(f"module length grew at ({stem},{filt})")
         if new_mod:
@@ -59,19 +59,17 @@ def check_d_squared(page: Page, prop: Propagation, r: int) -> None:
         second = prop.maps.get((stem - 1, filt + r))
         if second is None:
             continue
+        orders = second.target.orders
         for col in compose_cols(first, second, page.K):
             for i, exp in col:
-                if exp < second.target.summands[i].order:
+                if exp < orders[i]:
                     raise CertificateError(
                         f"d{r} o d{r} != 0 at bidegree ({stem},{filt})")
 
 
 def _nonzero_reported(page: Page) -> set[tuple[int, int]]:
-    out = set()
-    for (stem, filt), mod in page.modules.items():
-        if any(s.mono.u1 < page.window.N for s in mod.summands):
-            out.add((stem, filt))
-    return out
+    N = page.window.N
+    return {key for key, mod in page.modules.items() if mod and mod.u1s[0] < N}
 
 
 def check_even_r_vanishing(page: Page, rs=(2, 4, 6)) -> None:
@@ -159,31 +157,29 @@ def towers_of_module(mod: BidegreeModule, period: int, N: int) -> list[Term]:
     isolated classes.  A free run is a W term, a run of order 2 a W/4
     term and a run of order 1 an F4 term; any other order is an error.
     """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for b, scalar, order in zip(mod.u1s, mod.scalars, mod.orders):
+        if b >= N:
+            break
+        groups.setdefault((scalar, order), []).append(b)
+    u, al = (mod.filt - mod.stem) // 2, mod.filt
     towers = []
-    groups: dict[tuple[int, int, bool, int, int], list[int]] = {}
-    for s in mod.summands:
-        if s.mono.u1 >= N:
-            continue
-        key = (s.scalar, s.order, s.free, s.mono.u, s.mono.al)
-        groups.setdefault(key, []).append(s.mono.u1)
-    for (scalar, order, free, u, al), bs in sorted(groups.items()):
-        coeff = "W" if free else _COEFF.get(order)
+    for (scalar, order), bs in sorted(groups.items()):
+        coeff = "W" if mod.free else _COEFF.get(order)
         if coeff is None:
             raise PipelineError(f"tower of order 2^{order} at "
                                 f"({mod.stem},{mod.filt}) is not F4, W/4 or W")
-        bs.sort()
-        run: list[int] = []
-        for b in bs + [None]:
-            if run and (b is None or b != run[-1] + period):
-                if run[-1] + period >= N:
-                    towers.append(Term(scalar, Monomial(u, run[0], al), coeff, period))
-                else:
-                    towers.extend(Term(scalar, Monomial(u, bb, al), coeff, None)
-                                  for bb in run)
-                run = []
-            if b is not None:
-                run.append(b)
-    towers.sort(key=lambda t: (t.filt, t.mono.u1, t.mono.u, t.scalar))
+        start = 0
+        for k, b in enumerate(bs, 1):
+            if k < len(bs) and bs[k] == b + period:
+                continue
+            if b + period >= N:  # the run bs[start:k] reaches the horizon
+                towers.append(Term(scalar, Monomial(u, bs[start], al), coeff, period))
+            else:
+                towers.extend(Term(scalar, Monomial(u, bb, al), coeff, None)
+                              for bb in bs[start:k])
+            start = k
+    towers.sort(key=lambda t: (t.mono.u1, t.scalar))  # filt and u are fixed
     return towers
 
 

@@ -6,7 +6,9 @@ monomials together with a linearity monoid.  Factor a basis monomial as
 element times the stored value of the transversal element, reduced inside
 the current page presentation (classes that died on earlier pages
 contribute zero).  Transversal elements without a stored value have zero
-differential.
+differential.  The factorization sees only a residue of the monomial, so
+propagate factorizes once per (bidegree, residue class) and moves the
+whole class by one u1-shift; RuleSet.value_on is the slotwise reference.
 
 Rule data for the C2 tower:
 
@@ -83,6 +85,22 @@ class RuleSet:
         l, g = self.factorize(m)
         v = self.values.get(g)
         return None if v is None else l * v
+
+    def residue_classes(self, u: int, u1s: tuple[int, ...]) -> list:
+        """Slot indices of one bidegree, grouped by what factorize reads.
+
+        Apart from the u1-exponent, which only passes into the linearity
+        factor, factorize reads u mod u_modulus; on Y it reads whether
+        u1 > 0 and (u + u1) mod u_modulus instead (alpha's exponent is
+        fixed by the bidegree).  So the slots of one class factor with one
+        transversal element, and d_r shifts all of them by one u1 amount.
+        """
+        if not self.y_mode:
+            return [range(len(u1s))]
+        classes: dict[tuple[bool, int], list[int]] = {}
+        for j, b in enumerate(u1s):
+            classes.setdefault((b > 0, (u + b) % self.u_modulus), []).append(j)
+        return list(classes.values())
 
 
 def _u(r: int) -> Monomial:
@@ -175,9 +193,9 @@ def validate_coverage(rules: RuleSet, page: Page) -> None:
     alpha mod 3), and that padded window meets every transversal class.
     """
     for mod in page.modules.values():
-        for s in mod.summands:
+        for b in mod.u1s:
             try:
-                rules.factorize(s.mono)
+                rules.factorize(mod.mono(b))
             except RuleCoverageError as e:
                 raise RuleCoverageError(f"rule coverage error: {e}") from e
 
@@ -191,80 +209,49 @@ class Propagation:
 def propagate(page: Page, rules: RuleSet) -> Propagation:
     """Evaluate d_r on every basis class of the page.
 
-    Values are reduced in the current page presentation: a target monomial
+    Each bidegree is factorized once per residue class of its slots
+    (RuleSet.residue_classes); within a class d_r is one u1-shift.
+    Values are reduced in the current page presentation: a target slot
     that is no longer present contributes zero, a scalar-prefixed target
-    absorbs the matching 2-power.  Values landing outside the padded
-    window flag the source bidegree as a boundary effect.
+    absorbs the matching 2-power, and an entry whose 2-exponent reaches
+    the target's order is zero and is dropped.  Values landing outside
+    the padded window flag the source bidegree as a boundary effect.
     """
     out = Propagation()
     r = rules.page
     window = page.window
     for (stem, filt), mod in sorted(page.modules.items()):
         tgt_bid = (stem - 1, filt + r)
-        tgt = page.module(*tgt_bid)
-        cols: list[list[tuple[int, int]]] = []
-        for s in mod.summands:
-            v = rules.value_on(s.mono)
-            if v is None:
-                cols.append([])
+        tgt = rows = cols = None
+        for cls in rules.residue_classes((filt - stem) // 2, mod.u1s):
+            b0 = mod.u1s[cls[0]]
+            w = rules.value_on(mod.mono(b0))
+            if w is None:
                 continue
-            if v.bidegree != tgt_bid:
-                raise PipelineError(
-                    f"d{r}({s.mono}) = {v} lands at {v.bidegree}, not {tgt_bid}")
+            if w.bidegree != tgt_bid:
+                raise PipelineError(f"d{r}({mod.mono(b0)}) = {w} lands at "
+                                    f"{w.bidegree}, not {tgt_bid}")
             if not window.in_padded(*tgt_bid):
                 out.boundary.add((stem, filt))
-                cols.append([])
                 continue
-            row = tgt.slot_of(v)
-            if row is None:
-                # the target class died on an earlier page (or lies beyond
+            if tgt is None:
+                tgt = page.module(*tgt_bid)
+                rows = {b: i for i, b in enumerate(tgt.u1s)}
+                cols = [[] for _ in mod.u1s]
+            shift = w.u1 - b0
+            for j in cls:
+                # a missing row died on an earlier page (or lies beyond
                 # the internal u1 truncation); its class is zero
-                cols.append([])
-                continue
-            t = tgt.summands[row]
-            if s.scalar < t.scalar:
-                raise PipelineError(
-                    f"value 2^{s.scalar}*{v} more divisible than "
-                    f"presentation generator {t.label()}")
-            exp = s.scalar - t.scalar
-            if exp >= page.K:
-                cols.append([])
-                continue
-            cols.append([(row, exp)])
-        lm = LinearMap(mod, tgt, cols)
-        if not lm.is_zero():
-            out.maps[(stem, filt)] = lm
+                i = rows.get(mod.u1s[j] + shift)
+                if i is None:
+                    continue
+                exp = mod.scalars[j] - tgt.scalars[i]
+                if exp < 0:
+                    raise PipelineError(
+                        f"value 2^{mod.scalars[j]}*{tgt.mono(tgt.u1s[i])} more divisible "
+                        f"than presentation generator {tgt.label(i)}")
+                if exp < tgt.orders[i]:
+                    cols[j] = [(i, exp)]
+        if cols is not None and any(cols):
+            out.maps[(stem, filt)] = LinearMap(mod, tgt, cols)
     return out
-
-
-# Published standalone C6-family differential tables, kept as cross-checks
-# against the restriction-based computation.  Entries marked in tests as
-# known discrepancies are asserted with their grading-consistent value.
-C6_D3_CROSS_CHECKS = {
-    # published value alpha^3 omits the u1^3 factor (the mod-2 analogue
-    # and u1-linearity both give eta^3 = alpha^3 u1^3)
-    _m("u^{-2}u1^{2}"): _m("u1^{3}a^{3}"),
-    _m("u^{-2}a"): _m("u1a^{4}"),
-}
-
-C6_D7_CROSS_CHECKS = {
-    _m("u^{-4}a^{2}"): _m("a^{9}"),
-    # published exponent 17 is grading-inconsistent; the (24,0) -> (23,7)
-    # differential requires alpha^7 u^-8, as in the mod-2 analogue
-    _m("u^{-12}"): _m("u^{-8}a^{7}"),
-    _m("u^{-20}a"): _m("u^{-16}a^{8}"),
-}
-
-C6_V0_D3_CROSS_CHECKS = {
-    _m("u1^{2}u^{-2}"): _m("u1^{3}a^{3}"),
-    _m("u^{-3}"): _m("a^{3}u^{-1}u1"),
-}
-
-C6_V0_D7_CROSS_CHECKS = {
-    _m("a^{2}u^{-4}"): _m("a^{9}"),
-    _m("u^{-12}"): _m("a^{7}u^{-8}"),
-    _m("au^{-20}"): _m("a^{8}u^{-16}"),
-    _m("au^{-5}"): _m("a^{8}u^{-1}"),
-    _m("a^{2}u^{-13}"): _m("a^{9}u^{-9}"),
-    _m("u^{-21}"): _m("a^{7}u^{-17}"),
-}

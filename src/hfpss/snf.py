@@ -19,7 +19,7 @@ the tests as an independent oracle for it.
 
 from __future__ import annotations
 
-from .modules import BidegreeModule, LinearMap, PipelineError, Summand
+from .modules import BidegreeModule, LinearMap, PipelineError
 from .scalars import Witt
 
 
@@ -229,23 +229,21 @@ def subquotient(orders: list[int], in_cols: list[Vector], out_cols: list[Vector]
 
 
 def homology(module: BidegreeModule, in_cols: list[Vector], out_cols: list[Vector],
-             out_orders: list[int], K: int) -> tuple[BidegreeModule, dict[Summand, tuple[Summand, int]]]:
+             out_orders: list[int], K: int) -> tuple[BidegreeModule, tuple[int, ...]]:
     """ker(d_out)/im(d_in) at `module`, maps as in subquotient.
 
     Surviving generators are named greedily by minimal pure lifts
-    2^j * (old generator), slots in canonical (u1, u) order; the section
-    maps each new summand to (old summand, j).  Raises PipelineError if
-    pure lifts cannot realize the invariants (possible only for maps that
-    mix monomials).
+    2^j * (old generator), slots in u1 order; as in modules.homology_at,
+    the lifts give j per new slot.  Raises PipelineError if pure lifts
+    cannot realize the invariants (possible only for maps that mix
+    monomials).
     """
-    n = len(module.summands)
+    n = len(module)
     if n == 0:
-        return module, {}
-    ker, acc, invariants = subquotient([s.order for s in module.summands],
-                                       in_cols, out_cols, out_orders, K)
-    new_summands: list[Summand] = []
-    section: dict[Summand, tuple[Summand, int]] = {}
-    for i, old in enumerate(module.summands):
+        return module, ()
+    ker, acc, invariants = subquotient(list(module.orders), in_cols, out_cols, out_orders, K)
+    u1s, scalars, orders, lifts = [], [], [], []
+    for i, (b, scalar) in enumerate(zip(module.u1s, module.scalars)):
         lift = next((j for j in range(K) if ker.contains(_unit_vector(n, i, j, K))), None)
         if lift is None:
             continue
@@ -254,25 +252,27 @@ def homology(module: BidegreeModule, in_cols: list[Vector], out_cols: list[Vecto
             order += 1
         if order == 0:
             continue
-        new = Summand(old.scalar + lift, old.mono, order, old.free)
-        new_summands.append(new)
-        section[new] = (old, lift)
+        u1s.append(b)
+        scalars.append(scalar + lift)
+        orders.append(order)
+        lifts.append(lift)
         acc = acc.extended(_unit_vector(n, i, lift, K))
-    if sorted(s.order for s in new_summands) != invariants:
+    if sorted(orders) != invariants:
         raise PipelineError(
             f"pure lifts cannot realize the invariants {invariants} "
             f"at ({module.stem},{module.filt})")
-    return BidegreeModule(module.stem, module.filt, tuple(new_summands)), section
+    return BidegreeModule.column(module.stem, module.filt, tuple(u1s), tuple(scalars),
+                                 tuple(orders), module.free), tuple(lifts)
 
 
 def homology_at(module: BidegreeModule, d_in: LinearMap | None, d_out: LinearMap | None,
-                K: int) -> tuple[BidegreeModule, dict[Summand, tuple[Summand, int]]]:
+                K: int) -> tuple[BidegreeModule, tuple[int, ...]]:
     """modules.homology_at by Smith normal form: each (row, exp) becomes 2^exp."""
     def dense(lm: LinearMap | None) -> list[Vector]:
         if lm is None:
             return []
-        n_t = len(lm.target.summands)
+        n_t = len(lm.target)
         return [_unit_vector(n_t, *col[0], K) if col else [Witt.zero(K)] * n_t
                 for col in lm.cols]
-    out_orders = [t.order for t in d_out.target.summands] if d_out is not None else []
+    out_orders = list(d_out.target.orders) if d_out is not None else []
     return homology(module, dense(d_in), dense(d_out), out_orders, K)

@@ -23,9 +23,9 @@ m = parse_monomial
 
 def test_homology_identity_on_zero_maps():
     mod = BidegreeModule(0, 0, (Summand(0, m("u1"), 3), Summand(0, m("u1^{2}"), 1)))
-    H, section = homology_at(mod, None, None, 3)
+    H, lifts = homology_at(mod, None, None, 3)
     assert H.summands == mod.summands
-    assert all(j == 0 for (_, j) in section.values())
+    assert lifts == (0, 0)
 
 
 def test_homology_kernel_of_mod2_surjection():
@@ -56,8 +56,8 @@ def test_homology_cokernel_of_u1_shift():
 
 def test_dd_nonzero_rejected():
     mid = BidegreeModule(0, 0, (Summand(0, m("u1"), 1),))
-    tgt = BidegreeModule(-1, 7, (Summand(0, m("u1a^{7}"), 1),))
-    src = BidegreeModule(1, -7, (Summand(0, m("u^{4}u1"), 1),))
+    tgt = BidegreeModule(-1, 7, (Summand(0, m("u^{4}u1a^{7}"), 1),))
+    src = BidegreeModule(2, 0, (Summand(0, m("u^{-1}u1"), 1),))
     d_in = LinearMap(src, mid, [[(0, 0)]])
     d_out = LinearMap(mid, tgt, [[(0, 0)]])
     with pytest.raises(PipelineError):
@@ -67,7 +67,7 @@ def test_dd_nonzero_rejected():
 def test_d_in_into_free_summand_rejected():
     # freeness is carried from E2, never recomputed, so a differential into
     # a free Witt tower is a pipeline fault; into a torsion summand it is not
-    src = BidegreeModule(1, -3, (Summand(0, m("u^{2}u1"), 3),))
+    src = BidegreeModule(2, 0, (Summand(0, m("u^{-1}u1"), 3),))
     torsion = BidegreeModule(0, 0, (Summand(0, m("u1"), 3),))
     H, _ = homology_at(torsion, LinearMap(src, torsion, [[(0, 1)]]), None, 3)
     assert [(s.label(), s.order) for s in H.summands] == [("u1", 1)]
@@ -139,22 +139,38 @@ def test_monotone_death(computed_all):
                 assert prev is not None and mod.total_length <= prev.total_length
 
 
+def _residue_key(rules, mono):
+    """What RuleSet.factorize reads of a monomial besides its bidegree."""
+    if rules.y_mode:
+        return (mono.u1 > 0, (mono.u + mono.u1) % rules.u_modulus)
+    return mono.u % rules.u_modulus
+
+
 def test_each_slot_factorized_once_per_differential(monkeypatch):
-    # d3 reads every E2 slot and d7 every E4 slot, once each; nothing
-    # else factorizes
+    # d3 factorizes each (bidegree, residue class) of E2 once and d7 each
+    # one of E4; nothing else factorizes.  On Y with N = 30 some classes
+    # hold two slots, u1-exponents b and b + 24.
     calls = []
     factorize = RuleSet.factorize
 
     def counting(self, mono):
-        calls.append(self.page)
+        calls.append((self.page, mono.bidegree, _residue_key(self, mono)))
         return factorize(self, mono)
 
     monkeypatch.setattr(RuleSet, "factorize", counting)
-    stack = run_to_einfty(Target.C2_V0, Window(0, 15, N=6))
-    slots = {r: sum(len(mod.summands) for mod in stack.pages[r].modules.values())
-             for r in (2, 4)}
-    assert calls.count(3) == slots[2] and calls.count(7) == slots[4]
-    assert len(calls) == slots[2] + slots[4]
+    for target, window in ((Target.C2_V0, Window(0, 15, N=6)),
+                           (Target.C6_Y, Window(0, 47, N=30))):
+        calls.clear()
+        stack = run_to_einfty(target, window)
+        expected = []
+        for r, page in ((3, stack.pages[2]), (7, stack.pages[4])):
+            rules = rule_table(target, r)
+            expected.extend({(r, key, _residue_key(rules, s.mono))
+                             for key, mod in page.modules.items() for s in mod.summands})
+        assert Counter(calls) == Counter(expected), target
+    # so on Y some E2 slots shared a factorization
+    e2_slots = sum(len(mod) for mod in stack.pages[2].modules.values())
+    assert sum(1 for call in calls if call[0] == 3) < e2_slots
 
 
 def _patched_rule_table(monkeypatch, page, **changes):

@@ -3,10 +3,10 @@
 import pytest
 
 from hfpss.e2 import build_e2
+from hfpss.modules import BidegreeModule, Page
 from hfpss.monomials import parse_monomial
-from hfpss.rules import (C6_D3_CROSS_CHECKS, C6_D7_CROSS_CHECKS,
-                         C6_V0_D3_CROSS_CHECKS, C6_V0_D7_CROSS_CHECKS,
-                         RuleCoverageError, Y_D7_PUBLISHED_VALUES, Y_D7_VALUES,
+from hfpss.pages import run_to_einfty
+from hfpss.rules import (RuleCoverageError, Y_D7_PUBLISHED_VALUES, Y_D7_VALUES,
                          propagate, rule_table, validate_coverage)
 from hfpss.targets import Target, Window
 
@@ -126,9 +126,64 @@ def test_propagate_d3_zero_on_u_minus_4():
         assert lm.cols[j] == []
 
 
+def test_entry_acting_as_zero_is_dropped():
+    # d7(u^-4) = a^7 on a hand-built E4 of c2: from the free 2u^-4 the value
+    # 2a^7 has 2-exponent 1, the order of the a^7 summand, so it is zero;
+    # from u^-4 itself the entry stays
+    tgt = BidegreeModule.column(7, 7, (0,), (0,), (1,))
+    d7 = rule_table(Target.C2, 7)
+    for scalar, expected in ((1, {}), (0, {(8, 0): [[(0, 0)]]})):
+        src = BidegreeModule.column(8, 0, (0,), (scalar,), (3 - scalar,), True)
+        page = Page(Target.C2, 4, Window(0, 15), 3, modules={(8, 0): src, (7, 7): tgt})
+        assert {key: lm.cols for key, lm in propagate(page, d7).maps.items()} == expected
+
+
+def _slotwise_cols(page, rules, mod):
+    """d_r on each slot of mod by RuleSet.value_on, reduced in the page.
+
+    Returns the expected columns and whether a value left the padded window.
+    """
+    cols, boundary = [], False
+    for s in mod.summands:
+        v = rules.value_on(s.mono)
+        col = []
+        if v is not None and not page.window.in_padded(*v.bidegree):
+            boundary = True
+        elif v is not None:
+            tgt = page.module(*v.bidegree)
+            row = tgt.slot_of(v)
+            if row is not None and s.scalar - tgt.scalars[row] < tgt.orders[row]:
+                col = [(row, s.scalar - tgt.scalars[row])]
+        cols.append(col)
+    return cols, boundary
+
+
+def _reference_entries(stack):
+    """Check the d3 and d7 maps of a stack slot by slot; count their entries."""
+    entries = 0
+    for r, page in ((3, stack.pages[2]), (7, stack.pages[4])):
+        rules = rule_table(stack.target, r)
+        prop = stack.maps[r]
+        for key, mod in page.modules.items():
+            cols, boundary = _slotwise_cols(page, rules, mod)
+            lm = prop.maps.get(key)
+            assert (lm.cols if lm else [[]] * len(mod)) == cols, (stack.target, r, key)
+            assert lm is None or lm.source is mod and \
+                lm.target is page.modules[(key[0] - 1, key[1] + r)]
+            assert (key in prop.boundary) == boundary, (stack.target, r, key)
+            entries += sum(map(len, cols))
+    return entries
+
+
+def test_propagate_matches_slotwise_reference(computed_all):
+    """Every d3 and d7 entry equals RuleSet.value_on plus the page reduction."""
+    assert sum(_reference_entries(res.stack) for res in computed_all.values()) == 14713
+    # N = 30 puts two slots, u1 = b and b + 24, in some Y residue classes
+    assert _reference_entries(run_to_einfty(Target.C6_Y, Window(0, 47, N=30))) > 0
+
+
 def test_propagate_d7_dead_target_is_zero():
     # d7(u^-4 u1^j) = a^7 u1^j = 0 on E7 for j >= 1: the target died at d3
-    from hfpss.pages import run_to_einfty
     stack = run_to_einfty(Target.C2_V0, Window(0, 15, N=6))
     e7 = stack.page(7)
     prop7 = stack.maps[7]
@@ -151,6 +206,39 @@ def test_grading_of_all_propagated_maps():
         for r in (3, 7):
             for (stem, filt), lm in propagate(page, rule_table(target, r)).maps.items():
                 assert (lm.target.stem, lm.target.filt) == (stem - 1, filt + r)
+
+
+# Published standalone C6-family differential tables, kept as cross-checks
+# against the restriction-based computation.  Entries marked in tests as
+# known discrepancies are asserted with their grading-consistent value.
+C6_D3_CROSS_CHECKS = {
+    # published value alpha^3 omits the u1^3 factor (the mod-2 analogue
+    # and u1-linearity both give eta^3 = alpha^3 u1^3)
+    m("u^{-2}u1^{2}"): m("u1^{3}a^{3}"),
+    m("u^{-2}a"): m("u1a^{4}"),
+}
+
+C6_D7_CROSS_CHECKS = {
+    m("u^{-4}a^{2}"): m("a^{9}"),
+    # published exponent 17 is grading-inconsistent; the (24,0) -> (23,7)
+    # differential requires alpha^7 u^-8, as in the mod-2 analogue
+    m("u^{-12}"): m("u^{-8}a^{7}"),
+    m("u^{-20}a"): m("u^{-16}a^{8}"),
+}
+
+C6_V0_D3_CROSS_CHECKS = {
+    m("u1^{2}u^{-2}"): m("u1^{3}a^{3}"),
+    m("u^{-3}"): m("a^{3}u^{-1}u1"),
+}
+
+C6_V0_D7_CROSS_CHECKS = {
+    m("a^{2}u^{-4}"): m("a^{9}"),
+    m("u^{-12}"): m("a^{7}u^{-8}"),
+    m("au^{-20}"): m("a^{8}u^{-16}"),
+    m("au^{-5}"): m("a^{8}u^{-1}"),
+    m("a^{2}u^{-13}"): m("a^{9}u^{-9}"),
+    m("u^{-21}"): m("a^{7}u^{-17}"),
+}
 
 
 def test_c6_cross_check_tables_via_restriction():
