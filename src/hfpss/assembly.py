@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from .groupexpr import GroupExpr, Term
 from .les import ETA_ALPHA_CLIMB
 from .monomials import Monomial
-from .pages import PageStack, towers_of_page
+from .pages import PageStack
 from .targets import Target
 
 
@@ -98,7 +98,7 @@ def assemble_pi(stem: int, towers: list[Term], target: Target) -> AssembledGroup
 def assemble_all(stack: PageStack) -> dict[int, AssembledGroup]:
     """Homotopy groups for every trusted stem of the window."""
     by_stem: dict[int, list[Term]] = {}
-    for (stem, filt), towers in towers_of_page(stack.einfty).items():
+    for (stem, filt), towers in stack.einfty.towers.items():
         if stack.einfty.is_trusted(stem, filt):
             by_stem.setdefault(stem, []).extend(towers)
     window = stack.window

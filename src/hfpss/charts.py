@@ -10,6 +10,9 @@ lines can be added to show eta-multiplication.
 The text format uses one character per glyph ('.', 'o', '#'), a
 fixed-width grid, and a sorted arrow list below the grid; it is intended
 for byte-exact golden tests.
+
+Both renderers draw the page's towers (Page.towers) at trusted
+bidegrees, one glyph each, and the arrows between trusted bidegrees.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from .groupexpr import Term
 from .modules import BidegreeModule, Page
 from .monomials import NAMED
-from .pages import towers_of_module, towers_of_page
 from .rules import Propagation
 
 GLYPHS = {"f4": ".", "f4_series": "o", "w": "#"}
@@ -30,22 +32,26 @@ def _glyph(t: Term) -> str:
 
 
 def _slot_towers(mod: BidegreeModule, towers: list[Term], N: int) -> list[int | None]:
-    """Per slot of mod, the index of the first tower covering it.
+    """Per slot of mod, the index of the tower covering it.
 
-    None for a slot at or beyond the horizon N or in no tower.
+    None for a slot at or beyond the horizon N.  The towers of a module
+    partition its slots below N, so every other slot has exactly one.
     """
-    covered = [t.offsets(N) for t in towers]  # the towers share mod's u and alpha
-    return [next((i for i, bs in enumerate(covered) if b in bs), None) for b in mod.u1s]
+    tower_of = {b: i for i, t in enumerate(towers) for b in t.offsets(N)}
+    return [tower_of.get(b) for b in mod.u1s]
 
 
-def _arrows(page: Page, prop: Propagation, towers_by_bid) -> list[tuple]:
-    """(source bid, target bid, dashed) per tower-to-tower differential."""
+def _arrows(page: Page, prop: Propagation) -> list[tuple]:
+    """(source bid, target bid, dashed) per tower-to-tower differential
+    between two trusted bidegrees."""
     arrows = []
-    N = page.window.N
+    window, towers = page.window, page.towers
     for (stem, filt), lm in sorted(prop.maps.items()):
         tgt_key = (lm.target.stem, lm.target.filt)
-        src_of = _slot_towers(lm.source, towers_by_bid.get((stem, filt), []), N)
-        tgt_of = _slot_towers(lm.target, towers_by_bid.get(tgt_key, []), N)
+        if not (window.trusted(stem, filt) and window.trusted(*tgt_key)):
+            continue
+        src_of = _slot_towers(lm.source, towers.get((stem, filt), []), window.N)
+        tgt_of = _slot_towers(lm.target, towers.get(tgt_key, []), window.N)
         pairs: dict[tuple[int, int], list] = {}
         for j, col in enumerate(lm.cols):
             si = src_of[j]
@@ -67,12 +73,11 @@ def render_text(page: Page, prop: Propagation | None = None,
                 page_index: int | None = None) -> str:
     """Fixed-width glyph grid plus a sorted arrow list."""
     window = page.window
-    towers_by_bid = towers_of_page(page)
     stems = range(window.stem_lo, window.stem_hi + 1)
     cells = {}
     max_filt = 0
-    for (stem, filt), ts in towers_by_bid.items():
-        if window.trusted(stem, filt) and stem in stems:
+    for (stem, filt), ts in page.towers.items():
+        if window.trusted(stem, filt):
             cells[(stem, filt)] = "".join(_glyph(t) for t in ts)
             max_filt = max(max_filt, filt)
     width = max([len(v) for v in cells.values()], default=1) + 1
@@ -87,9 +92,7 @@ def render_text(page: Page, prop: Propagation | None = None,
     if prop is not None:
         lines.append("")
         lines.append("arrows:")
-        for (src, tgt, dashed) in _arrows(page, prop, towers_by_bid):
-            if not (window.trusted(*src) and window.trusted(*tgt)):
-                continue
+        for (src, tgt, dashed) in _arrows(page, prop):
             style = " dashed" if dashed else ""
             lines.append(f"  d{tgt[1] - src[1]} "
                          f"({src[0]},{src[1]}) -> ({tgt[0]},{tgt[1]}){style}")
@@ -108,10 +111,8 @@ def render_svg(page: Page, prop: Propagation | None = None,
                cell: int = 26) -> str:
     """SVG 1.1 chart of one page."""
     window = page.window
-    towers_by_bid = towers_of_page(page)
     stems = list(range(window.stem_lo, window.stem_hi + 1))
-    max_filt = max([f for (n, f) in towers_by_bid
-                    if window.trusted(n, f) and n in stems], default=0)
+    max_filt = max([f for (n, f) in page.towers if window.trusted(n, f)], default=0)
     margin = 40
     width = margin * 2 + cell * len(stems)
     height = margin * 2 + cell * (max_filt + 1)
@@ -142,7 +143,7 @@ def render_svg(page: Page, prop: Propagation | None = None,
     if eta_lines:
         eta = NAMED["eta"]
         out.append('<g stroke="#bbbbbb" stroke-width="1">')
-        for (stem, filt), ts in sorted(towers_by_bid.items()):
+        for (stem, filt), ts in page.towers.items():
             if not (window.trusted(stem, filt) and window.trusted(stem + 1, filt + 1)):
                 continue
             nxt = page.module(stem + 1, filt + 1)
@@ -155,17 +156,15 @@ def render_svg(page: Page, prop: Propagation | None = None,
 
     if prop is not None:
         out.append('<g stroke="#c02020" stroke-width="1.5" fill="none">')
-        for (src, tgt, dashed) in _arrows(page, prop, towers_by_bid):
-            if not (window.trusted(*src) and window.trusted(*tgt)):
-                continue
+        for (src, tgt, dashed) in _arrows(page, prop):
             x1, y1 = xy(*src)
             x2, y2 = xy(*tgt)
             dash = ' stroke-dasharray="4 3"' if dashed else ""
             out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"{dash}/>')
         out.append("</g>")
 
-    for (stem, filt), ts in sorted(towers_by_bid.items()):
-        if not (window.trusted(stem, filt) and stem in stems):
+    for (stem, filt), ts in page.towers.items():
+        if not window.trusted(stem, filt):
             continue
         x, y = xy(stem, filt)
         n = len(ts)
@@ -199,16 +198,9 @@ def render_page(page: Page, prop: Propagation | None = None, fmt: str = "text",
     raise ValueError(f"unknown chart format {fmt!r}")
 
 
-def glyph_count(page: Page) -> int:
-    """Number of glyphs a chart of this page contains (one per tower)."""
-    return sum(len(ts) for (n, f), ts in towers_of_page(page).items()
-               if page.window.trusted(n, f))
-
-
 def tower_count(page: Page) -> int:
-    window = page.window
-    total = 0
-    for (n, f), mod in page.modules.items():
-        if window.trusted(n, f):
-            total += len(towers_of_module(mod, page.target.period, window.N))
-    return total
+    """Number of towers in the trusted region of the page."""
+    return sum(len(ts) for (n, f), ts in page.towers.items() if page.window.trusted(n, f))
+
+
+glyph_count = tower_count  # a chart draws one glyph per trusted tower

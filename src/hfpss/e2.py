@@ -59,8 +59,7 @@ def c3_invariants(page: Page) -> Page:
     """Weight-0 part of a C2-family page, reindexed with u1-period 3."""
     if page.target not in _C3_RESTRICTION:
         raise ValueError(f"{page.target} is not a C2-family page")
-    out = Page(target=_C3_RESTRICTION[page.target], r=page.r,
-               window=page.window, K=page.K, untrusted=set(page.untrusted))
+    out = Page(target=_C3_RESTRICTION[page.target], r=page.r, window=page.window, K=page.K)
     for key, mod in page.modules.items():
         kept = tuple(s for s in mod.summands if s.mono.weight == 0)
         if kept:

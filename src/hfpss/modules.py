@@ -19,9 +19,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .monomials import Monomial
 from .targets import Target, Window
+
+if TYPE_CHECKING:
+    from .groupexpr import Term
 
 
 class PipelineError(Exception):
@@ -208,20 +213,37 @@ def homology_at(module: BidegreeModule,
 
 @dataclass
 class Page:
-    """One page of one spectral sequence on a padded window."""
+    """One page of one spectral sequence on a padded window.
+
+    Complete when build_e2, turn_page or c3_invariants returns it; nothing
+    mutates `modules` after that, so `towers` is recognised on first read
+    and kept.  Trust is the window's: the d3 or d7 value of a trusted
+    source, at (stem - 1, filt + r), never leaves the padded window.
+    """
 
     target: Target
     r: int
     window: Window
     K: int
     modules: dict[tuple[int, int], BidegreeModule] = field(default_factory=dict)
-    untrusted: set[tuple[int, int]] = field(default_factory=set)
 
     def module(self, stem: int, filt: int) -> BidegreeModule:
         return self.modules.get((stem, filt)) or BidegreeModule.column(stem, filt, (), (), ())
 
     def is_trusted(self, stem: int, filt: int) -> bool:
-        return self.window.trusted(stem, filt) and (stem, filt) not in self.untrusted
+        return self.window.trusted(stem, filt)
+
+    @cached_property
+    def towers(self) -> dict[tuple[int, int], list[Term]]:
+        """The towers of each bidegree that has any, in bidegree order.
+
+        One record shared by every reader; read it, do not mutate it.
+        """
+        from .pages import towers_of_module  # pages imports this module
+        period, N = self.target.period, self.window.N
+        found = ((key, towers_of_module(mod, period, N))
+                 for key, mod in sorted(self.modules.items()))
+        return {key: ts for key, ts in found if ts}
 
     def reported_summands(self, stem: int, filt: int) -> list[Summand]:
         """Summands below the u1 reporting horizon."""

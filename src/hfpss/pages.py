@@ -17,6 +17,9 @@ Freeness of a tower comes from E2, which flags the free summands
 (filtration 0 of the integral pages); page turns carry the flag from each
 old summand to its survivor, and homology_at rejects any differential
 that enters a free summand.  So the pipeline runs once, at truncation K.
+
+Page.towers runs towers_of_module once per page and keeps the result;
+serialization, assembly and the charts all read that one record.
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ class CertificateError(PipelineError):
 
 def turn_page(page: Page, prop: Propagation, rule_r: int) -> Page:
     """Homology at every bidegree, generator names carried by pure lifts."""
-    out = Page(target=page.target, r=rule_r + 1, window=page.window, K=page.K,
-               untrusted=set(page.untrusted) | set(prop.boundary))
+    out = Page(target=page.target, r=rule_r + 1, window=page.window, K=page.K)
     r = rule_r
     for (stem, filt), mod in page.modules.items():
         d_out = prop.maps.get((stem, filt))
@@ -144,7 +146,7 @@ def run_to_einfty(target: Target, window: Window) -> PageStack:
 
 
 # ---------------------------------------------------------------------------
-# Tower (power series) recognition on a computed page.
+# Tower (power series) recognition on one module of a computed page.
 
 _COEFF = {1: "F4", 2: "W/4"}   # group of a non-free tower by order exponent
 
@@ -181,16 +183,6 @@ def towers_of_module(mod: BidegreeModule, period: int, N: int) -> list[Term]:
             start = k
     towers.sort(key=lambda t: (t.mono.u1, t.scalar))  # filt and u are fixed
     return towers
-
-
-def towers_of_page(page: Page) -> dict[tuple[int, int], list[Term]]:
-    period = page.target.period
-    out = {}
-    for key, mod in sorted(page.modules.items()):
-        ts = towers_of_module(mod, period, page.window.N)
-        if ts:
-            out[key] = ts
-    return out
 
 
 def periodicity_check(stack: PageStack, shift: Monomial, page_r: int,
@@ -234,23 +226,17 @@ def hurewicz_permanent_cycles(stack: PageStack) -> list[str]:
 # Serialization.
 
 def page_to_json(page: Page) -> dict:
-    period = page.target.period
-    bidegrees = []
-    for (stem, filt), mod in sorted(page.modules.items()):
-        ts = towers_of_module(mod, period, page.window.N)
-        if not ts:
-            continue
-        bidegrees.append({
-            "stem": stem,
-            "filt": filt,
-            "trusted": page.is_trusted(stem, filt),
-            "towers": [{
-                "gen": t.label(),
-                "ann_exp": "free" if t.free else term_order_exp(t, page.K),
-                "period": t.period,
-                "offset": t.mono.u1,
-            } for t in ts],
-        })
+    bidegrees = [{
+        "stem": stem,
+        "filt": filt,
+        "trusted": page.is_trusted(stem, filt),
+        "towers": [{
+            "gen": t.label(),
+            "ann_exp": "free" if t.free else term_order_exp(t, page.K),
+            "period": t.period,
+            "offset": t.mono.u1,
+        } for t in ts],
+    } for (stem, filt), ts in page.towers.items()]
     return {
         "target": page.target.value,
         "page": page.r,

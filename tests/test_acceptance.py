@@ -101,10 +101,12 @@ def test_criterion_5_periodicity():
 
 
 def test_criterion_6_oracle_equivalence():
-    from test_snf import test_homology_agrees_with_enumeration_on_100_random_presentations
-    test_homology_agrees_with_enumeration_on_100_random_presentations()
+    # the enumeration comparison runs once per session (cached in test_snf)
+    from test_snf import _check_dense_enumeration
+    trials = _check_dense_enumeration()
+    assert trials == 100
     _report(6, "the chain-ring SNF oracle's homology matches exhaustive "
-               "enumeration on 100 random presentations over W/8")
+               f"enumeration on {trials} random presentations over W/8")
 
 
 def test_criterion_7_les_order_checks():

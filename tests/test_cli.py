@@ -128,6 +128,15 @@ def test_bad_stem_range_is_usage_error():
     assert code == 2
 
 
+def test_negative_stems_take_the_equals_form():
+    # argparse reads "-4:0" as an option, so a negative LO needs --stems=LO:HI
+    code, out = run_cli("compute", "--target", "c2", "--stems=-4:0", "--format", "text")
+    assert code == 0
+    assert [line.split("(")[0] for line in out.splitlines()] == \
+        ["pi_-4", "pi_-3", "pi_-2", "pi_-1"]
+    assert run_cli("compute", "--target", "c2", "--stems", "-4:0")[0] == 2
+
+
 def test_unknown_target_is_usage_error(capsys):
     code, _ = run_cli("compute", "--target", "c7")
     assert code == 2

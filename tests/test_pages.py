@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import pytest
 
+from hfpss.assembly import assemble_all
+from hfpss.charts import glyph_count, render_svg, render_text, tower_count
 from hfpss.engine import compute
 from hfpss.groupexpr import truncate_term
 from hfpss.modules import (BidegreeModule, LinearMap, Page, PipelineError, Summand,
@@ -14,7 +16,7 @@ from hfpss import pages
 from hfpss.pages import (CertificateError, check_collapse,
                          check_even_r_vanishing, hurewicz_permanent_cycles,
                          periodicity_check, run_to_einfty, towers_of_module,
-                         towers_of_page, turn_page)
+                         turn_page)
 from hfpss.rules import Propagation, RuleCoverageError, RuleSet, rule_table
 from hfpss.targets import Target, Window
 
@@ -302,9 +304,10 @@ def test_towers_partition_the_reported_slots(computed_all):
         N = res.window.N
         for r in (2, 4, 8):
             page = res.stack.page(r)
-            assert towers_of_page(page), (target, r)
+            assert page.towers, (target, r)
+            assert list(page.towers) == sorted(page.towers), (target, r)
             for key, mod in page.modules.items():
-                towers = towers_of_module(mod, target.period, N)
+                towers = page.towers.get(key, [])
                 reported = [s for s in mod.summands if s.mono.u1 < N]
                 for s in reported:
                     assert sum(t.covers(s.mono) for t in towers) == 1, \
@@ -317,9 +320,49 @@ def test_towers_partition_the_reported_slots(computed_all):
                 assert Counter(rebuilt) == Counter(reported), (target, r, key)
 
 
-def test_boundary_effects_marked_untrusted():
-    stack = run_to_einfty(Target.C2_V0, Window(0, 15))
-    # the pad guarantees trusted bidegrees never carry boundary flags
-    for page in stack.pages.values():
-        for (stem, filt) in page.untrusted:
-            assert not page.window.trusted(stem, filt)
+def test_boundary_effects_marked_untrusted(computed_all):
+    """Boundary effects lie outside the trusted window, so trust is the window.
+
+    A boundary flag marks a source whose d_r value leaves the padded
+    window; a trusted source's d3 or d7 value lands at (stem - 1, filt + r)
+    with r <= STEM_PAD = FILT_PAD, inside it.  So no page needs a trust
+    record of its own.
+    """
+    stacks = [res.stack for res in computed_all.values()]
+    stacks.append(run_to_einfty(Target.C6_V0, Window(0, 191, filt_max=160)))
+    flags = 0
+    for stack in stacks:
+        for r, prop in stack.maps.items():
+            trusted = [key for key in prop.boundary if stack.window.trusted(*key)]
+            assert trusted == [], (stack.target, r, trusted)
+            flags += len(prop.boundary)
+    assert flags > 0  # the propagations really flagged boundary effects
+
+
+def test_each_page_recognises_its_towers_once(monkeypatch):
+    """Every reader of a page's towers reads Page.towers, recognised once.
+
+    compute recognises the Einfty towers only (assembly reads no other
+    page).  Then charts of pages 2, 3, 4, 7 and 8 (E3 and E7 alias E2 and
+    E4), the JSON, the assembly and the glyph counts recognise each module
+    of the three distinct pages exactly once.
+    """
+    recognised = []
+    recognise = pages.towers_of_module
+
+    def counted(mod, period, N):
+        recognised.append(mod)
+        return recognise(mod, period, N)
+
+    monkeypatch.setattr(pages, "towers_of_module", counted)
+    stack = compute(Target.C2_V0).stack
+    assert len(recognised) == len(stack.einfty.modules)
+    for r in (2, 3, 4, 7, 8):
+        page, prop = stack.page(r), stack.maps.get(r)
+        render_text(page, prop, page_index=r)
+        render_svg(page, prop, labels=True, eta_lines=(r == 8))
+        glyph_count(page)
+        tower_count(page)
+    pages.stack_to_json(stack)
+    assemble_all(stack)
+    assert len(recognised) == sum(len(p.modules) for p in stack.pages.values())

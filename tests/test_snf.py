@@ -8,6 +8,7 @@ arbitrary Galois-ring entries) or the production slotwise path
 (monomial-sparse maps), and checks both.
 """
 
+import functools
 import itertools
 import random
 
@@ -347,8 +348,14 @@ def _random_presentations(seed, sparse):
         yield mid, tgt, src, in_cols, out_cols, _enumerated_subquotient(mid, ker_elements, image)
 
 
-def test_homology_agrees_with_enumeration_on_100_random_presentations():
-    """The SNF oracle on dense maps with arbitrary Galois-ring entries."""
+@functools.cache
+def _check_dense_enumeration() -> int:
+    """Run the dense comparison once per session; returns the trial count.
+
+    Cached, so the acceptance suite (criterion 6) reuses the result of the
+    test here instead of enumerating the 100 presentations again.
+    """
+    trials = 0
     for trial, (mid, tgt, _src, in_cols, out_cols, oracle) in enumerate(
             _random_presentations(20240817, sparse=False)):
         n, n_t = len(mid.summands), len(tgt.summands)
@@ -356,6 +363,13 @@ def test_homology_agrees_with_enumeration_on_100_random_presentations():
             [s.order for s in mid.summands], _dense(in_cols, n), _dense(out_cols, n_t),
             [t.order for t in tgt.summands], K)
         assert invariants == oracle, f"trial {trial}"
+        trials += 1
+    return trials
+
+
+def test_homology_agrees_with_enumeration_on_100_random_presentations():
+    """The SNF oracle on dense maps with arbitrary Galois-ring entries."""
+    assert _check_dense_enumeration() == 100
 
 
 def test_sparse_homology_agrees_with_enumeration_on_100_random_presentations():
