@@ -1,19 +1,14 @@
-"""Tour of the coefficient rings: F4 and the truncated Witt ring.
+"""Tour of the truncated Witt ring, the coefficient ring of the oracle.
 
-Everything downstream is exact 2-adic arithmetic in the Galois ring
-(Z/2^K)[w]/(w^2+w+1), a truncation of the Witt vectors of F4.  This
-script walks through the basic structure.
+Every group is a module over the Galois ring (Z/2^K)[w]/(w^2+w+1), a
+truncation of the Witt vectors of F4.  The pipeline itself computes with
+2-exponents only; Smith normal form, the test oracle, computes with these
+elements.  This script walks through the basic structure.
 """
 
-from hfpss.scalars import W_GEN, Witt, f4_add, f4_inv, f4_mul, witt_units
+from hfpss.scalars import Witt
 
-print("== F4 = {0, 1, w, 1+w} ==")
-print(f"w * w        = {f4_mul(W_GEN, W_GEN)}   (encodes 1+w: w^2 = -1-w = 1+w mod 2)")
-print(f"w^3          = {f4_mul(W_GEN, f4_mul(W_GEN, W_GEN))}")
-print(f"1 + 1        = {f4_add(1, 1)}   (characteristic 2)")
-print(f"inverse of w = {f4_inv(W_GEN)}   (the cyclic group of order 3)")
-
-print("\n== W/8 = (Z/8)[w]/(w^2+w+1), the default K = 3 truncation ==")
+print("== W/8 = (Z/8)[w]/(w^2+w+1), the default K = 3 truncation ==")
 a = Witt(2, 1, 3)
 b = Witt(1, 1, 3)
 print(f"(2+w) * 2     = {(a * Witt(2, 0, 3)).render()}")
@@ -21,13 +16,5 @@ print(f"(1+w)^2       = {(b * b).render()}   (w^2 = -1-w over Z/8)")
 print(f"val(4+4w)     = {Witt(4, 4, 3).val()}  (2-adic valuation)")
 print(f"unit part     = {Witt(4, 4, 3).unit_part().render()}")
 
-units = list(witt_units(3))
-print(f"\n|units of W/8| = {len(units)} = 3 * 4^(K-1)")
 u = Witt(3, 2, 3)
 print(f"(3+2w)^-1     = {u.inv().render()},  check: {(u * u.inv()).render()}")
-
-print("\nReduction mod 2 is a ring map onto F4:")
-x, y = Witt(5, 2, 3), Witt(2, 7, 3)
-lhs = (x * y).reduce_mod2()
-rhs = f4_mul(x.reduce_mod2(), y.reduce_mod2())
-print(f"  (x*y) mod 2 = {lhs} = (x mod 2)(y mod 2) = {rhs}")

@@ -5,10 +5,12 @@ filtration c.  The integral C2 page carries Witt towers on its bottom
 edge and 2-torsion alpha-towers above; smashing with the Moore spectrum
 reduces everything mod 2 and frees the u-power parity; passing to C6
 keeps the weight-0 monomials (u1-period 3); smashing with Y takes the
-cokernel of eta-multiplication.
+cokernel of eta-multiplication.  Each page is built directly; the script
+checks the C6 page against the weight-0 summands of the C2 page, and the
+Y page against the eta-cokernel.
 """
 
-from hfpss.e2 import build_e2, c3_invariants, eta_injectivity_check
+from hfpss.e2 import build_e2, eta_injectivity_check
 from hfpss.monomials import Monomial
 from hfpss.targets import Target, Window
 
@@ -22,11 +24,11 @@ for target in Target:
 
 print("\nWeight filtering: the C6 page inside the C2 page")
 c2 = build_e2(Target.C2, window)
-c6 = c3_invariants(c2)
+weight0 = {k: kept for k, m in c2.modules.items()
+           if (kept := tuple(s for s in m.summands if s.mono.weight == 0))}
 direct = build_e2(Target.C6, window)
-assert {k: m.summands for k, m in c6.modules.items()} == \
-    {k: m.summands for k, m in direct.modules.items()}
-print("  c3_invariants(C2 page) == build_e2(C6):", True)
+assert weight0 == {k: m.summands for k, m in direct.modules.items()}
+print("  weight-0 summands of the C2 page == build_e2(C6):", True)
 print(f"  u1 u^-4 kept (weight {Monomial(-4, 1, 0).weight}),",
       f"u^-2 u1 dropped (weight {Monomial(-2, 1, 0).weight})")
 

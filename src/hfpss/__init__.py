@@ -9,12 +9,11 @@ resulting homotopy groups against the published tables.
 from .engine import ComputeResult, compute, default_window
 from .groupexpr import GroupExpr, parse_group_expr, truncate_group
 from .monomials import Monomial, parse_monomial
-from .scalars import Witt
 from .targets import Target, Window
 
 __all__ = [
     "ComputeResult", "compute", "default_window",
     "GroupExpr", "parse_group_expr", "truncate_group",
-    "Monomial", "parse_monomial", "Witt", "Target", "Window",
+    "Monomial", "parse_monomial", "Target", "Window",
 ]
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """From Einfty columns to homotopy groups.
 
-Extensions are resolved by declared directives, never inferred.  On the
-mod-2 targets the only nonsplit extensions pair a filtration-0 tower with
+Extensions are resolved by one declared table, MERGE_STEMS_MOD_8, never
+inferred.  On the mod-2 targets the only nonsplit extensions pair a filtration-0 tower with
 the filtration-2 tower one u1-step and one u-step above it (the relation
 "2x = eta*alpha*x climbed by one cell"); the pair merges into a single
 W/4-series on the filtration-0 generator and any upper classes below the
@@ -22,25 +22,11 @@ from .targets import Target
 
 
 class ExtensionError(Exception):
-    """A merge directive's pairing predicate failed against the page."""
+    """A merge stem's pairing predicate failed against the page."""
 
 
-@dataclass(frozen=True)
-class ExtensionDirective:
-    action: str                 # "merge-eta-alpha" or "split"
-    stem_residue: int | None    # merge applies at stems = residue mod 8
-
-    def applies(self, stem: int) -> bool:
-        if self.action == "split":
-            return True
-        return stem % 8 == self.stem_residue
-
-
-def extension_directives(target: Target) -> list[ExtensionDirective]:
-    if target in (Target.C2_V0, Target.C6_V0):
-        return [ExtensionDirective("merge-eta-alpha", 2),
-                ExtensionDirective("split", None)]
-    return [ExtensionDirective("split", None)]
+# Stems, mod 8, where an eta*alpha pair merges; every other extension splits.
+MERGE_STEMS_MOD_8 = {Target.C2_V0: 2, Target.C6_V0: 2}
 
 
 def _eta_alpha_partner(lower: Term, upper: Term) -> bool:
@@ -55,22 +41,20 @@ def _eta_alpha_partner(lower: Term, upper: Term) -> bool:
 class AssembledGroup:
     stem: int
     expr: GroupExpr
-    consulted: bool                  # an extension directive examined this stem
+    consulted: bool                  # a merge stem, or a column of two or more towers
     merged: list[tuple[str, str]] = field(default_factory=list)  # provenance
 
 
 def assemble_pi(stem: int, towers: list[Term], target: Target) -> AssembledGroup:
     """Resolve the extensions in one Einfty column."""
-    directives = extension_directives(target)
-    merge = next((d for d in directives if d.action == "merge-eta-alpha"
-                  and d.applies(stem)), None)
-    consulted = len(towers) >= 2 or merge is not None
+    merge = stem % 8 == MERGE_STEMS_MOD_8.get(target)
+    consulted = len(towers) >= 2 or merge
 
     towers = list(towers)
     terms: list[Term] = []
     merged: list[tuple[str, str]] = []
 
-    if merge is not None:
+    if merge:
         lowers = [t for t in towers if t.filt == 0 and t.period is not None
                   and t.mono.al == 0]
         uppers = [t for t in towers if t.filt == 2 and t.period is not None]
@@ -80,7 +64,7 @@ def assemble_pi(stem: int, towers: list[Term], target: Target) -> AssembledGroup
             lower, upper = lowers[0], uppers[0]
             if not _eta_alpha_partner(lower, upper):
                 raise ExtensionError(
-                    f"merge directive at stem {stem}: {upper.label()} is not "
+                    f"merge at stem {stem}: {upper.label()} is not "
                     f"the eta*alpha partner of {lower.label()}")
             towers.remove(lower)
             towers.remove(upper)
@@ -106,13 +90,3 @@ def assemble_all(stack: PageStack) -> dict[int, AssembledGroup]:
     for stem in range(window.stem_lo, window.stem_hi + 1):
         out[stem] = assemble_pi(stem, by_stem.get(stem, []), stack.target)
     return out
-
-
-def column_log4_order(stack: PageStack, stem: int) -> int:
-    """log4 of the truncated Einfty column order (extension-independent)."""
-    einf = stack.einfty
-    total = 0
-    for (n, filt), mod in einf.modules.items():
-        if n == stem and einf.is_trusted(n, filt):
-            total += sum(s.order for s in einf.reported_summands(n, filt))
-    return total

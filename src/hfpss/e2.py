@@ -7,8 +7,9 @@ monomials u^a u1^b alpha^c:
 * integral C2 page: a even, every b; the c = 0 towers are free over the
   truncated Witt ring, everything with c >= 1 is killed by 2,
 * mod-2 C2 page: all integer u-powers, every tower 2-torsion,
-* C6 family: the weight-0 part of the corresponding C2 page, so the u1
-  towers have period 3 (b runs through one residue class mod 3),
+* C6 family: the weight-0 part of the corresponding C2 page, built
+  directly, so the u1 towers have period 3 (b runs through one residue
+  class mod 3),
 * smash-with-Y page: the cokernel of eta-multiplication on the mod-2 C6
   page; concretely the weight-0 monomials with u1-exponent 0 or
   alpha-exponent 0, and u1 annihilates everything with alpha-exponent >= 1.
@@ -37,9 +38,9 @@ def _u1_range(target: Target, stem: int, filt: int, n_u1: int) -> range:
     return bs
 
 
-def build_e2(target: Target, window: Window, K: int | None = None) -> Page:
-    K = window.K if K is None else K
-    page = Page(target=target, r=2, window=window, K=K)
+def build_e2(target: Target, window: Window) -> Page:
+    K = window.K
+    page = Page(target=target, r=2, window=window)
     columns: dict[tuple[range, bool], tuple] = {}  # shared by equal columns
     for stem in window.stem_range:
         for filt in window.filt_range:
@@ -50,21 +51,6 @@ def build_e2(target: Target, window: Window, K: int | None = None) -> Page:
             col = columns.setdefault((bs, free), (tuple(bs), (0,) * n, (K if free else 1,) * n))
             page.modules[(stem, filt)] = BidegreeModule.column(stem, filt, *col, free)
     return page
-
-
-_C3_RESTRICTION = {Target.C2: Target.C6, Target.C2_V0: Target.C6_V0}
-
-
-def c3_invariants(page: Page) -> Page:
-    """Weight-0 part of a C2-family page, reindexed with u1-period 3."""
-    if page.target not in _C3_RESTRICTION:
-        raise ValueError(f"{page.target} is not a C2-family page")
-    out = Page(target=_C3_RESTRICTION[page.target], r=page.r, window=page.window, K=page.K)
-    for key, mod in page.modules.items():
-        kept = tuple(s for s in mod.summands if s.mono.weight == 0)
-        if kept:
-            out.modules[key] = BidegreeModule(mod.stem, mod.filt, kept)
-    return out
 
 
 @dataclass

@@ -37,7 +37,6 @@ from .targets import Window
 
 ETA = Monomial(0, 1, 1)
 ETA_ALPHA_CLIMB = Monomial(1, 1, 2)   # alpha^2 * u * u1, one 2-extension step
-ALPHA_U = Monomial(1, 0, 1)           # top-cell projection multiplies by this
 
 
 class LESError(Exception):

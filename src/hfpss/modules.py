@@ -215,17 +215,21 @@ def homology_at(module: BidegreeModule,
 class Page:
     """One page of one spectral sequence on a padded window.
 
-    Complete when build_e2, turn_page or c3_invariants returns it; nothing
-    mutates `modules` after that, so `towers` is recognised on first read
-    and kept.  Trust is the window's: the d3 or d7 value of a trusted
-    source, at (stem - 1, filt + r), never leaves the padded window.
+    Complete when build_e2 or turn_page returns it; nothing mutates
+    `modules` after that, so `towers` is recognised on first read and
+    kept.  Trust and truncation are the window's: the d3 or d7 value of a
+    trusted source, at (stem - 1, filt + r), never leaves the padded
+    window, and K is window.K.
     """
 
     target: Target
     r: int
     window: Window
-    K: int
     modules: dict[tuple[int, int], BidegreeModule] = field(default_factory=dict)
+
+    @property
+    def K(self) -> int:
+        return self.window.K
 
     def module(self, stem: int, filt: int) -> BidegreeModule:
         return self.modules.get((stem, filt)) or BidegreeModule.column(stem, filt, (), (), ())

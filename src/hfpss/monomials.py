@@ -16,7 +16,7 @@ exponent 1 written without a caret, and the unit monomial rendered "1".
 
 >>> str(Monomial(-2, 0, 1))
 'u^{-2}a'
->>> Monomial.parse("u^{-4}u1") * NAMED["alpha"]
+>>> parse_monomial("u^{-4}u1") * NAMED["alpha"]
 Monomial(u=-4, u1=1, al=1)
 """
 
@@ -36,13 +36,6 @@ class Monomial(NamedTuple):
 
     def __pow__(self, n: int) -> "Monomial":
         return Monomial(self.u * n, self.u1 * n, self.al * n)
-
-    def divide(self, other: "Monomial") -> "Monomial":
-        """Exact division; the result must again have u1, al >= 0."""
-        q = Monomial(self.u - other.u, self.u1 - other.u1, self.al - other.al)
-        if q.u1 < 0 or q.al < 0:
-            raise ValueError(f"{self} is not divisible by {other}")
-        return q
 
     @property
     def degree(self) -> int:
@@ -78,10 +71,6 @@ class Monomial(NamedTuple):
             parts.append(sym if e == 1 else f"{sym}^{{{e}}}")
         return "".join(parts)
 
-    @classmethod
-    def parse(cls, s: str) -> "Monomial":
-        return parse_monomial(s)
-
 
 ONE = Monomial(0, 0, 0)
 
@@ -112,11 +101,6 @@ def parse_monomial(s: str) -> Monomial:
     if exps["u1"] < 0 or exps["a"] < 0:
         raise ValueError(f"negative u1/a exponent in {s!r}")
     return Monomial(exps["u"], exps["u1"], exps["a"])
-
-
-def monomial_grading(m: Monomial) -> tuple[int, int, int, int]:
-    """(internal degree, filtration, stem, weight) of a monomial."""
-    return (m.degree, m.filt, m.stem, m.weight)
 
 
 # ---------------------------------------------------------------------------

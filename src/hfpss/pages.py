@@ -43,7 +43,7 @@ class CertificateError(PipelineError):
 
 def turn_page(page: Page, prop: Propagation, rule_r: int) -> Page:
     """Homology at every bidegree, generator names carried by pure lifts."""
-    out = Page(target=page.target, r=rule_r + 1, window=page.window, K=page.K)
+    out = Page(target=page.target, r=rule_r + 1, window=page.window)
     r = rule_r
     for (stem, filt), mod in page.modules.items():
         d_out = prop.maps.get((stem, filt))

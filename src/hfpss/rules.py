@@ -9,6 +9,8 @@ contribute zero).  Transversal elements without a stored value have zero
 differential.  The factorization sees only a residue of the monomial, so
 propagate factorizes once per (bidegree, residue class) and moves the
 whole class by one u1-shift; RuleSet.value_on is the slotwise reference.
+Coverage is checked there too: a monomial the scheme cannot factor
+raises RuleCoverageError from the propagate call that meets it.
 
 Rule data for the C2 tower:
 
@@ -181,23 +183,6 @@ def rule_table(target: Target, page: int) -> RuleSet:
         values[_u(-5)] = _m("u^{-1}a^{7}")
     transversal = _all_residues(8) if mod2 else _even_residues(8)
     return RuleSet(7, 8, transversal, values)
-
-
-def validate_coverage(rules: RuleSet, page: Page) -> None:
-    """Factorization totality of a rule table over every slot of a page.
-
-    The pipeline does not call this: propagate factorizes each slot it
-    evaluates and raises the same error.  The tests run it on the E2
-    pages of Window(0, 48), which covers every window: the factor g of a
-    monomial depends only on u mod u_modulus (on Y, u + u1 mod 24 and
-    alpha mod 3), and that padded window meets every transversal class.
-    """
-    for mod in page.modules.values():
-        for b in mod.u1s:
-            try:
-                rules.factorize(mod.mono(b))
-            except RuleCoverageError as e:
-                raise RuleCoverageError(f"rule coverage error: {e}") from e
 
 
 @dataclass

@@ -1,56 +1,20 @@
-"""Exact arithmetic in F4 and in truncated Witt vectors of F4.
+"""The oracle's ring: truncated Witt vectors of F4.
 
 The truncation W(F4)/2^K is realized as the Galois ring
 
     (Z/2^K)[w] / (w^2 + w + 1),
 
 whose elements are written a0 + a1*w.  For K = 1 this is the field F4.
-F4 elements are packed into the integers 0..3 as c0 + 2*c1, standing for
-c0 + c1*w.
+The pipeline never builds these elements: its maps are (row, 2-exponent)
+pairs.  Only the Smith normal form oracle in snf.py computes with them.
 
->>> f4_mul(W_GEN, W_GEN) == f4_add(1, W_GEN)   # w^2 = 1 + w
-True
 >>> Witt(2, 1, 3) * Witt(2, 0, 3)
 Witt(4, 2, K=3)
+>>> (Witt(1, 1, 3) * Witt(1, 1, 3)).render()   # w^2 = -1 - w
+'0+1*w'
 """
 
 from __future__ import annotations
-
-
-# ---------------------------------------------------------------------------
-# F4 = GF(4) on {0, 1, w, 1+w}, encoded 0, 1, 2, 3.
-
-W_GEN = 2  # the generator w, with w^2 + w + 1 = 0
-
-
-def f4_add(x: int, y: int) -> int:
-    return x ^ y
-
-
-def f4_mul(x: int, y: int) -> int:
-    # (c0 + c1 w)(d0 + d1 w) with w^2 = w + 1 over F2.
-    c0, c1 = x & 1, x >> 1
-    d0, d1 = y & 1, y >> 1
-    e0 = (c0 & d0) ^ (c1 & d1)
-    e1 = (c0 & d1) ^ (c1 & d0) ^ (c1 & d1)
-    return e0 | (e1 << 1)
-
-
-def f4_inv(x: int) -> int:
-    if x == 0:
-        raise ZeroDivisionError("inversion of zero in F4")
-    # The nonzero elements form a cyclic group of order 3, so x^-1 = x^2.
-    return f4_mul(x, x)
-
-
-def f4_pow(x: int, n: int) -> int:
-    n %= 3
-    if x == 0:
-        return 0 if n else 1
-    out = 1
-    for _ in range(n):
-        out = f4_mul(out, x)
-    return out
 
 
 class Witt:
@@ -155,28 +119,3 @@ class Witt:
         if self.val() < j:
             raise ValueError(f"{self!r} not divisible by 2^{j}")
         return Witt(self.a0 >> j, self.a1 >> j, self.K)
-
-    def reduce_mod2(self) -> int:
-        """Reduction to F4 along W/2^K ->> W/2 = F4."""
-        return (self.a0 & 1) | ((self.a1 & 1) << 1)
-
-
-def two_adic_valuation(a: Witt) -> int:
-    return a.val()
-
-
-def witt_units(K: int):
-    """Iterate over all units of W/2^K (there are 3 * 4^(K-1) of them)."""
-    mod = 1 << K
-    for a0 in range(mod):
-        for a1 in range(mod):
-            w = Witt(a0, a1, K)
-            if w.is_unit():
-                yield w
-
-
-def witt_elements(K: int):
-    mod = 1 << K
-    for a0 in range(mod):
-        for a1 in range(mod):
-            yield Witt(a0, a1, K)

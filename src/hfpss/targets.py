@@ -19,11 +19,6 @@ class Target(Enum):
         return 3 if self in (Target.C6, Target.C6_V0, Target.C6_Y) else 1
 
     @property
-    def weight_filtered(self) -> bool:
-        """C6-family pages keep only the weight-0 monomials."""
-        return self.period == 3
-
-    @property
     def even_u_only(self) -> bool:
         """Integral pages contain only even u-powers."""
         return self in (Target.C2, Target.C6)

@@ -151,34 +151,9 @@ def verify_target(result: ComputeResult, fixtures: list[FixtureEntry] | None = N
                   for k in (K, K + 1))
         names = got_expr.render() == fe.expr.render()
         if fe.underlined and got is not None and not got.consulted:
-            iso = False  # an underlined stem must have consulted a directive
+            iso = False  # assembly must have examined an underlined stem
         report.entries.append(VerifyEntry(
             stem=fe.stem, iso_match=iso, name_match=names,
             exception=fe.exception, computed=got_expr.render(),
             expected=fe.expr.render()))
     return report
-
-
-def fixture_grading_exceptions(target: Target,
-                               fixtures: list[FixtureEntry] | None = None) -> list[int]:
-    """Stems whose literal table entry fails the stem or weight check.
-
-    Used by the self-consistency test: the returned list must coincide
-    with the documented exception list.
-    """
-    if fixtures is None:
-        fixtures = load_fixtures(target)
-    bad = []
-    for fe in fixtures:
-        literal = parse_group_expr(fe.table_expr) if fe.table_expr else fe.expr
-        for term in literal.terms:
-            if term.stem != fe.stem:
-                bad.append(fe.stem)
-                break
-            if target.weight_filtered and term.mono.weight != 0:
-                bad.append(fe.stem)
-                break
-        else:
-            if fe.exception == "value":
-                bad.append(fe.stem)  # grading-consistent but wrong group
-    return bad

@@ -10,10 +10,9 @@ import time
 
 import pytest
 
-from hfpss.assembly import column_log4_order
 from hfpss.charts import render_text, tower_count
 from hfpss.engine import compute, default_window
-from hfpss.les import check_eta_les, check_two_les, degraded_log4
+from hfpss.les import check_eta_les, check_two_les
 from hfpss.monomials import Monomial
 from hfpss.pages import (check_collapse, check_d_squared,
                          check_even_r_vanishing, periodicity_check,
@@ -141,11 +140,3 @@ def test_criterion_8_chart_golden_tests():
         assert glyphs == tower_count(page)
     _report(8, "three text charts byte-identical to reviewed goldens; "
                "glyph counts equal page module counts")
-
-
-def test_order_preservation_supplement(computed_all):
-    """Assembly invariant: extensions never change cardinality."""
-    for res in computed_all.values():
-        for stem, g in res.groups.items():
-            assert degraded_log4(g.expr, res.window.K, res.window.N) == \
-                column_log4_order(res.stack, stem)

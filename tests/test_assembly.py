@@ -2,26 +2,38 @@
 
 import pytest
 
-from hfpss.assembly import (ExtensionError, assemble_pi, column_log4_order,
-                            extension_directives)
-from hfpss.groupexpr import Term
+from hfpss.assembly import ExtensionError, assemble_pi
+from hfpss.groupexpr import GroupExpr, Term
 from hfpss.les import degraded_log4
 from hfpss.monomials import Monomial
 from hfpss.targets import Target
 from hfpss.verify import load_fixtures
 
 
-def test_directives_by_target():
-    for t in (Target.C2_V0, Target.C6_V0):
-        actions = [d.action for d in extension_directives(t)]
-        assert actions == ["merge-eta-alpha", "split"]
-    for t in (Target.C2, Target.C6, Target.C6_Y):
-        assert [d.action for d in extension_directives(t)] == ["split"]
+def _eta_alpha_pair(stem):
+    """A filtration-0 F4 series and its eta*alpha partner in filtration 2.
+
+    The pair sits at the even stem 2 * (stem // 2); assemble_pi reads the
+    stem it is given only through MERGE_STEMS_MOD_8, so odd stems test the
+    table too."""
+    u = -(stem // 2)
+    return [Term(0, Monomial(u, 0, 0), "F4", 1), Term(0, Monomial(u + 1, 0, 2), "F4", 1)]
 
 
-def test_merge_stems_are_2_mod_8():
-    (merge, _) = extension_directives(Target.C6_V0)
-    assert [n for n in range(48) if merge.applies(n)] == [2, 10, 18, 26, 34, 42]
+def test_merges_exactly_at_stems_2_mod_8_on_mod2_targets():
+    for target in Target:
+        merged = []
+        for stem in range(48):
+            pair = _eta_alpha_pair(stem)
+            g = assemble_pi(stem, pair, target)
+            assert g.consulted
+            if g.merged:
+                merged.append(stem)
+                assert sorted(t.coeff for t in g.expr.terms) == ["F4", "W/4"]
+            else:
+                assert g.expr == GroupExpr(tuple(pair))
+        mod2 = target in (Target.C2_V0, Target.C6_V0)
+        assert merged == ([2, 10, 18, 26, 34, 42] if mod2 else []), target
 
 
 def test_extension_spot_check_stem_2(computed_c2_v0):
@@ -48,12 +60,20 @@ def test_split_everywhere_on_integral_and_y(computed_all):
 
 
 def test_order_counting_invariant(computed_all):
-    """Extensions change isomorphism type, never cardinality."""
+    """Extensions change isomorphism type, never cardinality.
+
+    log4 of each group's truncated order equals the summed orders of the
+    trusted Einfty slots of its column below the horizon N."""
     for res in computed_all.values():
         K, N = res.window.K, res.window.N
+        einf = res.stack.einfty
+        column = {}
+        for (stem, filt), mod in einf.modules.items():
+            if einf.is_trusted(stem, filt):
+                column[stem] = column.get(stem, 0) + sum(
+                    e for b, e in zip(mod.u1s, mod.orders) if b < N)
         for stem, g in res.groups.items():
-            assert degraded_log4(g.expr, K, N) == \
-                column_log4_order(res.stack, stem), (res.target, stem)
+            assert degraded_log4(g.expr, K, N) == column.get(stem, 0), (res.target, stem)
 
 
 def test_underlined_stems_consulted(computed_all):

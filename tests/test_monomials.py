@@ -1,9 +1,8 @@
 """Grading, weights, the named-class registry, and the text format."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from hfpss.monomials import NAMED, ONE, Monomial, monomial_grading, parse_monomial
+from hfpss.monomials import NAMED, ONE, Monomial, parse_monomial
 
 monomials = st.builds(Monomial, st.integers(-30, 30),
                       st.integers(0, 20), st.integers(0, 20))
@@ -11,26 +10,25 @@ monomials = st.builds(Monomial, st.integers(-30, 30),
 
 def test_grading_of_w5():
     # u^-2 alpha: internal degree 6, filtration 1, stem 5, weight 0
-    assert monomial_grading(Monomial(-2, 0, 1)) == (6, 1, 5, 0)
+    m = Monomial(-2, 0, 1)
+    assert (m.degree, m.filt, m.stem, m.weight) == (6, 1, 5, 0)
 
 
 def test_grading_of_v1v2():
     # u1 u^-4 has internal degree 8 and stem 8
-    assert monomial_grading(Monomial(-4, 1, 0)) == (8, 0, 8, 0)
+    m = Monomial(-4, 1, 0)
+    assert (m.degree, m.filt, m.stem, m.weight) == (8, 0, 8, 0)
 
 
 def test_grading_of_unit():
-    assert monomial_grading(ONE) == (0, 0, 0, 0)
+    assert (ONE.degree, ONE.filt, ONE.stem, ONE.weight) == (0, 0, 0, 0)
 
 
 @given(monomials, monomials)
 def test_grading_additive(m, x):
     p = m * x
-    t, s, n, w = monomial_grading(p)
-    t1, s1, n1, w1 = monomial_grading(m)
-    t2, s2, n2, w2 = monomial_grading(x)
-    assert (t, s, n) == (t1 + t2, s1 + s2, n1 + n2)
-    assert w == (w1 + w2) % 3
+    assert (p.degree, p.filt, p.stem) == (m.degree + x.degree, m.filt + x.filt, m.stem + x.stem)
+    assert p.weight == (m.weight + x.weight) % 3
 
 
 def test_named_registry_values():
@@ -94,9 +92,3 @@ def test_parse_any_order_and_braces():
 @given(monomials)
 def test_parse_render_roundtrip(m):
     assert parse_monomial(str(m)) == m
-
-
-def test_divide():
-    assert Monomial(-4, 1, 0).divide(Monomial(-1, 1, 0)) == Monomial(-3, 0, 0)
-    with pytest.raises(ValueError):
-        Monomial(0, 0, 0).divide(Monomial(0, 1, 0))

@@ -96,7 +96,7 @@ def test_turn_page_rejects_d_in_on_another_module():
     mod = BidegreeModule(3, 3, (Summand(0, m("u1a^{3}"), 1),))
     copy = BidegreeModule(3, 3, mod.summands)
     src = BidegreeModule(4, 0, (Summand(0, m("u^{-2}"), 1),))
-    page = Page(Target.C2_V0, 3, Window(0, 5), 3, modules={(3, 3): mod, (4, 0): src})
+    page = Page(Target.C2_V0, 3, Window(0, 5), modules={(3, 3): mod, (4, 0): src})
     prop = Propagation(maps={(4, 0): LinearMap(src, copy, [[(0, 0)]])})
     with pytest.raises(PipelineError):
         turn_page(page, prop, 3)

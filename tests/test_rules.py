@@ -7,7 +7,7 @@ from hfpss.modules import BidegreeModule, Page
 from hfpss.monomials import parse_monomial
 from hfpss.pages import run_to_einfty
 from hfpss.rules import (RuleCoverageError, Y_D7_PUBLISHED_VALUES, Y_D7_VALUES,
-                         propagate, rule_table, validate_coverage)
+                         propagate, rule_table)
 from hfpss.targets import Target, Window
 
 m = parse_monomial
@@ -91,14 +91,16 @@ def test_factorize_rejects_mixed_y_monomial():
 
 
 def test_coverage_over_padded_windows():
-    # the window meets every transversal class, so coverage here is
-    # coverage on every window
+    # factorize raises RuleCoverageError on a slot it cannot split, as
+    # propagate does in the pipeline.  The factor g of a monomial depends
+    # only on u mod u_modulus (on Y, on u + u1 mod 24 and alpha mod 3), and
+    # this padded window meets every transversal class, so coverage here
+    # is coverage on every window
     win = Window(0, 48)
     for target in Target:
         page = build_e2(target, win)
         for r in (3, 5, 7):
             rules = rule_table(target, r)
-            validate_coverage(rules, page)
             reached = {rules.factorize(s.mono)[1]
                        for mod in page.modules.values() for s in mod.summands}
             assert reached == set(rules.transversal), (target, r)
@@ -134,7 +136,7 @@ def test_entry_acting_as_zero_is_dropped():
     d7 = rule_table(Target.C2, 7)
     for scalar, expected in ((1, {}), (0, {(8, 0): [[(0, 0)]]})):
         src = BidegreeModule.column(8, 0, (0,), (scalar,), (3 - scalar,), True)
-        page = Page(Target.C2, 4, Window(0, 15), 3, modules={(8, 0): src, (7, 7): tgt})
+        page = Page(Target.C2, 4, Window(0, 15), modules={(8, 0): src, (7, 7): tgt})
         assert {key: lm.cols for key, lm in propagate(page, d7).maps.items()} == expected
 
 

@@ -1,49 +1,19 @@
-"""Exhaustive and property tests for F4 and truncated Witt arithmetic."""
+"""Exhaustive and property tests for the truncated Witt ring."""
 
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hfpss.scalars import (W_GEN, Witt, f4_add, f4_inv, f4_mul, f4_pow,
-                           two_adic_valuation, witt_elements, witt_units)
-
-F4 = range(4)
+from hfpss.scalars import Witt
 
 
-def test_omega_squared_is_one_plus_omega():
-    assert f4_mul(W_GEN, W_GEN) == f4_add(1, W_GEN)
-
-
-def test_omega_cubed_is_one():
-    assert f4_mul(W_GEN, f4_mul(W_GEN, W_GEN)) == 1
-
-
-def test_characteristic_two():
-    assert f4_add(1, 1) == 0
-
-
-def test_f4_field_axioms_exhaustive():
-    for a, b, c in itertools.product(F4, repeat=3):
-        assert f4_add(a, b) == f4_add(b, a)
-        assert f4_mul(a, b) == f4_mul(b, a)
-        assert f4_mul(a, f4_mul(b, c)) == f4_mul(f4_mul(a, b), c)
-        assert f4_mul(a, f4_add(b, c)) == f4_add(f4_mul(a, b), f4_mul(a, c))
-    for a in F4:
-        assert f4_mul(a, 1) == a
-        assert f4_add(a, a) == 0
-        if a:
-            assert f4_mul(a, f4_inv(a)) == 1
-
-
-def test_f4_multiplicative_group_cyclic_of_order_three():
-    powers = {f4_pow(W_GEN, n) for n in range(3)}
-    assert powers == {1, 2, 3}
-
-
-def test_f4_inversion_of_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        f4_inv(0)
+def witt_elements(K: int):
+    """Every element of W/2^K, in (a0, a1) order (the oracle tests enumerate these)."""
+    mod = 1 << K
+    for a0 in range(mod):
+        for a1 in range(mod):
+            yield Witt(a0, a1, K)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])
@@ -91,14 +61,9 @@ def test_exhaustive_square_table_64_elements():
 
 
 def test_valuation_examples():
-    assert two_adic_valuation(Witt(4, 4, 3)) == 2
-    assert two_adic_valuation(Witt(0, 1, 3)) == 0
-    assert two_adic_valuation(Witt.zero(3)) == 3
-
-
-@pytest.mark.parametrize("K", [1, 2, 3])
-def test_unit_group_order(K):
-    assert sum(1 for _ in witt_units(K)) == 3 * 4 ** (K - 1)
+    assert Witt(4, 4, 3).val() == 2
+    assert Witt(0, 1, 3).val() == 0
+    assert Witt.zero(3).val() == 3
 
 
 @pytest.mark.parametrize("K", [2, 3])
@@ -107,15 +72,6 @@ def test_units_are_valuation_zero(K):
         assert w.is_unit() == (w.val() == 0)
         if w.is_unit():
             assert w * w.inv() == Witt.one(K)
-
-
-@pytest.mark.parametrize("K", [2, 3])
-def test_reduction_mod2_is_ring_map_exhaustive(K):
-    elems = list(witt_elements(K))
-    for a in elems:
-        for b in elems:
-            assert (a * b).reduce_mod2() == f4_mul(a.reduce_mod2(), b.reduce_mod2())
-            assert (a + b).reduce_mod2() == f4_add(a.reduce_mod2(), b.reduce_mod2())
 
 
 def test_every_element_is_two_power_times_unit():

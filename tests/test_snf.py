@@ -15,8 +15,10 @@ import random
 from hfpss import snf
 from hfpss.modules import BidegreeModule, LinearMap, Summand, homology_at
 from hfpss.monomials import Monomial
-from hfpss.scalars import Witt, witt_elements
+from hfpss.scalars import Witt
 from hfpss.snf import Lattice, chain_ring_snf, kernel_gens, presentation_invariants
+
+from test_scalars import witt_elements
 
 K = 3
 
@@ -304,13 +306,17 @@ def _enumerated_subquotient(mid, ker_elements, image):
     return sorted(oracle)
 
 
+@functools.cache
 def _random_presentations(seed, sparse):
     """100 random complexes src -> mid -> tgt with enumerated homology.
 
-    Yields (mid, tgt, src, in_cols, out_cols, invariants); src is None
-    (no d_in) on even trials.  Dense columns hold (row, Witt) pairs,
-    monomial-sparse ones (row, exp) pairs."""
+    Returns (mid, tgt, src, in_cols, out_cols, invariants) tuples; src is
+    None (no d_in) on even trials.  Dense columns hold (row, Witt) pairs,
+    monomial-sparse ones (row, exp) pairs.  Enumerating the homology is
+    the slow part, so the list is built once per (seed, sparse) and shared
+    by the tests that read it; they must not mutate it."""
     rng = random.Random(seed)
+    out = []
     for trial in range(100):
         mid = _random_module(rng, 0, 0)
         tgt = _random_module(rng, -1, 7)
@@ -345,7 +351,9 @@ def _random_presentations(seed, sparse):
                 image.add(tuple((x.a0 % (1 << e), x.a1 % (1 << e))
                                 for x, e in zip(w, mid_exps)))
 
-        yield mid, tgt, src, in_cols, out_cols, _enumerated_subquotient(mid, ker_elements, image)
+        out.append((mid, tgt, src, in_cols, out_cols,
+                    _enumerated_subquotient(mid, ker_elements, image)))
+    return tuple(out)
 
 
 @functools.cache

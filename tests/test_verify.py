@@ -8,8 +8,7 @@ import pytest
 from hfpss.engine import compute, default_window
 from hfpss.groupexpr import iso_invariants, parse_group_expr
 from hfpss.targets import Target
-from hfpss.verify import (FixtureError, fixture_grading_exceptions,
-                          load_fixtures, verify_target)
+from hfpss.verify import FixtureError, load_fixtures, verify_target
 
 EXPECTED_COUNTS = {Target.C2: 16, Target.C2_V0: 16, Target.C6: 48,
                    Target.C6_V0: 48, Target.C6_Y: 48}
@@ -35,6 +34,29 @@ def test_fixture_counts_total_176():
     assert total == 176
 
 
+def _weight_filtered(target):
+    """C6-family pages keep only the weight-0 monomials."""
+    return target.period == 3
+
+
+def fixture_grading_exceptions(target, fixtures):
+    """Stems whose literal table entry fails the stem or weight check."""
+    bad = []
+    for fe in fixtures:
+        literal = parse_group_expr(fe.table_expr) if fe.table_expr else fe.expr
+        for term in literal.terms:
+            if term.stem != fe.stem:
+                bad.append(fe.stem)
+                break
+            if _weight_filtered(target) and term.mono.weight != 0:
+                bad.append(fe.stem)
+                break
+        else:
+            if fe.exception == "value":
+                bad.append(fe.stem)  # grading-consistent but wrong group
+    return bad
+
+
 def test_fixture_self_consistency():
     """Every non-exception entry has stem- and weight-consistent generators."""
     for target in Target:
@@ -48,7 +70,7 @@ def test_fixture_self_consistency():
                 # corrected entries are themselves grading-consistent
                 for term in e.expr.terms:
                     assert term.stem == e.stem
-                    if target.weight_filtered:
+                    if _weight_filtered(target):
                         assert term.mono.weight == 0
 
 
