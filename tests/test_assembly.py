@@ -2,7 +2,7 @@
 
 import pytest
 
-from hfpss.assembly import ExtensionError, assemble_pi
+from hfpss.assembly import MERGE_STEMS_MOD_8, ExtensionError, assemble_pi
 from hfpss.groupexpr import GroupExpr, Term
 from hfpss.les import degraded_log4
 from hfpss.monomials import Monomial
@@ -20,20 +20,30 @@ def _eta_alpha_pair(stem):
     return [Term(0, Monomial(u, 0, 0), "F4", 1), Term(0, Monomial(u + 1, 0, 2), "F4", 1)]
 
 
-def test_merges_exactly_at_stems_2_mod_8_on_mod2_targets():
-    for target in Target:
-        merged = []
-        for stem in range(48):
-            pair = _eta_alpha_pair(stem)
-            g = assemble_pi(stem, pair, target)
-            assert g.consulted
-            if g.merged:
-                merged.append(stem)
-                assert sorted(t.coeff for t in g.expr.terms) == ["F4", "W/4"]
-            else:
-                assert g.expr == GroupExpr(tuple(pair))
-        mod2 = target in (Target.C2_V0, Target.C6_V0)
-        assert merged == ([2, 10, 18, 26, 34, 42] if mod2 else []), target
+def _merged_stems(target):
+    """The stems in 0..47 at which assemble_pi merges an eta*alpha pair."""
+    merged = []
+    for stem in range(48):
+        pair = _eta_alpha_pair(stem)
+        g = assemble_pi(stem, pair, target)
+        assert g.consulted
+        if g.merged:
+            merged.append(stem)
+            assert sorted(t.coeff for t in g.expr.terms) == ["F4", "W/4"]
+        else:
+            assert g.expr == GroupExpr(tuple(pair))
+    return merged
+
+
+def test_directives_by_target():
+    assert MERGE_STEMS_MOD_8 == {Target.C2_V0: 2, Target.C6_V0: 2}
+    for target in (Target.C2, Target.C6, Target.C6_Y):
+        assert _merged_stems(target) == [], target
+
+
+def test_merge_stems_are_2_mod_8():
+    for target in (Target.C2_V0, Target.C6_V0):
+        assert _merged_stems(target) == [2, 10, 18, 26, 34, 42], target
 
 
 def test_extension_spot_check_stem_2(computed_c2_v0):
