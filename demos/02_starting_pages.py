@@ -18,7 +18,6 @@ window = Window(0, 12, filt_max=8, N=6)
 
 for target in Target:
     page = build_e2(target, window)
-    mod = page.module(4, 0)
     print(f"{target.value:6s} E2 at (4,0): "
           f"{[s.label() for s in page.reported_summands(4, 0)] or '0'}")
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .groupexpr import GroupExpr, Term
-from .les import ETA_ALPHA_CLIMB
+from .groupexpr import ETA_ALPHA_CLIMB, GroupExpr, Term
 from .monomials import Monomial
 from .pages import PageStack
 from .targets import Target

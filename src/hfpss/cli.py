@@ -20,7 +20,7 @@ from .verify import FixtureError, verify_target
 from .modules import PipelineError
 from .pages import stack_to_json
 from .rules import RuleCoverageError
-from .targets import Target
+from .targets import Target, Window
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -122,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--target", type=_target, required=True)
     c.add_argument("--stems", type=_parse_stems, default=None,
                    help="LO:HI (HI exclusive; LO:LO for a single stem)")
-    c.add_argument("--u1-trunc", type=int, default=12, metavar="N")
-    c.add_argument("--witt-trunc", type=int, default=3, metavar="K")
+    c.add_argument("--u1-trunc", type=int, default=Window.N, metavar="N")
+    c.add_argument("--witt-trunc", type=int, default=Window.K, metavar="K")
     c.add_argument("--out", default=None)
     c.add_argument("--format", choices=("json", "text"), default="json")
     c.set_defaults(func=cmd_compute)

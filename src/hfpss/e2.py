@@ -49,7 +49,7 @@ def build_e2(target: Target, window: Window) -> Page:
                 continue
             free, n = not target.mod2 and filt == 0, len(bs)
             col = columns.setdefault((bs, free), (tuple(bs), (0,) * n, (K if free else 1,) * n))
-            page.modules[(stem, filt)] = BidegreeModule.column(stem, filt, *col, free)
+            page.modules[(stem, filt)] = BidegreeModule(stem, filt, *col, free)
     return page
 
 

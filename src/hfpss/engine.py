@@ -20,14 +20,14 @@ DEFAULT_STEMS = {
 
 
 def default_window(target: Target, stem_lo: int | None = None,
-                   stem_hi: int | None = None, filt_max: int = 40,
-                   K: int = 3, N: int = 12) -> Window:
+                   stem_hi: int | None = None, K: int = Window.K,
+                   N: int = Window.N) -> Window:
     lo, hi = DEFAULT_STEMS[target]
     if stem_lo is not None:
         lo = stem_lo
     if stem_hi is not None:
         hi = stem_hi
-    return Window(lo, hi, filt_max=filt_max, K=K, N=N)
+    return Window(lo, hi, K=K, N=N)
 
 
 @dataclass

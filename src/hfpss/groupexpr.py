@@ -32,6 +32,11 @@ class GroupExprError(ValueError):
     pass
 
 
+# One 2-extension step, alpha^2 * u * u1 (2x = eta*alpha*x climbed by one
+# cell): a W/4 term is an F4 series merged with the F4 series one step above.
+ETA_ALPHA_CLIMB = Monomial(1, 1, 2)
+
+
 @dataclass(frozen=True)
 class Term:
     scalar: int              # 2-power prefix exponent

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .groupexpr import GroupExpr, Term
+from .groupexpr import ETA_ALPHA_CLIMB, GroupExpr, Term
 from .monomials import Monomial
 from .targets import Window
 
 ETA = Monomial(0, 1, 1)
-ETA_ALPHA_CLIMB = Monomial(1, 1, 2)   # alpha^2 * u * u1, one 2-extension step
 
 
 class LESError(Exception):

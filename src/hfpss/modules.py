@@ -11,8 +11,8 @@ and hits each generator at most once, so a LinearMap stores (row,
 2-exponent) integer pairs, and homology ker(d_out)/im(d_in) is slotwise
 valuation arithmetic; a surviving slot keeps its u1-exponent and is
 renamed by its minimal pure lift.  Summand and Monomial records appear
-only at the edges: the `summands` view (labels, JSON, tests) and the
-Smith normal form oracle in snf.py.
+only at the edges: BidegreeModule.from_summands and the `summands` view
+(labels, JSON, tests), and the Smith normal form oracle in snf.py.
 """
 
 from __future__ import annotations
@@ -47,18 +47,17 @@ class Summand:
         return prefix + str(self.mono)
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class BidegreeModule:
-    """The u1-column of one bidegree.
+    """The u1-column of one bidegree; u1s must be strictly increasing.
 
-    Built from Summand records at the edges, and from columns by
-    BidegreeModule.column in the engine:
+    Built from its columns, or from Summand records at the edges:
 
-    >>> mod = BidegreeModule(4, 0, (Summand(0, Monomial(-2, 1, 0), 1),
-    ...                             Summand(1, Monomial(-2, 0, 0), 2)))
+    >>> mod = BidegreeModule.from_summands(4, 0, (Summand(0, Monomial(-2, 1, 0), 1),
+    ...                                           Summand(1, Monomial(-2, 0, 0), 2)))
     >>> mod.u1s, mod.scalars, mod.orders, mod.free
     ((0, 1), (1, 0), (2, 1), False)
-    >>> mod == BidegreeModule.column(4, 0, (0, 1), (1, 0), (2, 1))
+    >>> mod == BidegreeModule(4, 0, (0, 1), (1, 0), (2, 1))
     True
     >>> [s.label() for s in mod.summands]
     ['2u^{-2}', 'u^{-2}u1']
@@ -71,21 +70,16 @@ class BidegreeModule:
     u1s: tuple[int, ...]
     scalars: tuple[int, ...]
     orders: tuple[int, ...]
-    free: bool
-
-    def __init__(self, stem: int, filt: int, summands=()):
-        ss = tuple(sorted(summands, key=lambda s: s.mono.u1))
-        _fill(self, stem, filt, tuple(s.mono.u1 for s in ss), tuple(s.scalar for s in ss),
-              tuple(s.order for s in ss), any(s.free for s in ss))
-        if len(set(self.u1s)) < len(ss) or self.summands != ss:
-            raise PipelineError(f"summands do not form a u1-column at ({stem},{filt})")
+    free: bool = False
 
     @classmethod
-    def column(cls, stem: int, filt: int, u1s: tuple[int, ...], scalars: tuple[int, ...],
-               orders: tuple[int, ...], free: bool = False) -> BidegreeModule:
-        """The module with these columns; u1s must be strictly increasing."""
-        mod = object.__new__(cls)
-        _fill(mod, stem, filt, u1s, scalars, orders, free)
+    def from_summands(cls, stem: int, filt: int, summands) -> BidegreeModule:
+        """The module of these summands, which must form a u1-column at (stem, filt)."""
+        ss = tuple(sorted(summands, key=lambda s: s.mono.u1))
+        mod = cls(stem, filt, tuple(s.mono.u1 for s in ss), tuple(s.scalar for s in ss),
+                  tuple(s.order for s in ss), any(s.free for s in ss))
+        if len(set(mod.u1s)) < len(ss) or mod.summands != ss:
+            raise PipelineError(f"summands do not form a u1-column at ({stem},{filt})")
         return mod
 
     def __len__(self) -> int:
@@ -108,20 +102,11 @@ class BidegreeModule:
     def total_length(self) -> int:
         return sum(self.orders)
 
-    def invariants(self) -> list[int]:
-        """Multiset of cyclic orders, the isomorphism type at this K."""
-        return sorted(self.orders)
-
     def slot_of(self, mono: Monomial) -> int | None:
         """Index of the slot of mono, by its u1-exponent, if it is here."""
         i = bisect_left(self.u1s, mono.u1)
         found = i < len(self.u1s) and self.u1s[i] == mono.u1 and mono == self.mono(mono.u1)
         return i if found else None
-
-
-def _fill(mod: BidegreeModule, *values) -> None:
-    for name, value in zip(BidegreeModule.__slots__, values):
-        object.__setattr__(mod, name, value)
 
 
 @dataclass
@@ -151,16 +136,6 @@ class LinearMap:
 
     def _arrow(self, j: int, i: int) -> str:
         return f"{self.source.label(j)} -> {self.target.label(i)}"
-
-
-def compose_cols(first: LinearMap, second: LinearMap, K: int) -> list[list[tuple[int, int]]]:
-    """Columns of second∘first (first.target must equal second.source).
-
-    Exponents add; a sum of at least K is the zero entry, since 2^K = 0.
-    """
-    return [[(row, e1 + e2) for mid, e1 in col for row, e2 in second.cols[mid]
-             if e1 + e2 < K]
-            for col in first.cols]
 
 
 def homology_at(module: BidegreeModule,
@@ -207,8 +182,8 @@ def homology_at(module: BidegreeModule,
     kept = [(b, j + a, t - a, a)
             for b, j, a, t in zip(module.u1s, module.scalars, kers, ims) if t > a]
     u1s, scalars, new_orders, lifts = map(tuple, zip(*kept)) if kept else ((),) * 4
-    return BidegreeModule.column(module.stem, module.filt, u1s, scalars, new_orders,
-                                 module.free), lifts
+    return BidegreeModule(module.stem, module.filt, u1s, scalars, new_orders,
+                          module.free), lifts
 
 
 @dataclass
@@ -232,7 +207,7 @@ class Page:
         return self.window.K
 
     def module(self, stem: int, filt: int) -> BidegreeModule:
-        return self.modules.get((stem, filt)) or BidegreeModule.column(stem, filt, (), (), ())
+        return self.modules.get((stem, filt)) or BidegreeModule(stem, filt, (), (), ())
 
     def is_trusted(self, stem: int, filt: int) -> bool:
         return self.window.trusted(stem, filt)

@@ -261,8 +261,8 @@ def homology(module: BidegreeModule, in_cols: list[Vector], out_cols: list[Vecto
         raise PipelineError(
             f"pure lifts cannot realize the invariants {invariants} "
             f"at ({module.stem},{module.filt})")
-    return BidegreeModule.column(module.stem, module.filt, tuple(u1s), tuple(scalars),
-                                 tuple(orders), module.free), tuple(lifts)
+    return BidegreeModule(module.stem, module.filt, tuple(u1s), tuple(scalars),
+                          tuple(orders), module.free), tuple(lifts)
 
 
 def homology_at(module: BidegreeModule, d_in: LinearMap | None, d_out: LinearMap | None,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .engine import ComputeResult
-from .groupexpr import GroupExpr, iso_invariants, parse_group_expr
+from .groupexpr import GroupExpr, GroupExprError, iso_invariants, parse_group_expr
 from .targets import Target
 
 
@@ -39,21 +39,26 @@ def fixtures_dir() -> str | None:
     return os.environ.get("HFPSS_FIXTURES")
 
 
+def _source(target: Target, path: str | None) -> str:
+    """The fixture file in the override directory, else its resource name."""
+    override = path or fixtures_dir()
+    name = f"{target.value}.json"
+    return os.path.join(override, name) if override else name
+
+
 def load_fixtures(target: Target, path: str | None = None) -> list[FixtureEntry]:
     """Parse one fixture table; a malformed file raises FixtureError."""
-    name = f"{target.value}.json"
-    override = path or fixtures_dir()
-    if override:
-        source = os.path.join(override, name)
+    source = _source(target, path)
+    if path or fixtures_dir():
         if not os.path.exists(source):
             raise FixtureError(f"fixture file not found: {source}")
         with open(source, encoding="utf-8") as fh:
             text = fh.read()
     else:
-        ref = resources.files("hfpss.fixtures").joinpath(name)
+        ref = resources.files("hfpss.fixtures").joinpath(source)
         if not ref.is_file():
-            raise FixtureError(f"fixture resource not found: {name}")
-        source, text = name, ref.read_text(encoding="utf-8")
+            raise FixtureError(f"fixture resource not found: {source}")
+        text = ref.read_text(encoding="utf-8")
     entries, stem = [], None
     try:
         for e in json.loads(text)["entries"]:
@@ -136,7 +141,9 @@ def verify_target(result: ComputeResult, fixtures: list[FixtureEntry] | None = N
 
     Isomorphism comparison expands both sides into truncated summand
     multisets at (K, N) and again at (K+1, N); both must agree, which
-    separates free towers from their finite truncations.
+    separates free towers from their finite truncations.  A fixture term
+    that has no truncation at K (a 2-power prefix that vanishes there)
+    raises FixtureError.
     """
     if fixtures is None:
         fixtures = load_fixtures(result.target, path)
@@ -147,8 +154,12 @@ def verify_target(result: ComputeResult, fixtures: list[FixtureEntry] | None = N
             continue
         got = result.groups.get(fe.stem)
         got_expr = got.expr if got else GroupExpr(())
-        iso = all(iso_invariants(got_expr, k, N) == iso_invariants(fe.expr, k, N)
-                  for k in (K, K + 1))
+        try:
+            expected = [iso_invariants(fe.expr, k, N) for k in (K, K + 1)]
+        except GroupExprError as exc:
+            raise FixtureError(f"fixture file {_source(result.target, path)}, "
+                               f"stem {fe.stem}: {exc}") from exc
+        iso = expected == [iso_invariants(got_expr, k, N) for k in (K, K + 1)]
         names = got_expr.render() == fe.expr.render()
         if fe.underlined and got is not None and not got.consulted:
             iso = False  # assembly must have examined an underlined stem

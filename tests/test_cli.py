@@ -123,6 +123,17 @@ def test_malformed_fixture_is_usage_error(tmp_path, capsys, content, where):
     assert str(path) in message and (where is None or where in message)
 
 
+def test_fixture_vanishing_at_K_is_usage_error(tmp_path, capsys):
+    # 8W parses, but 8 = 0 in W/2^3, so the entry has no group at K=3
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps({"target": "c2", "entries": [
+        {"stem": 0, "expr": "8W", "underlined": False}]}))
+    code, _ = run_cli("verify", "--target", "c2", "--fixtures", str(tmp_path))
+    assert code == 2
+    message = capsys.readouterr().err
+    assert str(path) in message and "stem 0" in message
+
+
 def test_bad_stem_range_is_usage_error():
     code, _ = run_cli("compute", "--target", "c6", "--stems", "9")
     assert code == 2

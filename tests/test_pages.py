@@ -7,7 +7,7 @@ import pytest
 
 from hfpss.assembly import assemble_all
 from hfpss.charts import glyph_count, render_svg, render_text, tower_count
-from hfpss.engine import compute
+from hfpss.engine import compute, default_window
 from hfpss.groupexpr import truncate_term
 from hfpss.modules import (BidegreeModule, LinearMap, Page, PipelineError, Summand,
                            homology_at)
@@ -24,7 +24,8 @@ m = parse_monomial
 
 
 def test_homology_identity_on_zero_maps():
-    mod = BidegreeModule(0, 0, (Summand(0, m("u1"), 3), Summand(0, m("u1^{2}"), 1)))
+    mod = BidegreeModule.from_summands(0, 0, (Summand(0, m("u1"), 3),
+                                              Summand(0, m("u1^{2}"), 1)))
     H, lifts = homology_at(mod, None, None, 3)
     assert H.summands == mod.summands
     assert lifts == (0, 0)
@@ -32,8 +33,8 @@ def test_homology_identity_on_zero_maps():
 
 def test_homology_kernel_of_mod2_surjection():
     # W-tower mapping onto an F4 class: kernel generated by 2*(generator)
-    src = BidegreeModule(4, 0, (Summand(0, m("u^{-2}"), 3),))
-    tgt = BidegreeModule(3, 3, (Summand(0, m("u1a^{3}"), 1),))
+    src = BidegreeModule.from_summands(4, 0, (Summand(0, m("u^{-2}"), 3),))
+    tgt = BidegreeModule.from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
     d_out = LinearMap(src, tgt, [[(0, 0)]])
     H, section = homology_at(src, None, d_out, 3)
     assert [(s.label(), s.order) for s in H.summands] == [("2u^{-2}", 2)]
@@ -41,10 +42,10 @@ def test_homology_kernel_of_mod2_surjection():
 
 def test_homology_cokernel_of_u1_shift():
     # F4 tower shifted into an F4 tower: cokernel one F4 at the bottom slot
-    src = BidegreeModule(4, 0, tuple(Summand(0, Monomial(-2, b, 0), 1)
-                                     for b in range(4)))
-    tgt = BidegreeModule(3, 3, tuple(Summand(0, Monomial(0, b, 3), 1)
-                                     for b in range(4)))
+    src = BidegreeModule.from_summands(4, 0, tuple(Summand(0, Monomial(-2, b, 0), 1)
+                                                   for b in range(4)))
+    tgt = BidegreeModule.from_summands(3, 3, tuple(Summand(0, Monomial(0, b, 3), 1)
+                                                   for b in range(4)))
     cols = []
     for j, s in enumerate(src.summands):
         row = tgt.slot_of(Monomial(0, s.mono.u1 + 1, 3))
@@ -57,9 +58,9 @@ def test_homology_cokernel_of_u1_shift():
 
 
 def test_dd_nonzero_rejected():
-    mid = BidegreeModule(0, 0, (Summand(0, m("u1"), 1),))
-    tgt = BidegreeModule(-1, 7, (Summand(0, m("u^{4}u1a^{7}"), 1),))
-    src = BidegreeModule(2, 0, (Summand(0, m("u^{-1}u1"), 1),))
+    mid = BidegreeModule.from_summands(0, 0, (Summand(0, m("u1"), 1),))
+    tgt = BidegreeModule.from_summands(-1, 7, (Summand(0, m("u^{4}u1a^{7}"), 1),))
+    src = BidegreeModule.from_summands(2, 0, (Summand(0, m("u^{-1}u1"), 1),))
     d_in = LinearMap(src, mid, [[(0, 0)]])
     d_out = LinearMap(mid, tgt, [[(0, 0)]])
     with pytest.raises(PipelineError):
@@ -69,33 +70,44 @@ def test_dd_nonzero_rejected():
 def test_d_in_into_free_summand_rejected():
     # freeness is carried from E2, never recomputed, so a differential into
     # a free Witt tower is a pipeline fault; into a torsion summand it is not
-    src = BidegreeModule(2, 0, (Summand(0, m("u^{-1}u1"), 3),))
-    torsion = BidegreeModule(0, 0, (Summand(0, m("u1"), 3),))
+    src = BidegreeModule.from_summands(2, 0, (Summand(0, m("u^{-1}u1"), 3),))
+    torsion = BidegreeModule.from_summands(0, 0, (Summand(0, m("u1"), 3),))
     H, _ = homology_at(torsion, LinearMap(src, torsion, [[(0, 1)]]), None, 3)
     assert [(s.label(), s.order) for s in H.summands] == [("u1", 1)]
-    tower = BidegreeModule(0, 0, (Summand(0, m("u1"), 3, free=True),))
+    tower = BidegreeModule.from_summands(0, 0, (Summand(0, m("u1"), 3, free=True),))
     with pytest.raises(PipelineError, match="free summand"):
         homology_at(tower, LinearMap(src, tower, [[(0, 1)]]), None, 3)
 
 
+@pytest.mark.parametrize("summands", [
+    (Summand(0, m("u1a^{3}"), 1), Summand(1, m("u1a^{3}"), 1)),   # one u1-exponent twice
+    (Summand(0, m("u^{-2}"), 1),),                                # another bidegree
+])
+def test_summands_off_a_u1_column_rejected(summands):
+    with pytest.raises(PipelineError, match="u1-column at \\(3,3\\)"):
+        BidegreeModule.from_summands(3, 3, summands)
+
+
 def test_map_with_two_columns_on_one_row_rejected():
-    src = BidegreeModule(4, 0, (Summand(0, m("u^{-2}"), 1), Summand(0, m("u^{-2}u1"), 1)))
-    tgt = BidegreeModule(3, 3, (Summand(0, m("u1a^{3}"), 1),))
+    src = BidegreeModule.from_summands(4, 0, (Summand(0, m("u^{-2}"), 1),
+                                              Summand(0, m("u^{-2}u1"), 1)))
+    tgt = BidegreeModule.from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
     with pytest.raises(PipelineError):
         LinearMap(src, tgt, [[(0, 0)], [(0, 0)]])
 
 
 def test_map_with_two_entries_in_one_column_rejected():
-    src = BidegreeModule(4, 0, (Summand(0, m("u^{-2}"), 1),))
-    tgt = BidegreeModule(3, 3, (Summand(0, m("u1a^{3}"), 1), Summand(0, m("u1^{2}a^{3}"), 1)))
+    src = BidegreeModule.from_summands(4, 0, (Summand(0, m("u^{-2}"), 1),))
+    tgt = BidegreeModule.from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),
+                                              Summand(0, m("u1^{2}a^{3}"), 1)))
     with pytest.raises(PipelineError):
         LinearMap(src, tgt, [[(0, 0), (1, 0)]])
 
 
 def test_turn_page_rejects_d_in_on_another_module():
-    mod = BidegreeModule(3, 3, (Summand(0, m("u1a^{3}"), 1),))
-    copy = BidegreeModule(3, 3, mod.summands)
-    src = BidegreeModule(4, 0, (Summand(0, m("u^{-2}"), 1),))
+    mod = BidegreeModule.from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
+    copy = BidegreeModule.from_summands(3, 3, mod.summands)
+    src = BidegreeModule.from_summands(4, 0, (Summand(0, m("u^{-2}"), 1),))
     page = Page(Target.C2_V0, 3, Window(0, 5), modules={(3, 3): mod, (4, 0): src})
     prop = Propagation(maps={(4, 0): LinearMap(src, copy, [[(0, 0)]])})
     with pytest.raises(PipelineError):
@@ -189,6 +201,16 @@ def test_nonempty_d5_table_rejected(monkeypatch):
         run_to_einfty(Target.C2_V0, Window(0, 15, N=6))
 
 
+@pytest.mark.parametrize("r, value", [(3, "uu1a^{3}"), (7, "u^{3}a^{7}")])
+def test_table_with_nonzero_d_squared_rejected(monkeypatch, r, value):
+    # a well-graded extra value d_r(u^-1) composes nonzero with the stored
+    # table; the page turn, the one d∘d check, rejects it
+    values = {**rule_table(Target.C2_V0, r).values, m("u^{-1}"): m(value)}
+    _patched_rule_table(monkeypatch, r, values=values)
+    with pytest.raises(PipelineError, match="d∘d != 0"):
+        run_to_einfty(Target.C2_V0, default_window(Target.C2_V0))
+
+
 def test_d7_table_missing_an_e4_residue_rejected(monkeypatch):
     window = Window(0, 15, N=6)
     d7 = rule_table(Target.C2_V0, 7)
@@ -268,7 +290,7 @@ def test_freeness_matches_the_k_plus_one_run(computed_all):
 def test_tower_recognition():
     summands = tuple(Summand(0, Monomial(-4, b, 0), 3, free=True) for b in range(1, 12)) \
         + (Summand(1, Monomial(-4, 0, 0), 2, free=True),)
-    mod = BidegreeModule(8, 0, summands)
+    mod = BidegreeModule.from_summands(8, 0, summands)
     towers = towers_of_module(mod, 1, 12)
     labels = {(t.label(), t.period) for t in towers}
     assert labels == {("2u^{-4}", None), ("u^{-4}u1", 1)}
@@ -276,14 +298,14 @@ def test_tower_recognition():
 
 def test_tower_recognition_period_3():
     summands = tuple(Summand(0, Monomial(-1, b, 0), 1) for b in (1, 4, 7, 10))
-    mod = BidegreeModule(2, 0, summands)
+    mod = BidegreeModule.from_summands(2, 0, summands)
     (tower,) = towers_of_module(mod, 3, 12)
     assert tower.label() == "u^{-1}u1" and tower.period == 3
 
 
 def test_short_run_is_isolated():
     summands = (Summand(0, Monomial(0, 0, 3), 1),)
-    mod = BidegreeModule(3, 3, summands)
+    mod = BidegreeModule.from_summands(3, 3, summands)
     (tower,) = towers_of_module(mod, 1, 12)
     assert tower.period is None
 
@@ -291,7 +313,7 @@ def test_short_run_is_isolated():
 def test_tower_of_unexpected_order_rejected():
     summands = tuple(Summand(0, Monomial(-4, b, 0), 3) for b in range(12))
     with pytest.raises(PipelineError, match=r"order 2\^3 at \(8,0\)"):
-        towers_of_module(BidegreeModule(8, 0, summands), 1, 12)
+        towers_of_module(BidegreeModule.from_summands(8, 0, summands), 1, 12)
 
 
 def test_towers_partition_the_reported_slots(computed_all):

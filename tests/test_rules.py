@@ -132,10 +132,10 @@ def test_entry_acting_as_zero_is_dropped():
     # d7(u^-4) = a^7 on a hand-built E4 of c2: from the free 2u^-4 the value
     # 2a^7 has 2-exponent 1, the order of the a^7 summand, so it is zero;
     # from u^-4 itself the entry stays
-    tgt = BidegreeModule.column(7, 7, (0,), (0,), (1,))
+    tgt = BidegreeModule(7, 7, (0,), (0,), (1,))
     d7 = rule_table(Target.C2, 7)
     for scalar, expected in ((1, {}), (0, {(8, 0): [[(0, 0)]]})):
-        src = BidegreeModule.column(8, 0, (0,), (scalar,), (3 - scalar,), True)
+        src = BidegreeModule(8, 0, (0,), (scalar,), (3 - scalar,), True)
         page = Page(Target.C2, 4, Window(0, 15), modules={(8, 0): src, (7, 7): tgt})
         assert {key: lm.cols for key, lm in propagate(page, d7).maps.items()} == expected
 

@@ -195,7 +195,7 @@ def _random_module(rng, stem, filt, max_rank=4, max_log=6):
     if not exps:
         exps = [1]
     monos = _random_monomials(rng, len(exps), stem, filt)
-    return BidegreeModule(stem, filt, tuple(
+    return BidegreeModule.from_summands(stem, filt, tuple(
         Summand(0, m, e) for m, e in zip(monos, exps)))
 
 
@@ -387,7 +387,7 @@ def test_sparse_homology_agrees_with_enumeration_on_100_random_presentations():
         d_out = LinearMap(mid, tgt, out_cols)
         d_in = None if src is None else LinearMap(src, mid, in_cols)
         H, section = homology_at(mid, d_in, d_out, K)
-        assert H.invariants() == oracle, f"trial {trial}"
+        assert sorted(H.orders) == oracle, f"trial {trial}"
         assert snf.homology_at(mid, d_in, d_out, K) == (H, section), f"trial {trial}"
 
 

@@ -1,7 +1,6 @@
 """Fixture integrity and the verification report."""
 
 import json
-import os
 
 import pytest
 
