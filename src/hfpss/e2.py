@@ -27,8 +27,17 @@ from .modules import BidegreeModule, Page, PipelineError
 from .targets import Target, Window
 
 
+def _u1_residue(stem: int, filt: int) -> tuple:
+    """What _u1_range reads of (stem, filt): the parity of stem + filt,
+    a mod 6 (a mod 2 and mod the period), filt mod 3 and whether filt is 0."""
+    return (stem + filt) % 2, (filt - stem) // 2 % 6, filt % 3, filt == 0
+
+
 def _u1_range(target: Target, stem: int, filt: int, n_u1: int) -> range:
-    """u1-exponents of the E2 slots at (stem, filt) below n_u1."""
+    """u1-exponents of the E2 slots at (stem, filt) below n_u1.
+
+    For filt >= 0 it depends on (stem, filt) only through _u1_residue.
+    """
     a = (filt - stem) // 2
     if filt < 0 or (stem + filt) % 2 != 0 or target.even_u_only and a % 2 != 0:
         return range(0)
@@ -39,17 +48,23 @@ def _u1_range(target: Target, stem: int, filt: int, n_u1: int) -> range:
 
 
 def build_e2(target: Target, window: Window) -> Page:
+    """The E2 page on the padded window, one column per _u1_residue.
+
+    Bidegrees with one residue share their column tuples.
+    """
     K = window.K
     page = Page(target=target, r=2, window=window)
-    columns: dict[tuple[range, bool], tuple] = {}  # shared by equal columns
+    columns: dict[tuple, tuple] = {}
     for stem in window.stem_range:
         for filt in window.filt_range:
-            bs = _u1_range(target, stem, filt, window.n_u1)
-            if not bs:
-                continue
-            free, n = not target.mod2 and filt == 0, len(bs)
-            col = columns.setdefault((bs, free), (tuple(bs), (0,) * n, (K if free else 1,) * n))
-            page.modules[(stem, filt)] = BidegreeModule(stem, filt, *col, free)
+            key = _u1_residue(stem, filt)
+            col = columns.get(key)
+            if col is None:
+                bs = _u1_range(target, stem, filt, window.n_u1)
+                free, n = not target.mod2 and filt == 0, len(bs)
+                col = columns[key] = (tuple(bs), (0,) * n, (K if free else 1,) * n, free)
+            if col[0]:
+                page.modules[(stem, filt)] = BidegreeModule(stem, filt, *col)
     return page
 
 

@@ -113,29 +113,42 @@ class BidegreeModule:
 class LinearMap:
     """A monomial-sparse map between bidegree modules.
 
-    cols[j] is [] or [(row, exp)]: the j-th source generator goes to 2^exp
-    times the row-th target generator.  Every differential acts this way,
-    so a map with two entries in one column or on one row, or one that
-    does not respect the summand orders, is rejected when built.
+    cols[j] is () or ((row, exp),): the j-th source generator goes to
+    2^exp times the row-th target generator.  Every differential acts this
+    way, so a map with two entries in one column or on one row, or one
+    that does not respect the summand orders, is rejected when built.
+    cols is a tuple of tuples (other sequences are converted), so it can
+    key a memo and be shared by maps between equal columns.
     """
 
     source: BidegreeModule
     target: BidegreeModule
-    cols: list[list[tuple[int, int]]]
+    cols: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
-        rows = set()
+        if type(self.cols) is not tuple:
+            self.cols = tuple(map(tuple, self.cols))
+        src, tgt, rows = self.source.orders, self.target.orders, set()
         for j, col in enumerate(self.cols):
             for i, exp in col:
                 if len(col) > 1 or i in rows:
                     raise PipelineError(f"map not monomial-sparse at {self._arrow(j, i)}")
-                if self.source.orders[j] + exp < self.target.orders[i]:
+                if src[j] + exp < tgt[i]:
                     raise PipelineError(
                         f"map not well defined on presentations: {self._arrow(j, i)}")
                 rows.add(i)
 
     def _arrow(self, j: int, i: int) -> str:
         return f"{self.source.label(j)} -> {self.target.label(i)}"
+
+
+def check_ends(module: BidegreeModule, d_in: LinearMap | None,
+               d_out: LinearMap | None) -> None:
+    """Raise PipelineError unless d_out starts and d_in ends at `module` itself."""
+    if d_out is not None and d_out.source is not module:
+        raise PipelineError(f"d_out source mismatch at ({module.stem},{module.filt})")
+    if d_in is not None and d_in.target is not module:
+        raise PipelineError(f"d_in target mismatch at ({module.stem},{module.filt})")
 
 
 def homology_at(module: BidegreeModule,
@@ -157,10 +170,7 @@ def homology_at(module: BidegreeModule,
     snf.homology_at.  Raises PipelineError if a map does not start or end
     at `module`, if d_in enters a free summand, or if im is not in ker.
     """
-    if d_out is not None and d_out.source is not module:
-        raise PipelineError(f"d_out source mismatch at ({module.stem},{module.filt})")
-    if d_in is not None and d_in.target is not module:
-        raise PipelineError(f"d_in target mismatch at ({module.stem},{module.filt})")
+    check_ends(module, d_in, d_out)
     orders = module.orders
     if d_out is None and d_in is None:
         return module, (0,) * len(orders)

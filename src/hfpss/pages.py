@@ -12,9 +12,12 @@ bidegree pair exists, and collapse at E8 by checking that every d_r with
 r >= 8 has zero source or zero target.  Each page turn checks that no
 module grew and that d_r∘d_r = 0: homology_at sees every composable pair
 of maps, as d_in and d_out of their middle bidegree, and rejects an image
-that exceeds the kernel.  Rule coverage is checked by propagate, which
-factorizes each (bidegree, residue class) of the page it acts on: E2 for
-d3, E4 for d7.
+that exceeds the kernel.  It runs once per distinct input (the columns of
+the module and of its two maps); a bidegree with an input already seen
+reuses that result, whose checks read only those columns, and is itself
+checked to be the source of its d_out and the target of its d_in.
+Rule coverage is checked by propagate, which factorizes every residue
+class of the page it acts on (E2 for d3, E4 for d7) at least once.
 
 Freeness of a tower comes from E2, which flags the free summands
 (filtration 0 of the integral pages); page turns carry the flag from each
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .e2 import build_e2
 from .groupexpr import Term, term_order_exp
-from .modules import BidegreeModule, Page, PipelineError, homology_at
+from .modules import BidegreeModule, Page, PipelineError, check_ends, homology_at
 from .monomials import NAMED, Monomial
 from .rules import Propagation, propagate, rule_table
 from .targets import Target, Window
@@ -44,15 +47,32 @@ class CertificateError(PipelineError):
 
 
 def turn_page(page: Page, prop: Propagation, rule_r: int) -> Page:
-    """Homology at every bidegree, generator names carried by pure lifts."""
+    """Homology at every bidegree, generator names carried by pure lifts.
+
+    homology_at reads only the columns of the module and of its two maps,
+    so it runs once per distinct such input; a bidegree whose input was
+    already seen takes that result's column tuples.  The memo lives for
+    this call only.  The checks that the maps start and end at the module
+    itself run on every bidegree.
+    """
     out = Page(target=page.target, r=rule_r + 1, window=page.window)
     r = rule_r
+    memo: dict[tuple, tuple] = {}
     for (stem, filt), mod in page.modules.items():
         d_out = prop.maps.get((stem, filt))
         d_in = prop.maps.get((stem + 1, filt - r))
-        new_mod, _lifts = homology_at(mod, d_in, d_out, page.K)
-        if new_mod.total_length > mod.total_length:
-            raise CertificateError(f"module length grew at ({stem},{filt})")
+        key = (mod.u1s, mod.scalars, mod.orders, mod.free,
+               None if d_in is None else (d_in.cols, d_in.source.orders),
+               None if d_out is None else (d_out.cols, d_out.target.orders))
+        cols = memo.get(key)
+        if cols is None:
+            new_mod, _lifts = homology_at(mod, d_in, d_out, page.K)
+            if new_mod.total_length > mod.total_length:
+                raise CertificateError(f"module length grew at ({stem},{filt})")
+            cols = memo[key] = (new_mod.u1s, new_mod.scalars, new_mod.orders)
+        else:
+            check_ends(mod, d_in, d_out)
+            new_mod = BidegreeModule(stem, filt, *cols, mod.free)
         if new_mod:
             out.modules[(stem, filt)] = new_mod
     return out
@@ -76,16 +96,17 @@ def check_even_r_vanishing(page: Page, rs=(2, 4, 6)) -> None:
 
 
 def check_collapse(page: Page) -> None:
-    """E8 = Einfty: every d_r (r >= 8) has zero source or target."""
-    nonzero = _nonzero_reported(page)
-    for (stem, filt) in nonzero:
-        if not page.window.trusted(stem, filt):
-            continue
-        for (stem2, filt2) in nonzero:
-            if stem2 == stem - 1 and filt2 - filt >= 8 \
-                    and page.window.trusted(stem2, filt2):
-                raise CertificateError(
-                    f"possible d{filt2 - filt} from ({stem},{filt})")
+    """E8 = Einfty: every d_r (r >= 8) has zero source or target.
+
+    A trusted nonzero source at (stem, filt) is compared with the highest
+    trusted nonzero filtration of stem - 1, the target of its longest d_r.
+    """
+    trusted = sorted(key for key in _nonzero_reported(page) if page.window.trusted(*key))
+    top = {stem: filt for stem, filt in trusted}  # sorted, so the last filt wins
+    for (stem, filt) in trusted:
+        gap = top.get(stem - 1, filt) - filt
+        if gap >= 8:
+            raise CertificateError(f"possible d{gap} from ({stem},{filt})")
 
 
 @dataclass

@@ -6,11 +6,14 @@ monomials together with a linearity monoid.  Factor a basis monomial as
 element times the stored value of the transversal element, reduced inside
 the current page presentation (classes that died on earlier pages
 contribute zero).  Transversal elements without a stored value have zero
-differential.  The factorization sees only a residue of the monomial, so
-propagate factorizes once per (bidegree, residue class) and moves the
-whole class by one u1-shift; RuleSet.value_on is the slotwise reference.
-Coverage is checked there too: a monomial the scheme cannot factor
-raises RuleCoverageError from the propagate call that meets it.
+differential.  The factorization sees only a residue of the monomial
+(RuleSet.bidegree_key of its bidegree and RuleSet.residue_classes of its
+u1-exponent), so propagate factorizes once per residue class of each
+distinct input and moves the whole class by one u1-shift;
+RuleSet.value_on is the slotwise reference.  Coverage is checked there
+too: a monomial the scheme cannot factor raises RuleCoverageError from
+the propagate call that meets it, and every residue of the page meets
+factorize.
 
 Rule data for the C2 tower:
 
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .modules import LinearMap, Page, PipelineError
+from .modules import BidegreeModule, LinearMap, Page, PipelineError
 from .monomials import Monomial, parse_monomial
 from .targets import Target
 
@@ -88,20 +91,31 @@ class RuleSet:
         v = self.values.get(g)
         return None if v is None else l * v
 
-    def residue_classes(self, u: int, u1s: tuple[int, ...]) -> list:
+    def bidegree_key(self, stem: int, filt: int) -> tuple:
+        """What factorize reads of a monomial's bidegree.
+
+        Off Y that is u mod u_modulus.  On Y it is u mod u_modulus, alpha's
+        exponent filt mod 3 and whether filt is 0; per slot it also reads
+        whether u1 > 0 and (u + u1) mod u_modulus (see residue_classes).
+        The u1-exponent otherwise only passes into the linearity factor.
+        """
+        u = (filt - stem) // 2 % self.u_modulus
+        return (u, filt % 3, filt == 0) if self.y_mode else (u,)
+
+    def residue_classes(self, u1s: tuple[int, ...]) -> list:
         """Slot indices of one bidegree, grouped by what factorize reads.
 
-        Apart from the u1-exponent, which only passes into the linearity
-        factor, factorize reads u mod u_modulus; on Y it reads whether
-        u1 > 0 and (u + u1) mod u_modulus instead (alpha's exponent is
-        fixed by the bidegree).  So the slots of one class factor with one
-        transversal element, and d_r shifts all of them by one u1 amount.
+        Off Y factorize reads nothing of a slot beyond its bidegree, so all
+        slots form one class; on Y the classes are the slots with equal
+        u1 > 0 and u1 mod u_modulus (u is fixed by the bidegree).  So the
+        slots of one class factor with one transversal element, and d_r
+        shifts all of them by one u1 amount.
         """
         if not self.y_mode:
             return [range(len(u1s))]
         classes: dict[tuple[bool, int], list[int]] = {}
         for j, b in enumerate(u1s):
-            classes.setdefault((b > 0, (u + b) % self.u_modulus), []).append(j)
+            classes.setdefault((b > 0, b % self.u_modulus), []).append(j)
         return list(classes.values())
 
 
@@ -194,7 +208,13 @@ class Propagation:
 def propagate(page: Page, rules: RuleSet) -> Propagation:
     """Evaluate d_r on every basis class of the page.
 
-    Each bidegree is factorized once per residue class of its slots
+    The maps at a bidegree depend only on its RuleSet.bidegree_key, its
+    column, the column of (stem - 1, filt + r) or its absence, and whether
+    that target lies in the padded window.  So the values are computed
+    once per distinct such input, in a memo that lives for this call, and
+    bidegrees with the same input share one tuple of columns; every
+    LinearMap is still built, and validated, per bidegree.
+    Each computation factorizes once per residue class of the slots
     (RuleSet.residue_classes); within a class d_r is one u1-shift.
     Values are reduced in the current page presentation: a target slot
     that is no longer present contributes zero, a scalar-prefixed target
@@ -204,39 +224,55 @@ def propagate(page: Page, rules: RuleSet) -> Propagation:
     """
     out = Propagation()
     r = rules.page
-    window = page.window
+    memo: dict[tuple, tuple] = {}
     for (stem, filt), mod in sorted(page.modules.items()):
         tgt_bid = (stem - 1, filt + r)
-        tgt = rows = cols = None
-        for cls in rules.residue_classes((filt - stem) // 2, mod.u1s):
-            b0 = mod.u1s[cls[0]]
-            w = rules.value_on(mod.mono(b0))
-            if w is None:
-                continue
-            if w.bidegree != tgt_bid:
-                raise PipelineError(f"d{r}({mod.mono(b0)}) = {w} lands at "
-                                    f"{w.bidegree}, not {tgt_bid}")
-            if not window.in_padded(*tgt_bid):
-                out.boundary.add((stem, filt))
-                continue
-            if tgt is None:
-                tgt = page.module(*tgt_bid)
-                rows = {b: i for i, b in enumerate(tgt.u1s)}
-                cols = [[] for _ in mod.u1s]
-            shift = w.u1 - b0
-            for j in cls:
-                # a missing row died on an earlier page (or lies beyond
-                # the internal u1 truncation); its class is zero
-                i = rows.get(mod.u1s[j] + shift)
-                if i is None:
-                    continue
-                exp = mod.scalars[j] - tgt.scalars[i]
-                if exp < 0:
-                    raise PipelineError(
-                        f"value 2^{mod.scalars[j]}*{tgt.mono(tgt.u1s[i])} more divisible "
-                        f"than presentation generator {tgt.label(i)}")
-                if exp < tgt.orders[i]:
-                    cols[j] = [(i, exp)]
-        if cols is not None and any(cols):
+        tgt = page.modules.get(tgt_bid)
+        padded = page.window.in_padded(*tgt_bid)
+        key = (rules.bidegree_key(stem, filt), mod.u1s, mod.scalars, mod.orders,
+               None if tgt is None else (tgt.u1s, tgt.scalars, tgt.orders), padded)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = _values_at(mod, tgt, padded, rules)
+        cols, boundary = found
+        if boundary:
+            out.boundary.add((stem, filt))
+        if cols is not None:
             out.maps[(stem, filt)] = LinearMap(mod, tgt, cols)
     return out
+
+
+def _values_at(mod: BidegreeModule, tgt: BidegreeModule | None, padded: bool,
+               rules: RuleSet) -> tuple[tuple | None, bool]:
+    """(columns of d_r from mod, or None if it is zero; whether a value left
+    the padded window), with tgt the module at the target bidegree."""
+    r = rules.page
+    tgt_bid = (mod.stem - 1, mod.filt + r)
+    cols, boundary = [()] * len(mod), False
+    rows = {} if tgt is None else {b: i for i, b in enumerate(tgt.u1s)}
+    for cls in rules.residue_classes(mod.u1s):
+        b0 = mod.u1s[cls[0]]
+        w = rules.value_on(mod.mono(b0))
+        if w is None:
+            continue
+        if w.bidegree != tgt_bid:
+            raise PipelineError(f"d{r}({mod.mono(b0)}) = {w} lands at "
+                                f"{w.bidegree}, not {tgt_bid}")
+        if not padded:
+            boundary = True
+            continue
+        shift = w.u1 - b0
+        for j in cls:
+            # a missing row died on an earlier page (or lies beyond
+            # the internal u1 truncation); its class is zero
+            i = rows.get(mod.u1s[j] + shift)
+            if i is None:
+                continue
+            exp = mod.scalars[j] - tgt.scalars[i]
+            if exp < 0:
+                raise PipelineError(
+                    f"value 2^{mod.scalars[j]}*{tgt.mono(tgt.u1s[i])} more divisible "
+                    f"than presentation generator {tgt.label(i)}")
+            if exp < tgt.orders[i]:
+                cols[j] = ((i, exp),)
+    return (tuple(cols) if any(cols) else None), boundary

@@ -87,4 +87,6 @@ class Window:
         return self.stem_lo <= stem <= self.stem_hi and 0 <= filt <= self.filt_max
 
     def in_padded(self, stem: int, filt: int) -> bool:
-        return stem in self.stem_range and filt in self.filt_range
+        """(stem, filt) lies in stem_range x filt_range."""
+        return (self.stem_lo - STEM_PAD <= stem <= self.stem_hi + STEM_PAD
+                and 0 <= filt <= self.filt_max + FILT_PAD)

@@ -2,12 +2,24 @@
 
 import pytest
 
-from hfpss.e2 import build_e2, check_y_page_is_eta_cokernel, eta_injectivity_check
+from hfpss.e2 import (_u1_range, _u1_residue, build_e2, check_y_page_is_eta_cokernel,
+                      eta_injectivity_check)
 from hfpss.monomials import NAMED, Monomial
 from hfpss.targets import Target, Window
 
 WIN = Window(0, 15, filt_max=20, N=6)
 WIN6 = Window(0, 20, filt_max=20, N=9)
+
+
+@pytest.mark.parametrize("target", list(Target))
+def test_u1_range_depends_only_on_its_residue(target):
+    # build_e2 computes one column per residue and reuses it
+    first = {}
+    for stem in range(-20, 21):
+        for filt in range(0, 13):
+            rep = first.setdefault(_u1_residue(stem, filt), (stem, filt))
+            assert _u1_range(target, stem, filt, 18) == _u1_range(target, *rep, 18), \
+                (stem, filt, rep)
 
 
 def test_c2_page_has_even_u_powers_and_witt_bottoms():

@@ -114,6 +114,67 @@ def test_turn_page_rejects_d_in_on_another_module():
         turn_page(page, prop, 3)
 
 
+def test_turn_page_checks_each_bidegree_where_a_result_is_reused():
+    # (3,3) and (5,3) have equal columns, and their d_in maps equal columns
+    # and source orders, so (5,3) may reuse the result of (3,3); the checks
+    # on (5,3) and its maps still run
+    col = ((1,), (0,), (1,))
+    mod, other, copy = (BidegreeModule(*bid, *col) for bid in ((3, 3), (5, 3), (5, 3)))
+    src, src2 = BidegreeModule(4, 0, (0,), (0,), (1,)), BidegreeModule(6, 0, (0,), (0,), (1,))
+
+    def turn(at_5_3, d_in_target):
+        page = Page(Target.C2_V0, 3, Window(0, 5), modules={
+            (3, 3): mod, (4, 0): src, (6, 0): src2, (5, 3): at_5_3})
+        prop = Propagation(maps={(4, 0): LinearMap(src, mod, [[(0, 0)]]),
+                                 (6, 0): LinearMap(src2, d_in_target, [[(0, 0)]])})
+        return turn_page(page, prop, 3)
+
+    # a d_in that ends at another module with the same columns
+    with pytest.raises(PipelineError, match=r"d_in target mismatch at \(5,3\)"):
+        turn(other, copy)
+    free = BidegreeModule(5, 3, *col, True)
+    with pytest.raises(PipelineError, match="d_in enters free summand"):
+        turn(free, free)
+    assert turn(other, other).modules == {}
+
+
+def test_turn_page_reuses_a_result_only_for_equal_inputs():
+    # (3,3) and (5,3) have equal columns, but their d_out maps reach targets
+    # of different orders: a kernel 2u1a^3 at (3,3), none at (5,3).  (9,3)
+    # and (11,3) differ in their scalars only.
+    col = ((1,), (0,), (2,))
+    mod, mod2 = BidegreeModule(3, 3, *col), BidegreeModule(5, 3, *col)
+    tgt, tgt2 = BidegreeModule(2, 6, (2,), (0,), (1,)), BidegreeModule(4, 6, (2,), (0,), (2,))
+    lone = BidegreeModule(9, 3, (1,), (0,), (1,))
+    lone2 = BidegreeModule(11, 3, (1,), (1,), (1,))
+    page = Page(Target.C2, 3, Window(0, 15), modules={
+        (3, 3): mod, (5, 3): mod2, (2, 6): tgt, (4, 6): tgt2, (9, 3): lone, (11, 3): lone2})
+    prop = Propagation(maps={(3, 3): LinearMap(mod, tgt, [[(0, 0)]]),
+                             (5, 3): LinearMap(mod2, tgt2, [[(0, 0)]])})
+    assert turn_page(page, prop, 3).modules == {
+        (3, 3): BidegreeModule(3, 3, (1,), (1,), (1,)), (9, 3): lone, (11, 3): lone2}
+
+
+def test_collapse_names_the_gap_between_trusted_ends():
+    # a nonzero pair (5,1) -> (4,10) leaves room for a d9
+    page = Page(Target.C2_V0, 8, Window(0, 10, filt_max=12),
+                modules={(5, 1): BidegreeModule(5, 1, (0,), (0,), (1,)),
+                         (4, 10): BidegreeModule(4, 10, (0,), (0,), (1,)),
+                         (4, 4): BidegreeModule(4, 4, (0,), (0,), (1,))})
+    with pytest.raises(CertificateError, match=r"possible d9 from \(5,1\)"):
+        check_collapse(page)
+    # the same pair with its target end outside the trusted window passes
+    check_collapse(replace(page, window=Window(0, 10, filt_max=9)))
+
+
+@pytest.mark.parametrize("window", [Window(0, 5), Window(-3, 12, filt_max=0)])
+def test_in_padded_is_the_padded_ranges(window):
+    for stem in range(window.stem_lo - 10, window.stem_hi + 11):
+        for filt in range(-3, window.filt_max + 12):
+            assert window.in_padded(stem, filt) == (stem in window.stem_range
+                                                    and filt in window.filt_range)
+
+
 def test_c2_e4_bidegree_4_0():
     stack = run_to_einfty(Target.C2, Window(0, 15))
     e4 = stack.page(4)
@@ -153,22 +214,37 @@ def test_monotone_death(computed_all):
                 assert prev is not None and mod.total_length <= prev.total_length
 
 
-def _residue_key(rules, mono):
-    """What RuleSet.factorize reads of a monomial besides its bidegree."""
+def _factorize_key(rules, mono):
+    """What RuleSet.factorize reads of a monomial: u mod u_modulus, and on Y
+    whether u1 > 0, (u + u1) mod u_modulus, alpha mod 3 and whether alpha is 0."""
     if rules.y_mode:
-        return (mono.u1 > 0, (mono.u + mono.u1) % rules.u_modulus)
+        return (mono.u1 > 0, (mono.u + mono.u1) % rules.u_modulus,
+                mono.al % 3, mono.al == 0)
     return mono.u % rules.u_modulus
 
 
+def _propagation_key(page, rules, stem, filt):
+    """Everything propagate reads at (stem, filt): what factorize reads of
+    the bidegree, the source column, the target column or its absence, and
+    whether the target lies in the padded window."""
+    u, tgt_bid = (filt - stem) // 2, (stem - 1, filt + rules.page)
+    bid = (u % rules.u_modulus, filt % 3, filt == 0) if rules.y_mode else u % rules.u_modulus
+    mod, tgt = page.modules[(stem, filt)], page.modules.get(tgt_bid)
+    return (bid, (mod.u1s, mod.scalars, mod.orders),
+            tgt and (tgt.u1s, tgt.scalars, tgt.orders), page.window.in_padded(*tgt_bid))
+
+
 def test_each_slot_factorized_once_per_differential(monkeypatch):
-    # d3 factorizes each (bidegree, residue class) of E2 once and d7 each
-    # one of E4; nothing else factorizes.  On Y with N = 30 some classes
-    # hold two slots, u1-exponents b and b + 24.
+    # d3 factorizes E2 and d7 E4, each once per (distinct propagation key,
+    # residue class of its slots), and nothing else factorizes; every
+    # residue class of the page is still factorized, so coverage is
+    # checked on all of them.  On Y with N = 30 some classes hold two
+    # slots, u1-exponents b and b + 24.
     calls = []
     factorize = RuleSet.factorize
 
     def counting(self, mono):
-        calls.append((self.page, mono.bidegree, _residue_key(self, mono)))
+        calls.append((self.page, _factorize_key(self, mono)))
         return factorize(self, mono)
 
     monkeypatch.setattr(RuleSet, "factorize", counting)
@@ -176,15 +252,19 @@ def test_each_slot_factorized_once_per_differential(monkeypatch):
                            (Target.C6_Y, Window(0, 47, N=30))):
         calls.clear()
         stack = run_to_einfty(target, window)
-        expected = []
+        expected, on_page = Counter(), set()
         for r, page in ((3, stack.pages[2]), (7, stack.pages[4])):
             rules = rule_table(target, r)
-            expected.extend({(r, key, _residue_key(rules, s.mono))
-                             for key, mod in page.modules.items() for s in mod.summands})
-        assert Counter(calls) == Counter(expected), target
-    # so on Y some E2 slots shared a factorization
-    e2_slots = sum(len(mod) for mod in stack.pages[2].modules.values())
-    assert sum(1 for call in calls if call[0] == 3) < e2_slots
+            first = {}
+            for (stem, filt), mod in page.modules.items():
+                first.setdefault(_propagation_key(page, rules, stem, filt), mod)
+                on_page |= {(r, _factorize_key(rules, s.mono)) for s in mod.summands}
+            for mod in first.values():
+                expected.update({(r, _factorize_key(rules, s.mono)) for s in mod.summands})
+        assert Counter(calls) == expected, target
+        assert set(calls) == on_page, target
+        # so far fewer factorizations than bidegrees
+        assert len(calls) < len(stack.pages[2].modules)
 
 
 def _patched_rule_table(monkeypatch, page, **changes):

@@ -3,7 +3,7 @@
 import pytest
 
 from hfpss.e2 import build_e2
-from hfpss.modules import BidegreeModule, Page
+from hfpss.modules import BidegreeModule, Page, homology_at
 from hfpss.monomials import parse_monomial
 from hfpss.pages import run_to_einfty
 from hfpss.rules import (RuleCoverageError, Y_D7_PUBLISHED_VALUES, Y_D7_VALUES,
@@ -125,7 +125,7 @@ def test_propagate_d3_zero_on_u_minus_4():
     lm = prop.maps.get((8, 0))
     if lm is not None:
         j = lm.source.slot_of(m("u^{-4}"))
-        assert lm.cols[j] == []
+        assert lm.cols[j] == ()
 
 
 def test_entry_acting_as_zero_is_dropped():
@@ -134,10 +134,43 @@ def test_entry_acting_as_zero_is_dropped():
     # from u^-4 itself the entry stays
     tgt = BidegreeModule(7, 7, (0,), (0,), (1,))
     d7 = rule_table(Target.C2, 7)
-    for scalar, expected in ((1, {}), (0, {(8, 0): [[(0, 0)]]})):
+    for scalar, expected in ((1, {}), (0, {(8, 0): (((0, 0),),)})):
         src = BidegreeModule(8, 0, (0,), (scalar,), (3 - scalar,), True)
         page = Page(Target.C2, 4, Window(0, 15), modules={(8, 0): src, (7, 7): tgt})
         assert {key: lm.cols for key, lm in propagate(page, d7).maps.items()} == expected
+
+
+def test_propagate_reuses_values_only_for_equal_inputs():
+    # the sources u^-4, u^-12, ... share their residue mod 8 and their
+    # orders; each d7 value u^{4-n}a^7 (times u1 if the source has it)
+    # meets its own reduction in the target column
+    d7 = rule_table(Target.C2_V0, 7)
+    cases = {  # stem: source (u1, scalar), target (u1, scalar, order), columns
+        8: ((0, 1), (0, 0, 2), (((0, 1),),)),
+        24: ((0, 1), (0, 1, 2), (((0, 0),),)),   # the target scalar absorbs the 2
+        40: ((0, 1), (0, 0, 1), None),           # 2a^7u^-16 = 0
+        56: ((0, 0), (0, 0, 2), (((0, 0),),)),
+        72: ((1, 1), (0, 0, 2), None),           # u1a^7u^-32 is not on the page
+        88: ((0, 1), (1, 0, 2), None),           # nor is a^7u^-40
+    }
+    modules = {}
+    for stem, (src, tgt, _) in cases.items():
+        modules[(stem, 0)] = BidegreeModule(stem, 0, *zip(src), (2,))
+        modules[(stem - 1, 7)] = BidegreeModule(stem - 1, 7, *zip(tgt))
+    maps = propagate(Page(Target.C2_V0, 4, Window(0, 100), modules=modules), d7).maps
+    assert {key: lm.cols for key, lm in maps.items()} == \
+        {(stem, 0): cols for stem, (*_, cols) in cases.items() if cols}
+
+
+def test_coverage_checked_where_only_filtration_zero_differs():
+    # u^-1u1 at (2,0) and u^-1u1a^3 at (5,3) agree in u mod 24, filt mod 3
+    # and column; the second mixes alpha and u1 and is still rejected
+    d7 = rule_table(Target.C6_Y, 7)
+    page = Page(Target.C6_Y, 4, Window(0, 15), modules={
+        (2, 0): BidegreeModule(2, 0, (1,), (0,), (1,)),
+        (5, 3): BidegreeModule(5, 3, (1,), (0,), (1,))})
+    with pytest.raises(RuleCoverageError, match="both alpha and u1"):
+        propagate(page, d7)
 
 
 def _slotwise_cols(page, rules, mod):
@@ -148,16 +181,16 @@ def _slotwise_cols(page, rules, mod):
     cols, boundary = [], False
     for s in mod.summands:
         v = rules.value_on(s.mono)
-        col = []
+        col = ()
         if v is not None and not page.window.in_padded(*v.bidegree):
             boundary = True
         elif v is not None:
             tgt = page.module(*v.bidegree)
             row = tgt.slot_of(v)
             if row is not None and s.scalar - tgt.scalars[row] < tgt.orders[row]:
-                col = [(row, s.scalar - tgt.scalars[row])]
+                col = ((row, s.scalar - tgt.scalars[row]),)
         cols.append(col)
-    return cols, boundary
+    return tuple(cols), boundary
 
 
 def _reference_entries(stack):
@@ -169,7 +202,7 @@ def _reference_entries(stack):
         for key, mod in page.modules.items():
             cols, boundary = _slotwise_cols(page, rules, mod)
             lm = prop.maps.get(key)
-            assert (lm.cols if lm else [[]] * len(mod)) == cols, (stack.target, r, key)
+            assert (lm.cols if lm else ((),) * len(mod)) == cols, (stack.target, r, key)
             assert lm is None or lm.source is mod and \
                 lm.target is page.modules[(key[0] - 1, key[1] + r)]
             assert (key in prop.boundary) == boundary, (stack.target, r, key)
@@ -177,11 +210,33 @@ def _reference_entries(stack):
     return entries
 
 
+def _reference_turns(stack):
+    """Check each turned page against homology_at run on each bidegree."""
+    for r, page, turned in ((3, stack.pages[2], stack.pages[4]),
+                            (7, stack.pages[4], stack.pages[8])):
+        maps = stack.maps[r].maps
+        expected = {}
+        for (stem, filt), mod in page.modules.items():
+            new_mod, _ = homology_at(mod, maps.get((stem + 1, filt - r)),
+                                     maps.get((stem, filt)), page.K)
+            if new_mod:
+                expected[(stem, filt)] = new_mod
+        assert turned.modules == expected, (stack.target, r)
+
+
 def test_propagate_matches_slotwise_reference(computed_all):
-    """Every d3 and d7 entry equals RuleSet.value_on plus the page reduction."""
+    """Every d3 and d7 entry equals RuleSet.value_on plus the page reduction,
+    and every turned module equals homology_at at its bidegree."""
     assert sum(_reference_entries(res.stack) for res in computed_all.values()) == 14713
-    # N = 30 puts two slots, u1 = b and b + 24, in some Y residue classes
-    assert _reference_entries(run_to_einfty(Target.C6_Y, Window(0, 47, N=30))) > 0
+    for res in computed_all.values():
+        _reference_turns(res.stack)
+    # N = 30 puts two slots, u1 = b and b + 24, in some Y residue classes;
+    # the wide c6-v0 window is the scale point of the benchmark
+    for target, window in ((Target.C6_Y, Window(0, 47, N=30)),
+                           (Target.C6_V0, Window(0, 191, filt_max=160))):
+        stack = run_to_einfty(target, window)
+        assert _reference_entries(stack) > 0
+        _reference_turns(stack)
 
 
 def test_propagate_d7_dead_target_is_zero():
@@ -192,7 +247,7 @@ def test_propagate_d7_dead_target_is_zero():
     lm = prop7.maps[(8, 0)]
     for j, s in enumerate(lm.source.summands):
         if s.mono.u1 >= 1:
-            assert lm.cols[j] == []
+            assert lm.cols[j] == ()
         else:
             assert len(lm.cols[j]) == 1
     # and on the E4 page the boundary alpha^4 u^-2 u1^{j-1} |-> alpha^7 u1^j
