@@ -15,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .groupexpr import ETA_ALPHA_CLIMB, GroupExpr, Term
+from .modules import PipelineError
 from .monomials import Monomial
 from .pages import PageStack
 from .targets import Target
 
 
-class ExtensionError(Exception):
+class ExtensionError(PipelineError):
     """A merge stem's pairing predicate failed against the page."""
 
 

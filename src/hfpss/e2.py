@@ -50,13 +50,15 @@ def _u1_range(target: Target, stem: int, filt: int, n_u1: int) -> range:
 def build_e2(target: Target, window: Window) -> Page:
     """The E2 page on the padded window, one column per _u1_residue.
 
-    Bidegrees with one residue share their column tuples.
+    Only cells with stem + filt even are visited: _u1_range is empty on
+    the others.  Bidegrees with one residue share their column tuples.
     """
     K = window.K
     page = Page(target=target, r=2, window=window)
     columns: dict[tuple, tuple] = {}
+    filts = window.filt_range
     for stem in window.stem_range:
-        for filt in window.filt_range:
+        for filt in filts[stem % 2::2]:  # filts starts at 0: filt has stem's parity
             key = _u1_residue(stem, filt)
             col = columns.get(key)
             if col is None:

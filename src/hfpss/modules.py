@@ -109,7 +109,7 @@ class BidegreeModule:
         return i if found else None
 
 
-@dataclass
+@dataclass(slots=True)
 class LinearMap:
     """A monomial-sparse map between bidegree modules.
 
@@ -117,8 +117,11 @@ class LinearMap:
     2^exp times the row-th target generator.  Every differential acts this
     way, so a map with two entries in one column or on one row, or one
     that does not respect the summand orders, is rejected when built.
-    cols is a tuple of tuples (other sequences are converted), so it can
-    key a memo and be shared by maps between equal columns.
+    That validation reads only cols and the two modules' orders, so a map
+    copied onto modules with those orders (with_ends) is not validated
+    again: propagate validates once per distinct input.  cols is a tuple
+    of tuples (other sequences are converted), so it can key a memo and
+    be shared by maps between equal columns.
     """
 
     source: BidegreeModule
@@ -137,6 +140,16 @@ class LinearMap:
                     raise PipelineError(
                         f"map not well defined on presentations: {self._arrow(j, i)}")
                 rows.add(i)
+
+    def with_ends(self, source: BidegreeModule, target: BidegreeModule) -> LinearMap:
+        """These columns from `source` to `target`, without validating again.
+
+        Valid because this map is, provided source and target have the
+        orders of self.source and self.target; the caller guarantees that.
+        """
+        lm = object.__new__(LinearMap)
+        lm.source, lm.target, lm.cols = source, target, self.cols
+        return lm
 
     def _arrow(self, j: int, i: int) -> str:
         return f"{self.source.label(j)} -> {self.target.label(i)}"
@@ -202,9 +215,11 @@ class Page:
 
     Complete when build_e2 or turn_page returns it; nothing mutates
     `modules` after that, so `towers` is recognised on first read and
-    kept.  Trust and truncation are the window's: the d3 or d7 value of a
-    trusted source, at (stem - 1, filt + r), never leaves the padded
-    window, and K is window.K.
+    kept.  Modules are frozen, and a page turn shares with the next page
+    every module that no differential changed.  Trust and truncation are
+    the window's: the d3 or d7 value of a trusted source, at
+    (stem - 1, filt + r), never leaves the padded window, and K is
+    window.K.
     """
 
     target: Target
@@ -226,13 +241,23 @@ class Page:
     def towers(self) -> dict[tuple[int, int], list[Term]]:
         """The towers of each bidegree that has any, in bidegree order.
 
-        One record shared by every reader; read it, do not mutate it.
+        Tower shapes are found once per distinct column, then named per
+        bidegree.  One record shared by every reader; read it, do not
+        mutate it.
         """
-        from .pages import towers_of_module  # pages imports this module
+        from .pages import tower_shapes, towers_of_module  # pages imports this module
         period, N = self.target.period, self.window.N
-        found = ((key, towers_of_module(mod, period, N))
-                 for key, mod in sorted(self.modules.items()))
-        return {key: ts for key, ts in found if ts}
+        shapes: dict[tuple, tuple] = {}  # per distinct column
+        towers = {}
+        for key, mod in sorted(self.modules.items()):
+            col = (mod.u1s, mod.scalars, mod.orders, mod.free)
+            found = shapes.get(col)
+            if found is None:
+                found = shapes[col] = tower_shapes(mod, period, N)
+            ts = towers_of_module(mod, found)
+            if ts:
+                towers[key] = ts
+        return towers
 
     def reported_summands(self, stem: int, filt: int) -> list[Summand]:
         """Summands below the u1 reporting horizon."""

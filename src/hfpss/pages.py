@@ -15,7 +15,11 @@ of maps, as d_in and d_out of their middle bidegree, and rejects an image
 that exceeds the kernel.  It runs once per distinct input (the columns of
 the module and of its two maps); a bidegree with an input already seen
 reuses that result, whose checks read only those columns, and is itself
-checked to be the source of its d_out and the target of its d_in.
+checked to be the source of its d_out and the target of its d_in.  Such
+a bidegree builds a module only when the result is new: a zero result is
+left off the next page, and an unchanged one keeps the module object, so
+consecutive pages share every module no differential touches.  Maps are
+validated where propagate builds them, once per distinct input.
 Rule coverage is checked by propagate, which factorizes every residue
 class of the page it acts on (E2 for d3, E4 for d7) at least once.
 
@@ -24,8 +28,10 @@ Freeness of a tower comes from E2, which flags the free summands
 old summand to its survivor, and homology_at rejects any differential
 that enters a free summand.  So the pipeline runs once, at truncation K.
 
-Page.towers runs towers_of_module once per page and keeps the result;
-serialization, assembly and the charts all read that one record.
+Page.towers recognises a page once and keeps the result: tower_shapes
+runs once per distinct column and towers_of_module names the terms of
+each module; serialization, assembly and the charts all read that one
+record.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .rules import Propagation, propagate, rule_table
 from .targets import Target, Window
 
 ALIASES = {3: 2, 5: 4, 6: 4, 7: 4}
+_UNSEEN = object()
 
 
 class CertificateError(PipelineError):
@@ -50,37 +57,41 @@ def turn_page(page: Page, prop: Propagation, rule_r: int) -> Page:
     """Homology at every bidegree, generator names carried by pure lifts.
 
     homology_at reads only the columns of the module and of its two maps,
-    so it runs once per distinct such input; a bidegree whose input was
-    already seen takes that result's column tuples.  The memo lives for
-    this call only.  The checks that the maps start and end at the module
-    itself run on every bidegree.
+    so it runs once per distinct such input, in a memo that lives for this
+    call.  A bidegree whose input was already seen builds a module only if
+    that result is new: an empty result is left out, and a result equal
+    to the input keeps the input's module object (modules are frozen, so
+    pages share the ones no differential touches).  The checks that the
+    maps start and end at the module itself run on every bidegree.
     """
     out = Page(target=page.target, r=rule_r + 1, window=page.window)
     r = rule_r
-    memo: dict[tuple, tuple] = {}
+    memo: dict[tuple, tuple | None] = {}  # new columns, or None for "unchanged"
     for (stem, filt), mod in page.modules.items():
         d_out = prop.maps.get((stem, filt))
         d_in = prop.maps.get((stem + 1, filt - r))
         key = (mod.u1s, mod.scalars, mod.orders, mod.free,
                None if d_in is None else (d_in.cols, d_in.source.orders),
                None if d_out is None else (d_out.cols, d_out.target.orders))
-        cols = memo.get(key)
-        if cols is None:
+        cols = memo.get(key, _UNSEEN)
+        if cols is _UNSEEN:
             new_mod, _lifts = homology_at(mod, d_in, d_out, page.K)
             if new_mod.total_length > mod.total_length:
                 raise CertificateError(f"module length grew at ({stem},{filt})")
-            cols = memo[key] = (new_mod.u1s, new_mod.scalars, new_mod.orders)
+            cols = memo[key] = (None if new_mod == mod else
+                                (new_mod.u1s, new_mod.scalars, new_mod.orders))
         else:
             check_ends(mod, d_in, d_out)
-            new_mod = BidegreeModule(stem, filt, *cols, mod.free)
-        if new_mod:
-            out.modules[(stem, filt)] = new_mod
+        if cols is None:
+            out.modules[(stem, filt)] = mod
+        elif cols[0]:  # some slot survives
+            out.modules[(stem, filt)] = BidegreeModule(stem, filt, *cols, mod.free)
     return out
 
 
 def _nonzero_reported(page: Page) -> set[tuple[int, int]]:
     N = page.window.N
-    return {key for key, mod in page.modules.items() if mod and mod.u1s[0] < N}
+    return {key for key, mod in page.modules.items() if mod.u1s and mod.u1s[0] < N}
 
 
 def check_even_r_vanishing(page: Page, rs=(2, 4, 6)) -> None:
@@ -159,21 +170,27 @@ def run_to_einfty(target: Target, window: Window) -> PageStack:
 _COEFF = {1: "F4", 2: "W/4"}   # group of a non-free tower by order exponent
 
 
-def towers_of_module(mod: BidegreeModule, period: int, N: int) -> list[Term]:
+Shape = tuple[int, int, str, int | None]  # scalar, u1-offset, coefficient, period
+
+
+def tower_shapes(mod: BidegreeModule, period: int, N: int) -> tuple[Shape, ...]:
     """Group reported summands into truncated power series towers.
 
     A run of slots with u1-exponents beta, beta+p, ... is a series tower
     exactly when it reaches the reporting horizon N; shorter runs are
     isolated classes.  A free run is a W term, a run of order 2 a W/4
     term and a run of order 1 an F4 term; any other order is an error.
+    Returns one Shape per tower (period None for an isolated class),
+    sorted by offset and scalar.  Only the column of mod is read (its
+    bidegree names the error), so Page.towers calls this once per
+    distinct column.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for b, scalar, order in zip(mod.u1s, mod.scalars, mod.orders):
         if b >= N:
             break
         groups.setdefault((scalar, order), []).append(b)
-    u, al = (mod.filt - mod.stem) // 2, mod.filt
-    towers = []
+    shapes = []
     for (scalar, order), bs in sorted(groups.items()):
         coeff = "W" if mod.free else _COEFF.get(order)
         if coeff is None:
@@ -184,13 +201,18 @@ def towers_of_module(mod: BidegreeModule, period: int, N: int) -> list[Term]:
             if k < len(bs) and bs[k] == b + period:
                 continue
             if b + period >= N:  # the run bs[start:k] reaches the horizon
-                towers.append(Term(scalar, Monomial(u, bs[start], al), coeff, period))
+                shapes.append((scalar, bs[start], coeff, period))
             else:
-                towers.extend(Term(scalar, Monomial(u, bb, al), coeff, None)
-                              for bb in bs[start:k])
+                shapes.extend((scalar, bb, coeff, None) for bb in bs[start:k])
             start = k
-    towers.sort(key=lambda t: (t.mono.u1, t.scalar))  # filt and u are fixed
-    return towers
+    shapes.sort(key=lambda t: (t[1], t[0]))
+    return tuple(shapes)
+
+
+def towers_of_module(mod: BidegreeModule, shapes: tuple[Shape, ...]) -> list[Term]:
+    """The towers of mod as Terms, from tower_shapes of its column."""
+    u, al = (mod.filt - mod.stem) // 2, mod.filt
+    return [Term(scalar, Monomial(u, b, al), coeff, per) for scalar, b, coeff, per in shapes]
 
 
 def periodicity_check(stack: PageStack, shift: Monomial, page_r: int,

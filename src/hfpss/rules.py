@@ -211,9 +211,10 @@ def propagate(page: Page, rules: RuleSet) -> Propagation:
     The maps at a bidegree depend only on its RuleSet.bidegree_key, its
     column, the column of (stem - 1, filt + r) or its absence, and whether
     that target lies in the padded window.  So the values are computed
-    once per distinct such input, in a memo that lives for this call, and
-    bidegrees with the same input share one tuple of columns; every
-    LinearMap is still built, and validated, per bidegree.
+    once per distinct such input, in a memo that lives for this call.  The
+    first LinearMap of an input is built, and validated, from the values;
+    every other bidegree with that input gets a copy onto its own modules
+    (LinearMap.with_ends), which the input's orders keep valid.
     Each computation factorizes once per residue class of the slots
     (RuleSet.residue_classes); within a class d_r is one u1-shift.
     Values are reduced in the current page presentation: a target slot
@@ -233,12 +234,17 @@ def propagate(page: Page, rules: RuleSet) -> Propagation:
                None if tgt is None else (tgt.u1s, tgt.scalars, tgt.orders), padded)
         found = memo.get(key)
         if found is None:
-            found = memo[key] = _values_at(mod, tgt, padded, rules)
-        cols, boundary = found
+            cols, boundary = _values_at(mod, tgt, padded, rules)
+            lm = None if cols is None else LinearMap(mod, tgt, cols)
+            found = memo[key] = (lm, boundary)
+        else:
+            lm, boundary = found
+            if lm is not None:
+                lm = lm.with_ends(mod, tgt)
         if boundary:
             out.boundary.add((stem, filt))
-        if cols is not None:
-            out.maps[(stem, filt)] = LinearMap(mod, tgt, cols)
+        if lm is not None:
+            out.maps[(stem, filt)] = lm
     return out
 
 

@@ -184,3 +184,14 @@ def test_nonpositive_truncation_is_usage_error(flag, value, capsys):
     assert code == 2 and out == ""
     least = {"--witt-trunc": 3, "--u1-trunc": 4}[flag]
     assert f"must be >= {least}" in capsys.readouterr().err
+
+
+def test_extension_error_is_a_computation_failure(monkeypatch, capsys):
+    # a merge stem whose pairing predicate fails: exit 1 and one line, no traceback
+    from hfpss import assembly
+    monkeypatch.setattr(assembly, "_eta_alpha_partner", lambda lower, upper: False)
+    code, _ = run_cli("compute", "--target", "c2-v0")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("computation failed: merge at stem 2:")
+    assert "Traceback" not in err

@@ -15,9 +15,9 @@ from hfpss.monomials import Monomial, parse_monomial
 from hfpss import pages
 from hfpss.pages import (CertificateError, check_collapse,
                          check_even_r_vanishing, hurewicz_permanent_cycles,
-                         periodicity_check, run_to_einfty, towers_of_module,
-                         turn_page)
-from hfpss.rules import Propagation, RuleCoverageError, RuleSet, rule_table
+                         periodicity_check, run_to_einfty, tower_shapes,
+                         towers_of_module, turn_page)
+from hfpss.rules import Propagation, RuleCoverageError, RuleSet, propagate, rule_table
 from hfpss.targets import Target, Window
 
 m = parse_monomial
@@ -102,6 +102,32 @@ def test_map_with_two_entries_in_one_column_rejected():
                                               Summand(0, m("u1^{2}a^{3}"), 1)))
     with pytest.raises(PipelineError):
         LinearMap(src, tgt, [[(0, 0), (1, 0)]])
+
+
+def test_map_below_the_target_order_rejected():
+    # an F4 class sent onto a W/8 generator: 2 * source = 0, 2 * target != 0
+    src = BidegreeModule(4, 0, (0,), (0,), (1,))
+    tgt = BidegreeModule(3, 3, (1,), (0,), (3,))
+    with pytest.raises(PipelineError, match="not well defined on presentations"):
+        LinearMap(src, tgt, [[(0, 0)]])
+    assert LinearMap(src, tgt, [[(0, 2)]]).cols == (((0, 2),),)
+
+
+def test_propagate_validates_maps_with_equal_inputs():
+    # d3(u^-2) = u1 a^3 and d3(u^-6) = u^-4 u1 a^3 have one input (u mod 4,
+    # columns, target columns, target in the window); their value lands on
+    # a W/8 generator from an F4 one, so the shared map is rejected
+    col, tgt_col = ((0,), (0,), (1,)), ((1,), (0,), (3,))
+    page = Page(Target.C2, 2, Window(0, 15), modules={
+        (4, 0): BidegreeModule(4, 0, *col), (3, 3): BidegreeModule(3, 3, *tgt_col),
+        (12, 0): BidegreeModule(12, 0, *col), (11, 3): BidegreeModule(11, 3, *tgt_col)})
+    rules = rule_table(Target.C2, 3)
+    assert rules.bidegree_key(4, 0) == rules.bidegree_key(12, 0)
+    with pytest.raises(PipelineError, match=r"not well defined on presentations: u\^\{-2\}"):
+        propagate(page, rules)
+    del page.modules[(4, 0)]
+    with pytest.raises(PipelineError, match=r"not well defined on presentations: u\^\{-6\}"):
+        propagate(page, rules)
 
 
 def test_turn_page_rejects_d_in_on_another_module():
@@ -371,7 +397,7 @@ def test_tower_recognition():
     summands = tuple(Summand(0, Monomial(-4, b, 0), 3, free=True) for b in range(1, 12)) \
         + (Summand(1, Monomial(-4, 0, 0), 2, free=True),)
     mod = BidegreeModule.from_summands(8, 0, summands)
-    towers = towers_of_module(mod, 1, 12)
+    towers = towers_of_module(mod, tower_shapes(mod, 1, 12))
     labels = {(t.label(), t.period) for t in towers}
     assert labels == {("2u^{-4}", None), ("u^{-4}u1", 1)}
 
@@ -379,21 +405,21 @@ def test_tower_recognition():
 def test_tower_recognition_period_3():
     summands = tuple(Summand(0, Monomial(-1, b, 0), 1) for b in (1, 4, 7, 10))
     mod = BidegreeModule.from_summands(2, 0, summands)
-    (tower,) = towers_of_module(mod, 3, 12)
+    (tower,) = towers_of_module(mod, tower_shapes(mod, 3, 12))
     assert tower.label() == "u^{-1}u1" and tower.period == 3
 
 
 def test_short_run_is_isolated():
     summands = (Summand(0, Monomial(0, 0, 3), 1),)
     mod = BidegreeModule.from_summands(3, 3, summands)
-    (tower,) = towers_of_module(mod, 1, 12)
+    (tower,) = towers_of_module(mod, tower_shapes(mod, 1, 12))
     assert tower.period is None
 
 
 def test_tower_of_unexpected_order_rejected():
     summands = tuple(Summand(0, Monomial(-4, b, 0), 3) for b in range(12))
     with pytest.raises(PipelineError, match=r"order 2\^3 at \(8,0\)"):
-        towers_of_module(BidegreeModule.from_summands(8, 0, summands), 1, 12)
+        tower_shapes(BidegreeModule.from_summands(8, 0, summands), 1, 12)
 
 
 def test_towers_partition_the_reported_slots(computed_all):
@@ -447,18 +473,28 @@ def test_each_page_recognises_its_towers_once(monkeypatch):
     compute recognises the Einfty towers only (assembly reads no other
     page).  Then charts of pages 2, 3, 4, 7 and 8 (E3 and E7 alias E2 and
     E4), the JSON, the assembly and the glyph counts recognise each module
-    of the three distinct pages exactly once.
+    of the three distinct pages exactly once, and find the tower shapes of
+    each distinct column of each page exactly once.
     """
-    recognised = []
-    recognise = pages.towers_of_module
+    recognised, shaped = [], []
+    recognise, shape = pages.towers_of_module, pages.tower_shapes
 
-    def counted(mod, period, N):
+    def counted(mod, shapes):
         recognised.append(mod)
-        return recognise(mod, period, N)
+        return recognise(mod, shapes)
+
+    def counted_shapes(mod, period, N):
+        shaped.append(mod)
+        return shape(mod, period, N)
+
+    def columns(page):
+        return len({(m.u1s, m.scalars, m.orders, m.free) for m in page.modules.values()})
 
     monkeypatch.setattr(pages, "towers_of_module", counted)
+    monkeypatch.setattr(pages, "tower_shapes", counted_shapes)
     stack = compute(Target.C2_V0).stack
     assert len(recognised) == len(stack.einfty.modules)
+    assert len(shaped) == columns(stack.einfty) < len(stack.einfty.modules)
     for r in (2, 3, 4, 7, 8):
         page, prop = stack.page(r), stack.maps.get(r)
         render_text(page, prop, page_index=r)
@@ -468,3 +504,4 @@ def test_each_page_recognises_its_towers_once(monkeypatch):
     pages.stack_to_json(stack)
     assemble_all(stack)
     assert len(recognised) == sum(len(p.modules) for p in stack.pages.values())
+    assert len(shaped) == sum(columns(p) for p in stack.pages.values())

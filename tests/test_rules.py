@@ -1,10 +1,12 @@
 """Differential rule tables, factorization, and propagation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfpss.e2 import build_e2
 from hfpss.modules import BidegreeModule, Page, homology_at
 from hfpss.monomials import parse_monomial
+from hfpss.engine import DEFAULT_STEMS
 from hfpss.pages import run_to_einfty
 from hfpss.rules import (RuleCoverageError, Y_D7_PUBLISHED_VALUES, Y_D7_VALUES,
                          propagate, rule_table)
@@ -237,6 +239,27 @@ def test_propagate_matches_slotwise_reference(computed_all):
         stack = run_to_einfty(target, window)
         assert _reference_entries(stack) > 0
         _reference_turns(stack)
+
+
+@st.composite
+def _small_windows(draw):
+    """A target and a window of at most one stem period (16 or 48 stems)."""
+    target = draw(st.sampled_from(list(Target)))
+    period = DEFAULT_STEMS[target][1] + 1
+    lo = draw(st.integers(-period, period))
+    return target, Window(lo, lo + draw(st.integers(0, period - 1)),
+                          filt_max=draw(st.integers(0, 12)), K=draw(st.sampled_from((3, 4))),
+                          N=draw(st.integers(4, 14)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_windows())
+def test_fan_out_matches_slotwise_reference_on_small_windows(case):
+    """Maps shared across bidegrees and modules reused across pages agree
+    with the slotwise value and with homology_at on every bidegree."""
+    stack = run_to_einfty(*case)
+    _reference_entries(stack)
+    _reference_turns(stack)
 
 
 def test_propagate_d7_dead_target_is_zero():
