@@ -11,24 +11,66 @@ The text format uses one character per glyph ('.', 'o', '#'), a
 fixed-width grid, and a sorted arrow list below the grid; it is intended
 for byte-exact golden tests.
 
-Both renderers draw the page's towers (Page.towers) at trusted
-bidegrees, one glyph each, and the arrows between trusted bidegrees.
+Both renderers, and pages.page_to_json, serialise one Layout per page,
+found on first read and kept as Page.layout (as Page.towers is kept).
+It holds each tower's glyph and label, the trusted bidegrees that have
+towers, and max_filt.  The eta-line pairs are added the first time an
+SVG draws them.  The arrows of a differential are added the first time
+a chart draws that differential on the page, after a check that every
+map of it starts and ends at the page's own modules.  Inside that one
+computation, the arrow styles of a map are found once per distinct
+(source column, target column, map columns).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .groupexpr import Term
-from .modules import BidegreeModule, Page
+from .modules import BidegreeModule, LinearMap, Page
 from .monomials import NAMED
 from .rules import Propagation
 
 GLYPHS = {"f4": ".", "f4_series": "o", "w": "#"}
+
+Bidegree = tuple[int, int]
+Arrow = tuple[Bidegree, Bidegree, bool]  # source, target, dashed
+
+
+@dataclass
+class Layout:
+    """What the charts and the JSON of one page draw; see page_layout.
+
+    labels has one generator label per tower of every bidegree of
+    Page.towers, trusted or not.  glyphs covers the trusted ones only, in
+    bidegree order, with one GLYPHS character per tower; its keys are the
+    trusted bidegrees that have towers, and max_filt is their top
+    filtration.  eta_lines (None until an SVG draws them) and arrows (one
+    entry per differential drawn on the page) are filled on first use.
+    """
+
+    labels: dict[Bidegree, tuple[str, ...]]
+    glyphs: dict[Bidegree, str]
+    max_filt: int
+    eta_lines: list[tuple[Bidegree, Bidegree]] | None = None
+    arrows: list[tuple[Propagation, list[Arrow]]] = field(default_factory=list)
 
 
 def _glyph(t: Term) -> str:
     if t.free:
         return GLYPHS["w"]
     return GLYPHS["f4_series"] if t.period is not None else GLYPHS["f4"]
+
+
+def page_layout(page: Page) -> Layout:
+    """Glyphs and labels of the towers of the page, each tower labelled once."""
+    trusted = page.window.trusted
+    labels, glyphs = {}, {}
+    for key, ts in page.towers.items():
+        labels[key] = tuple(t.label() for t in ts)
+        if trusted(*key):
+            glyphs[key] = "".join(map(_glyph, ts))
+    return Layout(labels, glyphs, max((f for _, f in glyphs), default=0))
 
 
 def _slot_towers(mod: BidegreeModule, towers: list[Term], N: int) -> list[int | None]:
@@ -41,51 +83,101 @@ def _slot_towers(mod: BidegreeModule, towers: list[Term], N: int) -> list[int | 
     return [tower_of.get(b) for b in mod.u1s]
 
 
-def _arrows(page: Page, prop: Propagation) -> list[tuple]:
-    """(source bid, target bid, dashed) per tower-to-tower differential
-    between two trusted bidegrees."""
-    arrows = []
-    window, towers = page.window, page.towers
-    for (stem, filt), lm in sorted(prop.maps.items()):
-        tgt_key = (lm.target.stem, lm.target.filt)
+def _styles(lm: LinearMap, src_towers: list[Term], tgt_towers: list[Term],
+            N: int) -> tuple[bool, ...]:
+    """The distinct dashed flags of the tower-to-tower maps of lm.
+
+    A tower pair is solid when lm maps the source tower isomorphically
+    onto the target tower: every slot of each is hit, with 2-exponent 0,
+    between slots of equal order.  Reads only the two columns and lm.cols.
+    """
+    src_of = _slot_towers(lm.source, src_towers, N)
+    tgt_of = _slot_towers(lm.target, tgt_towers, N)
+    pairs: dict[tuple[int, int], list] = {}
+    for j, col in enumerate(lm.cols):
+        si = src_of[j]
+        if si is None:
+            continue
+        for i, exp in col:
+            ti = tgt_of[i]
+            if ti is not None:
+                pairs.setdefault((si, ti), []).append(
+                    (exp, lm.source.orders[j], lm.target.orders[i]))
+    return tuple(sorted({
+        not (len(hits) == src_of.count(si) == tgt_of.count(ti)
+             and all(exp == 0 and e_src == e_tgt for (exp, e_src, e_tgt) in hits))
+        for (si, ti), hits in pairs.items()}))
+
+
+def _arrows(page: Page, prop: Propagation) -> list[Arrow]:
+    """Sorted (source, target, dashed) per tower-to-tower differential
+    between two trusted bidegrees; computed once per (page, prop).
+
+    Raises ValueError unless every map of prop starts and ends at the
+    page's own module of its bidegree, i.e. prop acts on this page.
+    """
+    layout = page.layout
+    for seen, arrows in layout.arrows:
+        if seen is prop:
+            return arrows
+    window, towers, modules, N = page.window, page.towers, page.modules, page.window.N
+    styles: dict[tuple, tuple[bool, ...]] = {}  # per distinct input
+    found = set()
+    for (stem, filt), lm in prop.maps.items():
+        src, tgt = lm.source, lm.target
+        tgt_key = (tgt.stem, tgt.filt)
+        if modules.get((stem, filt)) is not src or modules.get(tgt_key) is not tgt:
+            raise ValueError(f"d{tgt.filt - filt} at ({stem},{filt}) does not act on "
+                             f"page E{page.r} of {page.target.value}")
         if not (window.trusted(stem, filt) and window.trusted(*tgt_key)):
             continue
-        src_of = _slot_towers(lm.source, towers.get((stem, filt), []), window.N)
-        tgt_of = _slot_towers(lm.target, towers.get(tgt_key, []), window.N)
-        pairs: dict[tuple[int, int], list] = {}
-        for j, col in enumerate(lm.cols):
-            si = src_of[j]
-            if si is None:
+        key = (src.u1s, src.scalars, src.orders, src.free,
+               tgt.u1s, tgt.scalars, tgt.orders, tgt.free, lm.cols)
+        dashed = styles.get(key)
+        if dashed is None:
+            dashed = styles[key] = _styles(lm, towers.get((stem, filt), []),
+                                           towers.get(tgt_key, []), N)
+        found.update(((stem, filt), tgt_key, d) for d in dashed)
+    arrows = sorted(found)
+    layout.arrows.append((prop, arrows))
+    return arrows
+
+
+def _eta_lines(page: Page) -> list[tuple[Bidegree, Bidegree]]:
+    """One (bidegree, bidegree + (1, 1)) pair per trusted tower whose
+    generator times eta is a generator of the page; kept on the layout."""
+    layout = page.layout
+    if layout.eta_lines is None:
+        eta, trusted = NAMED["eta"], page.window.trusted
+        lines = []
+        for (stem, filt) in layout.glyphs:
+            if not trusted(stem + 1, filt + 1):
                 continue
-            for i, exp in col:
-                ti = tgt_of[i]
-                if ti is not None:
-                    pairs.setdefault((si, ti), []).append(
-                        (exp, lm.source.orders[j], lm.target.orders[i]))
-        for (si, ti), hits in pairs.items():
-            iso = (len(hits) == src_of.count(si) == tgt_of.count(ti)
-                   and all(exp == 0 and e_src == e_tgt for (exp, e_src, e_tgt) in hits))
-            arrows.append(((stem, filt), tgt_key, not iso))
-    return sorted(set(arrows))
+            nxt = page.module(stem + 1, filt + 1)
+            lines.extend(((stem, filt), (stem + 1, filt + 1))
+                         for t in page.towers[(stem, filt)]
+                         if nxt.slot_of(t.mono * eta) is not None)
+        layout.eta_lines = lines
+    return layout.eta_lines
 
 
 def render_text(page: Page, prop: Propagation | None = None,
                 page_index: int | None = None) -> str:
     """Fixed-width glyph grid plus a sorted arrow list."""
-    window = page.window
+    window, layout = page.window, page.layout
     stems = range(window.stem_lo, window.stem_hi + 1)
-    cells = {}
-    max_filt = 0
-    for (stem, filt), ts in page.towers.items():
-        if window.trusted(stem, filt):
-            cells[(stem, filt)] = "".join(_glyph(t) for t in ts)
-            max_filt = max(max_filt, filt)
-    width = max([len(v) for v in cells.values()], default=1) + 1
+    width = max([len(v) for v in layout.glyphs.values()], default=1) + 1
+    rows: dict[int, list[str]] = {}
+    ends: dict[int, int] = {}  # per row, the column after its last glyph
+    for (stem, filt), cell in layout.glyphs.items():  # by stem within a row
+        row = rows.setdefault(filt, [])
+        col = (stem - window.stem_lo) * width
+        row.append(" " * (col - ends.get(filt, 0)) + cell)
+        ends[filt] = col + len(cell)
     lines = [f"target {page.target.value}  page E{page_index or page.r}  "
              f"stems {window.stem_lo}..{window.stem_hi}"]
-    for filt in range(max_filt, -1, -1):
-        row = "".join(cells.get((stem, filt), "").ljust(width) for stem in stems)
-        lines.append(f"{filt:3d} |" + row.rstrip())
+    for filt in range(layout.max_filt, -1, -1):
+        lines.append(f"{filt:3d} |" + "".join(rows.get(filt, ())))
     lines.append("    +" + "-" * (width * len(stems)))
     labels = "".join(str(stem).ljust(width) for stem in stems)
     lines.append("     " + labels.rstrip())
@@ -110,9 +202,9 @@ def render_svg(page: Page, prop: Propagation | None = None,
                labels: bool = False, eta_lines: bool = False,
                cell: int = 26) -> str:
     """SVG 1.1 chart of one page."""
-    window = page.window
+    window, layout = page.window, page.layout
     stems = list(range(window.stem_lo, window.stem_hi + 1))
-    max_filt = max([f for (n, f) in page.towers if window.trusted(n, f)], default=0)
+    max_filt = layout.max_filt
     margin = 40
     width = margin * 2 + cell * len(stems)
     height = margin * 2 + cell * (max_filt + 1)
@@ -141,17 +233,11 @@ def render_svg(page: Page, prop: Propagation | None = None,
                    f'text-anchor="end">{filt}</text>')
 
     if eta_lines:
-        eta = NAMED["eta"]
         out.append('<g stroke="#bbbbbb" stroke-width="1">')
-        for (stem, filt), ts in page.towers.items():
-            if not (window.trusted(stem, filt) and window.trusted(stem + 1, filt + 1)):
-                continue
-            nxt = page.module(stem + 1, filt + 1)
-            for t in ts:
-                if nxt.slot_of(t.mono * eta) is not None:
-                    x1, y1 = xy(stem, filt)
-                    x2, y2 = xy(stem + 1, filt + 1)
-                    out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
+        for src, tgt in _eta_lines(page):
+            x1, y1 = xy(*src)
+            x2, y2 = xy(*tgt)
+            out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
         out.append("</g>")
 
     if prop is not None:
@@ -163,28 +249,27 @@ def render_svg(page: Page, prop: Propagation | None = None,
             out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"{dash}/>')
         out.append("</g>")
 
-    for (stem, filt), ts in page.towers.items():
-        if not window.trusted(stem, filt):
-            continue
-        x, y = xy(stem, filt)
-        n = len(ts)
-        for k, t in enumerate(ts):
-            dx = (k - (n - 1) / 2) * 8
-            cx = int(x + dx)
-            if t.free:
-                out.append(f'<rect x="{cx - 4}" y="{y - 4}" width="8" height="8" '
-                           f'fill="none" stroke="black"/>')
-                if t.scalar:
-                    out.append(f'<text x="{cx - 6}" y="{y - 6}" font-size="7" '
-                               f'text-anchor="end">{1 << t.scalar}</text>')
-            elif t.period is not None:
+    series, dot = GLYPHS["f4_series"], GLYPHS["f4"]
+    for key, glyphs in layout.glyphs.items():
+        x, y = xy(*key)
+        n = len(glyphs)
+        for k, (glyph, label) in enumerate(zip(glyphs, layout.labels[key])):
+            cx = int(x + (k - (n - 1) / 2) * 8)
+            if glyph == dot:
+                out.append(f'<circle cx="{cx}" cy="{y}" r="2.5" fill="black"/>')
+            elif glyph == series:
                 out.append(f'<circle cx="{cx}" cy="{y}" r="5" fill="none" stroke="black"/>')
                 out.append(f'<circle cx="{cx}" cy="{y}" r="1.8" fill="black"/>')
             else:
-                out.append(f'<circle cx="{cx}" cy="{y}" r="2.5" fill="black"/>')
+                out.append(f'<rect x="{cx - 4}" y="{y - 4}" width="8" height="8" '
+                           f'fill="none" stroke="black"/>')
+                scalar = page.towers[key][k].scalar
+                if scalar:
+                    out.append(f'<text x="{cx - 6}" y="{y - 6}" font-size="7" '
+                               f'text-anchor="end">{1 << scalar}</text>')
             if labels:
                 out.append(f'<text x="{cx + 6}" y="{y + 9}" font-size="7">'
-                           f'{t.label()}</text>')
+                           f'{label}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

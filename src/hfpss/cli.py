@@ -100,6 +100,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_chart(args) -> int:
+    if args.format != "svg":
+        for flag, given in (("--labels", args.labels), ("--eta-lines", args.eta_lines)):
+            if given:
+                print(f"chart: {flag} needs --format svg", file=sys.stderr)
+                return USAGE_ERROR
     window = default_window(args.target, *(args.stems or (None, None)))
     from .pages import run_to_einfty
     stack = run_to_einfty(args.target, window)
@@ -141,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--format", choices=("svg", "text"), default="text")
     ch.add_argument("--stems", type=_parse_stems, default=None)
     ch.add_argument("--out", default=None)
-    ch.add_argument("--labels", action="store_true")
-    ch.add_argument("--eta-lines", action="store_true")
+    ch.add_argument("--labels", action="store_true", help="SVG only")
+    ch.add_argument("--eta-lines", action="store_true", help="SVG only")
     ch.set_defaults(func=cmd_chart)
     return p
 

@@ -26,6 +26,7 @@ from .monomials import Monomial
 from .targets import Target, Window
 
 if TYPE_CHECKING:
+    from .charts import Layout
     from .groupexpr import Term
 
 
@@ -215,11 +216,11 @@ class Page:
 
     Complete when build_e2 or turn_page returns it; nothing mutates
     `modules` after that, so `towers` is recognised on first read and
-    kept.  Modules are frozen, and a page turn shares with the next page
-    every module that no differential changed.  Trust and truncation are
-    the window's: the d3 or d7 value of a trusted source, at
-    (stem - 1, filt + r), never leaves the padded window, and K is
-    window.K.
+    kept, and so is the chart `layout` built from it.  Modules are
+    frozen, and a page turn shares with the next page every module that
+    no differential changed.  Trust and truncation are the window's: the
+    d3 or d7 value of a trusted source, at (stem - 1, filt + r), never
+    leaves the padded window, and K is window.K.
     """
 
     target: Target
@@ -258,6 +259,13 @@ class Page:
             if ts:
                 towers[key] = ts
         return towers
+
+    @cached_property
+    def layout(self) -> Layout:
+        """What the charts and the JSON of this page draw, found once
+        (charts.page_layout); kept like towers, and read the same way."""
+        from .charts import page_layout  # charts imports this module
+        return page_layout(self)
 
     def reported_summands(self, stem: int, filt: int) -> list[Summand]:
         """Summands below the u1 reporting horizon."""

@@ -256,16 +256,18 @@ def hurewicz_permanent_cycles(stack: PageStack) -> list[str]:
 # Serialization.
 
 def page_to_json(page: Page) -> dict:
+    """The towers of every bidegree, labelled as Page.layout labels them."""
+    layout, K = page.layout, page.K
     bidegrees = [{
         "stem": stem,
         "filt": filt,
-        "trusted": page.is_trusted(stem, filt),
+        "trusted": (stem, filt) in layout.glyphs,  # its trusted bidegrees with towers
         "towers": [{
-            "gen": t.label(),
-            "ann_exp": "free" if t.free else term_order_exp(t, page.K),
+            "gen": gen,
+            "ann_exp": "free" if t.free else term_order_exp(t, K),
             "period": t.period,
             "offset": t.mono.u1,
-        } for t in ts],
+        } for t, gen in zip(ts, layout.labels[(stem, filt)])],
     } for (stem, filt), ts in page.towers.items()]
     return {
         "target": page.target.value,

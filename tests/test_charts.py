@@ -1,6 +1,9 @@
 """Golden chart tests and glyph bookkeeping."""
 
 import pathlib
+import re
+import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 
@@ -64,7 +67,6 @@ def test_empty_page_renders_axes_only():
 
 
 def test_svg_well_formed():
-    import xml.etree.ElementTree as ET
     stack = run_to_einfty(Target.C6, Window(0, 24, filt_max=10))
     svg = render_svg(stack.page(8), None, labels=True, eta_lines=True)
     root = ET.fromstring(svg)
@@ -91,3 +93,62 @@ def test_determinism():
     a = render_text(stack.page(8))
     b = render_text(run_to_einfty(Target.C6_V0, Window(0, 16, filt_max=10)).page(8))
     assert a == b
+
+
+def test_chart_rejects_a_differential_of_another_page():
+    """A differential is drawn only on the page it acts on (E3 = E2 for d3,
+    E7 = E4 for d7): its maps must start and end at that page's modules."""
+    stack = run_to_einfty(Target.C2_V0, Window(0, 12, filt_max=12))
+    for r, d in ((2, 7), (4, 3), (8, 3), (8, 7)):
+        for render in (render_text, render_svg):
+            with pytest.raises(ValueError, match=f"d{d} at .* does not act on page E{r}"):
+                render(stack.page(r), stack.maps[d])
+    for r in (3, 7):
+        assert "arrows:\n  d" in render_text(stack.page(r), stack.maps[r])
+
+
+_SVG = "{http://www.w3.org/2000/svg}"
+
+
+def _svg_arrows_and_glyphs(svg: str, window: Window, margin: int = 40, cell: int = 26):
+    """The arrows of an SVG chart, as text-chart arrow lines, and its glyph count."""
+    root = ET.fromstring(svg)
+    height = int(root.get("height"))
+
+    def bidegree(x, y):
+        return ((int(x) - margin - cell // 2) // cell + window.stem_lo,
+                (height - margin - cell // 2 - int(y)) // cell)
+
+    arrows = []
+    for group in root.iter(f"{_SVG}g"):
+        if group.get("stroke") != "#c02020":
+            continue
+        for line in group.iter(f"{_SVG}line"):
+            (n1, f1), (n2, f2) = (bidegree(line.get("x1"), line.get("y1")),
+                                  bidegree(line.get("x2"), line.get("y2")))
+            style = " dashed" if line.get("stroke-dasharray") else ""
+            arrows.append(f"d{f2 - f1} ({n1},{f1}) -> ({n2},{f2}){style}")
+    glyphs = (sum(c.get("r") in ("5", "2.5") for c in root.iter(f"{_SVG}circle"))
+              + sum(r.get("width") == "8" for r in root.iter(f"{_SVG}rect")))
+    return arrows, glyphs
+
+
+def test_text_and_svg_charts_agree(computed_all):
+    """Both formats draw the same arrows, solid and dashed, and one glyph
+    per trusted tower, on pages 2, 3, 4, 7 and 8 of every default target."""
+    drawn = Counter()
+    for target, res in computed_all.items():
+        stack = res.stack
+        for r in (2, 3, 4, 7, 8):
+            page = stack.page(r)
+            prop = stack.maps.get(r) if r in (3, 7) else None
+            text = render_text(page, prop, page_index=r)
+            svg = render_svg(page, prop, labels=True, eta_lines=True)
+            grid, _, arrow_list = text.partition("\n\narrows:\n")
+            text_arrows = [line.strip() for line in arrow_list.splitlines()]
+            svg_arrows, svg_glyphs = _svg_arrows_and_glyphs(svg, stack.window)
+            assert text_arrows == svg_arrows, (target, r)
+            text_glyphs = len(re.findall(r"[.o#]", grid.split("\n", 1)[1]))
+            assert text_glyphs == svg_glyphs == tower_count(page), (target, r)
+            drawn.update(a.endswith("dashed") for a in text_arrows)
+    assert drawn[False] > 0 and drawn[True] > 0  # solid and dashed arrows compared

@@ -195,3 +195,12 @@ def test_extension_error_is_a_computation_failure(monkeypatch, capsys):
     assert code == 1
     assert err.startswith("computation failed: merge at stem 2:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--labels", "--eta-lines"])
+def test_chart_svg_only_flag_with_text_is_usage_error(flag, capsys):
+    code, out = run_cli("chart", "--target", "c6", "--format", "text", flag)
+    assert code == 2 and out == ""
+    assert f"{flag} needs --format svg" in capsys.readouterr().err
+    code, _ = run_cli("chart", "--target", "c6", "--stems", "0:4", flag)  # text is the default
+    assert code == 2

@@ -8,11 +8,11 @@ import pytest
 from hfpss.assembly import assemble_all
 from hfpss.charts import glyph_count, render_svg, render_text, tower_count
 from hfpss.engine import compute, default_window
-from hfpss.groupexpr import truncate_term
+from hfpss.groupexpr import Term, truncate_term
 from hfpss.modules import (BidegreeModule, LinearMap, Page, PipelineError, Summand,
                            homology_at)
 from hfpss.monomials import Monomial, parse_monomial
-from hfpss import pages
+from hfpss import charts, pages
 from hfpss.pages import (CertificateError, check_collapse,
                          check_even_r_vanishing, hurewicz_permanent_cycles,
                          periodicity_check, run_to_einfty, tower_shapes,
@@ -505,3 +505,54 @@ def test_each_page_recognises_its_towers_once(monkeypatch):
     assemble_all(stack)
     assert len(recognised) == sum(len(p.modules) for p in stack.pages.values())
     assert len(shaped) == sum(columns(p) for p in stack.pages.values())
+
+
+def test_each_page_is_laid_out_once(monkeypatch):
+    """Charts and JSON serialise one layout per page, found once.
+
+    Text and SVG charts of pages 2, 3, 4, 7 and 8 (E3 and E7 alias E2 and
+    E4) plus stack_to_json build one layout per distinct page and label
+    each of its towers once.  The arrows of a differential are found once
+    per (page, differential), and inside that once per distinct (source
+    column, target column, map columns) of a map between trusted
+    bidegrees.
+    """
+    stack = compute(Target.C2_V0).stack
+    laid_out, labelled, styled = [], [], []
+    layout, label, styles = charts.page_layout, Term.label, charts._styles
+
+    def counted_layout(page):
+        laid_out.append(page)
+        return layout(page)
+
+    def counted_label(t):
+        labelled.append(t)
+        return label(t)
+
+    def counted_styles(lm, *args):
+        styled.append(lm)
+        return styles(lm, *args)
+
+    def column(mod):
+        return (mod.u1s, mod.scalars, mod.orders, mod.free)
+
+    def inputs(prop):
+        trusted = stack.window.trusted
+        return {(column(lm.source), column(lm.target), lm.cols)
+                for key, lm in prop.maps.items()
+                if trusted(*key) and trusted(lm.target.stem, lm.target.filt)}
+
+    monkeypatch.setattr(charts, "page_layout", counted_layout)
+    monkeypatch.setattr(Term, "label", counted_label)
+    monkeypatch.setattr(charts, "_styles", counted_styles)
+    for _ in range(2):  # a second round finds everything kept
+        for r in (2, 3, 4, 7, 8):
+            page, prop = stack.page(r), stack.maps.get(r)
+            render_text(page, prop, page_index=r)
+            render_svg(page, prop, labels=True, eta_lines=True)
+        pages.stack_to_json(stack)
+    distinct = list(stack.pages.values())
+    assert sorted(map(id, laid_out)) == sorted(map(id, distinct))
+    assert len(labelled) == sum(len(ts) for p in distinct for ts in p.towers.values())
+    assert len(labelled) == len(set(map(id, labelled)))
+    assert len(styled) == len(inputs(stack.maps[3])) + len(inputs(stack.maps[7])) > 0
