@@ -17,9 +17,9 @@ It holds each tower's glyph and label, the trusted bidegrees that have
 towers, and max_filt.  The eta-line pairs are added the first time an
 SVG draws them.  The arrows of a differential are added the first time
 a chart draws that differential on the page, after a check that every
-map of it starts and ends at the page's own modules.  Inside that one
-computation, the arrow styles of a map are found once per distinct
-(source column, target column, map columns).
+map of it starts and ends at the page's own column of its bidegree.
+Inside that one computation, the arrow styles are found once per map,
+as propagate builds one map per distinct (source, target, cols).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .groupexpr import Term
-from .modules import BidegreeModule, LinearMap, Page
+from .modules import Column, LinearMap, Page
 from .monomials import NAMED
 from .rules import Propagation
 
@@ -73,14 +73,14 @@ def page_layout(page: Page) -> Layout:
     return Layout(labels, glyphs, max((f for _, f in glyphs), default=0))
 
 
-def _slot_towers(mod: BidegreeModule, towers: list[Term], N: int) -> list[int | None]:
-    """Per slot of mod, the index of the tower covering it.
+def _slot_towers(col: Column, towers: list[Term], N: int) -> list[int | None]:
+    """Per slot of col, the index of the tower covering it.
 
-    None for a slot at or beyond the horizon N.  The towers of a module
+    None for a slot at or beyond the horizon N.  The towers of a column
     partition its slots below N, so every other slot has exactly one.
     """
     tower_of = {b: i for i, t in enumerate(towers) for b in t.offsets(N)}
-    return [tower_of.get(b) for b in mod.u1s]
+    return [tower_of.get(b) for b in col.u1s]
 
 
 def _styles(lm: LinearMap, src_towers: list[Term], tgt_towers: list[Term],
@@ -114,29 +114,26 @@ def _arrows(page: Page, prop: Propagation) -> list[Arrow]:
     between two trusted bidegrees; computed once per (page, prop).
 
     Raises ValueError unless every map of prop starts and ends at the
-    page's own module of its bidegree, i.e. prop acts on this page.
+    page's own column of its bidegree, i.e. prop acts on this page.
     """
     layout = page.layout
     for seen, arrows in layout.arrows:
         if seen is prop:
             return arrows
-    window, towers, modules, N = page.window, page.towers, page.modules, page.window.N
-    styles: dict[tuple, tuple[bool, ...]] = {}  # per distinct input
+    window, towers, columns, N = page.window, page.towers, page.columns, page.window.N
+    styles: dict[LinearMap, tuple[bool, ...]] = {}  # per distinct map
     found = set()
     for (stem, filt), lm in prop.maps.items():
-        src, tgt = lm.source, lm.target
-        tgt_key = (tgt.stem, tgt.filt)
-        if modules.get((stem, filt)) is not src or modules.get(tgt_key) is not tgt:
-            raise ValueError(f"d{tgt.filt - filt} at ({stem},{filt}) does not act on "
+        tgt_key = (stem - 1, filt + prop.r)
+        if columns.get((stem, filt)) is not lm.source or columns.get(tgt_key) is not lm.target:
+            raise ValueError(f"d{prop.r} at ({stem},{filt}) does not act on "
                              f"page E{page.r} of {page.target.value}")
         if not (window.trusted(stem, filt) and window.trusted(*tgt_key)):
             continue
-        key = (src.u1s, src.scalars, src.orders, src.free,
-               tgt.u1s, tgt.scalars, tgt.orders, tgt.free, lm.cols)
-        dashed = styles.get(key)
+        dashed = styles.get(lm)
         if dashed is None:
-            dashed = styles[key] = _styles(lm, towers.get((stem, filt), []),
-                                           towers.get(tgt_key, []), N)
+            dashed = styles[lm] = _styles(lm, towers.get((stem, filt), []),
+                                          towers.get(tgt_key, []), N)
         found.update(((stem, filt), tgt_key, d) for d in dashed)
     arrows = sorted(found)
     layout.arrows.append((prop, arrows))

@@ -16,10 +16,9 @@ import sys
 
 from .charts import render_page
 from .engine import compute, default_window
-from .verify import FixtureError, verify_target
-from .modules import PipelineError
+from .verify import verify_target
+from .modules import HfpssError
 from .pages import stack_to_json
-from .rules import RuleCoverageError
 from .targets import Target, Window
 
 USAGE_ERROR = 2
@@ -160,12 +159,10 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FixtureError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except (PipelineError, RuleCoverageError) as e:
-        print(f"computation failed: {e}", file=sys.stderr)
-        return FAILURE
+    except HfpssError as e:
+        kind = "error" if e.exit_code == USAGE_ERROR else "computation failed"
+        print(f"{kind}: {e}", file=sys.stderr)
+        return e.exit_code
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modules import BidegreeModule, Page, PipelineError
+from .modules import Column, Page, PipelineError
 from .targets import Target, Window
 
 
@@ -48,25 +48,25 @@ def _u1_range(target: Target, stem: int, filt: int, n_u1: int) -> range:
 
 
 def build_e2(target: Target, window: Window) -> Page:
-    """The E2 page on the padded window, one column per _u1_residue.
-
-    Only cells with stem + filt even are visited: _u1_range is empty on
-    the others.  Bidegrees with one residue share their column tuples.
-    """
+    """The E2 page on the padded window, in a new column table: one
+    interned Column per _u1_residue.  Only cells with stem + filt even are
+    visited: _u1_range is empty on the others."""
     K = window.K
     page = Page(target=target, r=2, window=window)
-    columns: dict[tuple, tuple] = {}
+    columns: dict[tuple, Column | None] = {}  # by _u1_residue, None if empty
     filts = window.filt_range
     for stem in window.stem_range:
         for filt in filts[stem % 2::2]:  # filts starts at 0: filt has stem's parity
             key = _u1_residue(stem, filt)
-            col = columns.get(key)
-            if col is None:
+            try:
+                col = columns[key]
+            except KeyError:
                 bs = _u1_range(target, stem, filt, window.n_u1)
                 free, n = not target.mod2 and filt == 0, len(bs)
-                col = columns[key] = (tuple(bs), (0,) * n, (K if free else 1,) * n, free)
-            if col[0]:
-                page.modules[(stem, filt)] = BidegreeModule(stem, filt, *col)
+                col = columns[key] = (page.table[tuple(bs), (0,) * n, (K if free else 1,) * n,
+                                                 free] if bs else None)
+            if col is not None:
+                page.columns[(stem, filt)] = col
     return page
 
 

@@ -24,11 +24,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .modules import Summand
+from .modules import HfpssError, Summand
 from .monomials import Monomial, parse_monomial
 
 
-class GroupExprError(ValueError):
+class GroupExprError(HfpssError, ValueError):
     pass
 
 

@@ -32,13 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .groupexpr import ETA_ALPHA_CLIMB, GroupExpr, Term
+from .modules import HfpssError
 from .monomials import Monomial
 from .targets import Window
 
 ETA = Monomial(0, 1, 1)
 
 
-class LESError(Exception):
+class LESError(HfpssError):
     pass
 
 

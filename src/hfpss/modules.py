@@ -1,18 +1,18 @@
-"""Bidegree modules over the truncated Witt ring and homology of maps.
+"""Column tables of modules over the truncated Witt ring, and homology.
 
-A bidegree (stem, filt) fixes a = (filt - stem)/2 and c = filt, so its
-cyclic summands differ only in their u1-exponent, one per exponent at
-most.  A BidegreeModule is its u1-column: the sorted u1-exponents b and,
-parallel to them, scalars j and orders e (slot b is W/2^e generated by
-2^j u^a u1^b alpha^c), with one flag for free summands (order K - j),
-which only ever fill a whole filtration-0 bidegree of an integral page.
-Every differential sends a generator to a 2-power times one generator
-and hits each generator at most once, so a LinearMap stores (row,
-2-exponent) integer pairs, and homology ker(d_out)/im(d_in) is slotwise
-valuation arithmetic; a surviving slot keeps its u1-exponent and is
-renamed by its minimal pure lift.  Summand and Monomial records appear
-only at the edges: BidegreeModule.from_summands and the `summands` view
-(labels, JSON, tests), and the Smith normal form oracle in snf.py.
+A bidegree (stem, filt) fixes a = (filt - stem)/2 and c = filt, so a
+module is a u1-column: sorted u1-exponents b and, parallel to them,
+scalars j and orders e (slot b is W/2^e generated by 2^j u^a u1^b
+alpha^c), with one flag for free summands (order K - j), which only fill
+a whole filtration-0 bidegree of an integral page.  A stack holds a
+handful of distinct columns, so a Page maps each bidegree to a Column
+interned in the ColumnTable of its stack: one object per content, hashed
+by identity.  Every differential sends a generator to a 2-power times
+one generator and hits each generator at most once, so a LinearMap
+between two columns stores (row, 2-exponent) pairs, and homology is
+slotwise valuation arithmetic.  BidegreeModule (a column placed at its
+bidegree) and Summand records appear only at the edges: labels, JSON,
+Page.module and the Page.modules view, and the SNF oracle in snf.py.
 """
 
 from __future__ import annotations
@@ -30,7 +30,13 @@ if TYPE_CHECKING:
     from .groupexpr import Term
 
 
-class PipelineError(Exception):
+class HfpssError(Exception):
+    """Base of the package's errors; the CLI exits with exit_code."""
+
+    exit_code = 1
+
+
+class PipelineError(HfpssError):
     """Structural inconsistency while running the spectral sequence."""
 
 
@@ -48,9 +54,39 @@ class Summand:
         return prefix + str(self.mono)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Column:
+    """The u1-column of a module, without its bidegree; u1s strictly increasing.
+
+    Compared and hashed by identity: a ColumnTable holds one Column per
+    distinct content, so a memo keyed by columns never reads them.
+    """
+
+    u1s: tuple[int, ...]
+    scalars: tuple[int, ...]
+    orders: tuple[int, ...]
+    free: bool = False
+
+
+class ColumnTable(dict):
+    """The columns of one stack: table[u1s, scalars, orders, free] is the one
+    Column of that content, made on first use.  build_e2 starts a table and
+    page turns hand it on.  `shapes` keeps the tower shapes of each column,
+    by the (period, N) they read, so Page.towers finds them once per stack.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.shapes: dict[tuple[int, int], dict[Column, tuple]] = {}
+
+    def __missing__(self, key: tuple) -> Column:
+        col = self[key] = Column(*key)
+        return col
+
+
 @dataclass(frozen=True, slots=True)
 class BidegreeModule:
-    """The u1-column of one bidegree; u1s must be strictly increasing.
+    """The u1-column of one bidegree, placed there; u1s must be strictly increasing.
 
     Built from its columns, or from Summand records at the edges:
 
@@ -99,10 +135,6 @@ class BidegreeModule:
     def label(self, i: int) -> str:
         return self.summands[i].label()
 
-    @property
-    def total_length(self) -> int:
-        return sum(self.orders)
-
     def slot_of(self, mono: Monomial) -> int | None:
         """Index of the slot of mono, by its u1-exponent, if it is here."""
         i = bisect_left(self.u1s, mono.u1)
@@ -110,23 +142,21 @@ class BidegreeModule:
         return i if found else None
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class LinearMap:
-    """A monomial-sparse map between bidegree modules.
+    """A monomial-sparse map between two columns.
 
     cols[j] is () or ((row, exp),): the j-th source generator goes to
     2^exp times the row-th target generator.  Every differential acts this
     way, so a map with two entries in one column or on one row, or one
     that does not respect the summand orders, is rejected when built.
-    That validation reads only cols and the two modules' orders, so a map
-    copied onto modules with those orders (with_ends) is not validated
-    again: propagate validates once per distinct input.  cols is a tuple
-    of tuples (other sequences are converted), so it can key a memo and
-    be shared by maps between equal columns.
+    propagate builds one map per distinct (source, target, cols), placed
+    at every bidegree that gives it, so each is validated once.  Maps are
+    compared and hashed by identity, so they key the memo of a page turn.
     """
 
-    source: BidegreeModule
-    target: BidegreeModule
+    source: Column
+    target: Column
     cols: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
@@ -142,91 +172,65 @@ class LinearMap:
                         f"map not well defined on presentations: {self._arrow(j, i)}")
                 rows.add(i)
 
-    def with_ends(self, source: BidegreeModule, target: BidegreeModule) -> LinearMap:
-        """These columns from `source` to `target`, without validating again.
-
-        Valid because this map is, provided source and target have the
-        orders of self.source and self.target; the caller guarantees that.
-        """
-        lm = object.__new__(LinearMap)
-        lm.source, lm.target, lm.cols = source, target, self.cols
-        return lm
-
     def _arrow(self, j: int, i: int) -> str:
-        return f"{self.source.label(j)} -> {self.target.label(i)}"
+        return f"slot u1^{self.source.u1s[j]} -> slot u1^{self.target.u1s[i]}"
 
 
-def check_ends(module: BidegreeModule, d_in: LinearMap | None,
-               d_out: LinearMap | None) -> None:
-    """Raise PipelineError unless d_out starts and d_in ends at `module` itself."""
-    if d_out is not None and d_out.source is not module:
-        raise PipelineError(f"d_out source mismatch at ({module.stem},{module.filt})")
-    if d_in is not None and d_in.target is not module:
-        raise PipelineError(f"d_in target mismatch at ({module.stem},{module.filt})")
-
-
-def homology_at(module: BidegreeModule,
-                d_in: LinearMap | None,
-                d_out: LinearMap | None,
-                K: int) -> tuple[BidegreeModule, tuple[int, ...]]:
-    """ker(d_out)/im(d_in) at `module`, with named surviving generators.
+def homology_at(stem: int, filt: int, col: Column, d_in: LinearMap | None,
+                d_out: LinearMap | None) -> tuple[tuple, tuple[int, ...]]:
+    """ker(d_out)/im(d_in) on the column col of (stem, filt), generators named.
 
     The maps are monomial-sparse, so each slot sits in its own little
     complex W/2^{e_src} -> W/2^{e} -> W/2^{e_tgt} of cyclic modules, where
     homology is plain valuation arithmetic: the kernel is generated by 2^a
     with a = clamp(e_tgt - v_out, 0, e), the image by 2^t with
     t = max(v_in, e - e_src), and the subquotient is cyclic of order
-    2^(t - a) on the pure lift 2^a * generator.  Returns the new module
-    and its lifts: per new slot, the a of the old slot with the same
-    u1-exponent.  The new module is free iff the old one is.  The page
-    truncation K is not needed here (an exponent of at least K acts as
-    zero by these formulas); it keeps the signature of the oracle
-    snf.homology_at.  Raises PipelineError if a map does not start or end
-    at `module`, if d_in enters a free summand, or if im is not in ker.
+    2^(t - a) on the pure lift 2^a * generator.  Returns the new column's
+    (u1s, scalars, orders, free), a ColumnTable key, and its lifts: per
+    new slot, the a of the old slot with the same u1-exponent; it is free
+    iff col is.  (stem, filt) only names errors: PipelineError if d_in
+    enters a free summand or if im is not in ker.  The caller checks that
+    the maps start and end at col.
     """
-    check_ends(module, d_in, d_out)
-    orders = module.orders
-    if d_out is None and d_in is None:
-        return module, (0,) * len(orders)
+    orders = col.orders
     kers = [0] * len(orders)   # kernel generated by 2^a
     ims = list(orders)         # image generated by 2^t
-    for j, col in enumerate(d_out.cols if d_out is not None else ()):
-        for i, exp in col:
+    for j, c in enumerate(d_out.cols if d_out is not None else ()):
+        for i, exp in c:
             kers[j] = min(max(d_out.target.orders[i] - exp, 0), orders[j])
-    for j, col in enumerate(d_in.cols if d_in is not None else ()):
-        for i, exp in col:
-            if module.free:
-                raise PipelineError(f"d_in enters free summand {module.label(i)}"
-                                    f" at ({module.stem},{module.filt})")
+    for j, c in enumerate(d_in.cols if d_in is not None else ()):
+        for i, exp in c:
+            if col.free:
+                raise PipelineError(f"d_in enters free summand at ({stem},{filt}) "
+                                    f"slot u1^{col.u1s[i]}")
             ims[i] = min(max(exp, orders[i] - d_in.source.orders[j]), orders[i])
     for idx, (a, t) in enumerate(zip(kers, ims)):
         if t < a:
-            raise PipelineError(f"image exceeds kernel at ({module.stem},{module.filt}) "
-                                f"slot {module.label(idx)}: d∘d != 0")
+            raise PipelineError(f"image exceeds kernel at ({stem},{filt}) "
+                                f"slot u1^{col.u1s[idx]}: d∘d != 0")
     kept = [(b, j + a, t - a, a)
-            for b, j, a, t in zip(module.u1s, module.scalars, kers, ims) if t > a]
+            for b, j, a, t in zip(col.u1s, col.scalars, kers, ims) if t > a]
     u1s, scalars, new_orders, lifts = map(tuple, zip(*kept)) if kept else ((),) * 4
-    return BidegreeModule(module.stem, module.filt, u1s, scalars, new_orders,
-                          module.free), lifts
+    return (u1s, scalars, new_orders, col.free), lifts
 
 
 @dataclass
 class Page:
     """One page of one spectral sequence on a padded window.
 
-    Complete when build_e2 or turn_page returns it; nothing mutates
-    `modules` after that, so `towers` is recognised on first read and
-    kept, and so is the chart `layout` built from it.  Modules are
-    frozen, and a page turn shares with the next page every module that
-    no differential changed.  Trust and truncation are the window's: the
-    d3 or d7 value of a trusted source, at (stem - 1, filt + r), never
-    leaves the padded window, and K is window.K.
+    `columns` maps each bidegree with a slot to its Column in `table`,
+    the table every page of its stack shares.  Complete when build_e2 or
+    turn_page returns it, so `towers`, the chart `layout` and the `modules`
+    view are built on first read and kept.  Trust and truncation are the
+    window's: the d3 or d7 value of a trusted source, at (stem - 1,
+    filt + r), never leaves the padded window, and K is window.K.
     """
 
     target: Target
     r: int
     window: Window
-    modules: dict[tuple[int, int], BidegreeModule] = field(default_factory=dict)
+    columns: dict[tuple[int, int], Column] = field(default_factory=dict)
+    table: ColumnTable = field(default_factory=ColumnTable)
 
     @property
     def K(self) -> int:
@@ -235,6 +239,13 @@ class Page:
     def module(self, stem: int, filt: int) -> BidegreeModule:
         return self.modules.get((stem, filt)) or BidegreeModule(stem, filt, (), (), ())
 
+    @cached_property
+    def modules(self) -> dict[tuple[int, int], BidegreeModule]:
+        """The module of each bidegree of `columns`, built on first read: a
+        view for the edges (labels, JSON, tests); the engine reads columns."""
+        return {(n, f): BidegreeModule(n, f, c.u1s, c.scalars, c.orders, c.free)
+                for (n, f), c in self.columns.items()}
+
     def is_trusted(self, stem: int, filt: int) -> bool:
         return self.window.trusted(stem, filt)
 
@@ -242,22 +253,20 @@ class Page:
     def towers(self) -> dict[tuple[int, int], list[Term]]:
         """The towers of each bidegree that has any, in bidegree order.
 
-        Tower shapes are found once per distinct column, then named per
-        bidegree.  One record shared by every reader; read it, do not
-        mutate it.
-        """
-        from .pages import tower_shapes, towers_of_module  # pages imports this module
+        Tower shapes are found once per column of the stack (ColumnTable),
+        then named per bidegree.  One record shared by every reader; read
+        it, do not mutate it."""
+        from .pages import tower_shapes, towers_at  # pages imports this module
         period, N = self.target.period, self.window.N
-        shapes: dict[tuple, tuple] = {}  # per distinct column
+        shapes = self.table.shapes.setdefault((period, N), {})
         towers = {}
-        for key, mod in sorted(self.modules.items()):
-            col = (mod.u1s, mod.scalars, mod.orders, mod.free)
+        for (stem, filt), col in sorted(self.columns.items()):
             found = shapes.get(col)
             if found is None:
-                found = shapes[col] = tower_shapes(mod, period, N)
-            ts = towers_of_module(mod, found)
+                found = shapes[col] = tower_shapes(stem, filt, col, period, N)
+            ts = towers_at(stem, filt, found)
             if ts:
-                towers[key] = ts
+                towers[(stem, filt)] = ts
         return towers
 
     @cached_property

@@ -12,14 +12,13 @@ bidegree pair exists, and collapse at E8 by checking that every d_r with
 r >= 8 has zero source or zero target.  Each page turn checks that no
 module grew and that d_r∘d_r = 0: homology_at sees every composable pair
 of maps, as d_in and d_out of their middle bidegree, and rejects an image
-that exceeds the kernel.  It runs once per distinct input (the columns of
-the module and of its two maps); a bidegree with an input already seen
-reuses that result, whose checks read only those columns, and is itself
-checked to be the source of its d_out and the target of its d_in.  Such
-a bidegree builds a module only when the result is new: a zero result is
-left off the next page, and an unchanged one keeps the module object, so
-consecutive pages share every module no differential touches.  Maps are
-validated where propagate builds them, once per distinct input.
+that exceeds the kernel.
+
+Pages are column tables (modules.Page), and propagate places one
+LinearMap at every bidegree that gives it.  So a page turn runs
+homology_at once per distinct (column, d_in, d_out), and still checks on
+every bidegree, by identity, that d_out starts and d_in ends at its own
+column.  An unchanged column is the same object on the next page.
 Rule coverage is checked by propagate, which factorizes every residue
 class of the page it acts on (E2 for d3, E4 for d7) at least once.
 
@@ -29,9 +28,8 @@ old summand to its survivor, and homology_at rejects any differential
 that enters a free summand.  So the pipeline runs once, at truncation K.
 
 Page.towers recognises a page once and keeps the result: tower_shapes
-runs once per distinct column and towers_of_module names the terms of
-each module; serialization, assembly and the charts all read that one
-record.
+runs once per column of the stack and towers_at names the terms of each
+bidegree; serialization, assembly and the charts read that one record.
 """
 
 from __future__ import annotations
@@ -40,58 +38,47 @@ from dataclasses import dataclass, field
 
 from .e2 import build_e2
 from .groupexpr import Term, term_order_exp
-from .modules import BidegreeModule, Page, PipelineError, check_ends, homology_at
+from .modules import Column, ColumnTable, Page, PipelineError, homology_at
 from .monomials import NAMED, Monomial
 from .rules import Propagation, propagate, rule_table
 from .targets import Target, Window
 
 ALIASES = {3: 2, 5: 4, 6: 4, 7: 4}
-_UNSEEN = object()
 
 
 class CertificateError(PipelineError):
     """A structural page fact failed to verify."""
 
 
-def turn_page(page: Page, prop: Propagation, rule_r: int) -> Page:
-    """Homology at every bidegree, generator names carried by pure lifts.
-
-    homology_at reads only the columns of the module and of its two maps,
-    so it runs once per distinct such input, in a memo that lives for this
-    call.  A bidegree whose input was already seen builds a module only if
-    that result is new: an empty result is left out, and a result equal
-    to the input keeps the input's module object (modules are frozen, so
-    pages share the ones no differential touches).  The checks that the
-    maps start and end at the module itself run on every bidegree.
-    """
-    out = Page(target=page.target, r=rule_r + 1, window=page.window)
-    r = rule_r
-    memo: dict[tuple, tuple | None] = {}  # new columns, or None for "unchanged"
-    for (stem, filt), mod in page.modules.items():
-        d_out = prop.maps.get((stem, filt))
-        d_in = prop.maps.get((stem + 1, filt - r))
-        key = (mod.u1s, mod.scalars, mod.orders, mod.free,
-               None if d_in is None else (d_in.cols, d_in.source.orders),
-               None if d_out is None else (d_out.cols, d_out.target.orders))
-        cols = memo.get(key, _UNSEEN)
-        if cols is _UNSEEN:
-            new_mod, _lifts = homology_at(mod, d_in, d_out, page.K)
-            if new_mod.total_length > mod.total_length:
-                raise CertificateError(f"module length grew at ({stem},{filt})")
-            cols = memo[key] = (None if new_mod == mod else
-                                (new_mod.u1s, new_mod.scalars, new_mod.orders))
+def turn_page(page: Page, prop: Propagation) -> Page:
+    """Homology at every bidegree, generator names carried by pure lifts,
+    once per distinct (column, d_in, d_out) in a memo for this call."""
+    r, maps, table = prop.r, prop.maps, page.table
+    out = Page(target=page.target, r=r + 1, window=page.window, table=table)
+    memo: dict[tuple, Column | None] = {}  # the new column, None if empty
+    for (stem, filt), col in page.columns.items():
+        d_out = maps.get((stem, filt))
+        d_in = maps.get((stem + 1, filt - r))
+        if d_out is not None and d_out.source is not col:
+            raise PipelineError(f"d_out source mismatch at ({stem},{filt})")
+        if d_in is not None and d_in.target is not col:
+            raise PipelineError(f"d_in target mismatch at ({stem},{filt})")
+        key = (col, d_in, d_out)
+        if key in memo:
+            new = memo[key]
         else:
-            check_ends(mod, d_in, d_out)
-        if cols is None:
-            out.modules[(stem, filt)] = mod
-        elif cols[0]:  # some slot survives
-            out.modules[(stem, filt)] = BidegreeModule(stem, filt, *cols, mod.free)
+            found, _lifts = homology_at(stem, filt, col, d_in, d_out)
+            if sum(found[2]) > sum(col.orders):
+                raise CertificateError(f"module length grew at ({stem},{filt})")
+            new = memo[key] = table[found] if found[0] else None
+        if new is not None:
+            out.columns[(stem, filt)] = new
     return out
 
 
 def _nonzero_reported(page: Page) -> set[tuple[int, int]]:
     N = page.window.N
-    return {key for key, mod in page.modules.items() if mod.u1s and mod.u1s[0] < N}
+    return {key for key, col in page.columns.items() if col.u1s and col.u1s[0] < N}
 
 
 def check_even_r_vanishing(page: Page, rs=(2, 4, 6)) -> None:
@@ -126,6 +113,7 @@ class PageStack:
     window: Window
     pages: dict[int, Page]
     maps: dict[int, Propagation]
+    table: ColumnTable  # the one column table of the stack, shared by its pages
     certificates: list[str] = field(default_factory=list)
 
     def page(self, r: int) -> Page:
@@ -143,13 +131,13 @@ def run_to_einfty(target: Target, window: Window) -> PageStack:
     """E2 through Einfty at truncation K with all structural certificates."""
     p2 = build_e2(target, window)
     prop3 = propagate(p2, rule_table(target, 3))
-    p4 = turn_page(p2, prop3, 3)
+    p4 = turn_page(p2, prop3)
 
     if rule_table(target, 5).values:
         raise CertificateError(f"d5 rule set of {target.value} is not empty")
 
     prop7 = propagate(p4, rule_table(target, 7))
-    p8 = turn_page(p4, prop7, 7)
+    p8 = turn_page(p4, prop7)
 
     check_even_r_vanishing(p2, rs=(2,))
     check_even_r_vanishing(p4, rs=(4, 6))
@@ -161,7 +149,7 @@ def run_to_einfty(target: Target, window: Window) -> PageStack:
         "monotone death of total module length",
     ]
     return PageStack(target=target, window=window, pages={2: p2, 4: p4, 8: p8},
-                     maps={3: prop3, 7: prop7}, certificates=certificates)
+                     maps={3: prop3, 7: prop7}, table=p2.table, certificates=certificates)
 
 
 # ---------------------------------------------------------------------------
@@ -173,29 +161,28 @@ _COEFF = {1: "F4", 2: "W/4"}   # group of a non-free tower by order exponent
 Shape = tuple[int, int, str, int | None]  # scalar, u1-offset, coefficient, period
 
 
-def tower_shapes(mod: BidegreeModule, period: int, N: int) -> tuple[Shape, ...]:
-    """Group reported summands into truncated power series towers.
+def tower_shapes(stem: int, filt: int, col: Column, period: int,
+                 N: int) -> tuple[Shape, ...]:
+    """Group the reported slots of col into truncated power series towers.
 
     A run of slots with u1-exponents beta, beta+p, ... is a series tower
     exactly when it reaches the reporting horizon N; shorter runs are
     isolated classes.  A free run is a W term, a run of order 2 a W/4
-    term and a run of order 1 an F4 term; any other order is an error.
-    Returns one Shape per tower (period None for an isolated class),
-    sorted by offset and scalar.  Only the column of mod is read (its
-    bidegree names the error), so Page.towers calls this once per
-    distinct column.
+    term and a run of order 1 an F4 term; any other order is an error at
+    (stem, filt), the only use of the bidegree.  Returns one Shape per
+    tower (period None for an isolated class), by offset and scalar.
     """
     groups: dict[tuple[int, int], list[int]] = {}
-    for b, scalar, order in zip(mod.u1s, mod.scalars, mod.orders):
+    for b, scalar, order in zip(col.u1s, col.scalars, col.orders):
         if b >= N:
             break
         groups.setdefault((scalar, order), []).append(b)
     shapes = []
     for (scalar, order), bs in sorted(groups.items()):
-        coeff = "W" if mod.free else _COEFF.get(order)
+        coeff = "W" if col.free else _COEFF.get(order)
         if coeff is None:
             raise PipelineError(f"tower of order 2^{order} at "
-                                f"({mod.stem},{mod.filt}) is not F4, W/4 or W")
+                                f"({stem},{filt}) is not F4, W/4 or W")
         start = 0
         for k, b in enumerate(bs, 1):
             if k < len(bs) and bs[k] == b + period:
@@ -209,10 +196,10 @@ def tower_shapes(mod: BidegreeModule, period: int, N: int) -> tuple[Shape, ...]:
     return tuple(shapes)
 
 
-def towers_of_module(mod: BidegreeModule, shapes: tuple[Shape, ...]) -> list[Term]:
-    """The towers of mod as Terms, from tower_shapes of its column."""
-    u, al = (mod.filt - mod.stem) // 2, mod.filt
-    return [Term(scalar, Monomial(u, b, al), coeff, per) for scalar, b, coeff, per in shapes]
+def towers_at(stem: int, filt: int, shapes: tuple[Shape, ...]) -> list[Term]:
+    """The towers at (stem, filt) as Terms, from tower_shapes of its column."""
+    u = (filt - stem) // 2
+    return [Term(scalar, Monomial(u, b, filt), coeff, per) for scalar, b, coeff, per in shapes]
 
 
 def periodicity_check(stack: PageStack, shift: Monomial, page_r: int,

@@ -9,7 +9,8 @@ contribute zero).  Transversal elements without a stored value have zero
 differential.  The factorization sees only a residue of the monomial
 (RuleSet.bidegree_key of its bidegree and RuleSet.residue_classes of its
 u1-exponent), so propagate factorizes once per residue class of each
-distinct input and moves the whole class by one u1-shift;
+distinct input and moves the whole class by one u1-shift, and builds one
+LinearMap per distinct map, placed at every bidegree that gives it;
 RuleSet.value_on is the slotwise reference.  Coverage is checked there
 too: a monomial the scheme cannot factor raises RuleCoverageError from
 the propagate call that meets it, and every residue of the page meets
@@ -36,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .modules import BidegreeModule, LinearMap, Page, PipelineError
+from .modules import Column, HfpssError, LinearMap, Page, PipelineError
 from .monomials import Monomial, parse_monomial
 from .targets import Target
 
 
-class RuleCoverageError(Exception):
+class RuleCoverageError(HfpssError):
     """A window monomial is not covered by the factorization scheme."""
 
 
@@ -201,6 +202,10 @@ def rule_table(target: Target, page: int) -> RuleSet:
 
 @dataclass
 class Propagation:
+    """The maps of one d_r on a page, by source bidegree (the target of
+    each is (stem - 1, filt + r)), and the sources with a boundary effect."""
+
+    r: int
     maps: dict[tuple[int, int], LinearMap] = field(default_factory=dict)
     boundary: set[tuple[int, int]] = field(default_factory=set)
 
@@ -208,13 +213,12 @@ class Propagation:
 def propagate(page: Page, rules: RuleSet) -> Propagation:
     """Evaluate d_r on every basis class of the page.
 
-    The maps at a bidegree depend only on its RuleSet.bidegree_key, its
+    The map at a bidegree depends only on its RuleSet.bidegree_key, its
     column, the column of (stem - 1, filt + r) or its absence, and whether
-    that target lies in the padded window.  So the values are computed
-    once per distinct such input, in a memo that lives for this call.  The
-    first LinearMap of an input is built, and validated, from the values;
-    every other bidegree with that input gets a copy onto its own modules
-    (LinearMap.with_ends), which the input's orders keep valid.
+    that target lies in the padded window.  So it is computed once per
+    distinct such input, in a memo for this call keyed by column objects,
+    and one LinearMap, validated once, serves every bidegree with the
+    same (source, target, cols); an invalid one names the first of them.
     Each computation factorizes once per residue class of the slots
     (RuleSet.residue_classes); within a class d_r is one u1-shift.
     Values are reduced in the current page presentation: a target slot
@@ -223,24 +227,26 @@ def propagate(page: Page, rules: RuleSet) -> Propagation:
     the target's order is zero and is dropped.  Values landing outside
     the padded window flag the source bidegree as a boundary effect.
     """
-    out = Propagation()
-    r = rules.page
-    memo: dict[tuple, tuple] = {}
-    for (stem, filt), mod in sorted(page.modules.items()):
+    r, columns, in_padded = rules.page, page.columns, page.window.in_padded
+    out = Propagation(r)
+    memo: dict[tuple, tuple[LinearMap | None, bool]] = {}  # per distinct input
+    made: dict[tuple, LinearMap] = {}  # per distinct (source, target, cols)
+    for (stem, filt), col in sorted(columns.items()):
         tgt_bid = (stem - 1, filt + r)
-        tgt = page.modules.get(tgt_bid)
-        padded = page.window.in_padded(*tgt_bid)
-        key = (rules.bidegree_key(stem, filt), mod.u1s, mod.scalars, mod.orders,
-               None if tgt is None else (tgt.u1s, tgt.scalars, tgt.orders), padded)
+        tgt = columns.get(tgt_bid)
+        padded = in_padded(*tgt_bid)
+        key = (rules.bidegree_key(stem, filt), col, tgt, padded)
         found = memo.get(key)
         if found is None:
-            cols, boundary = _values_at(mod, tgt, padded, rules)
-            lm = None if cols is None else LinearMap(mod, tgt, cols)
+            cols, boundary = _values_at(stem, filt, col, tgt, padded, rules)
+            lm = None if cols is None else made.get((col, tgt, cols))
+            if cols is not None and lm is None:
+                try:
+                    lm = made[col, tgt, cols] = LinearMap(col, tgt, cols)
+                except PipelineError as exc:
+                    raise PipelineError(f"d{r} at ({stem},{filt}): {exc}") from None
             found = memo[key] = (lm, boundary)
-        else:
-            lm, boundary = found
-            if lm is not None:
-                lm = lm.with_ends(mod, tgt)
+        lm, boundary = found
         if boundary:
             out.boundary.add((stem, filt))
         if lm is not None:
@@ -248,21 +254,22 @@ def propagate(page: Page, rules: RuleSet) -> Propagation:
     return out
 
 
-def _values_at(mod: BidegreeModule, tgt: BidegreeModule | None, padded: bool,
+def _values_at(stem: int, filt: int, col: Column, tgt: Column | None, padded: bool,
                rules: RuleSet) -> tuple[tuple | None, bool]:
-    """(columns of d_r from mod, or None if it is zero; whether a value left
-    the padded window), with tgt the module at the target bidegree."""
+    """(columns of d_r from col at (stem, filt), or None if it is zero;
+    whether a value left the padded window), with tgt the target's column."""
     r = rules.page
-    tgt_bid = (mod.stem - 1, mod.filt + r)
-    cols, boundary = [()] * len(mod), False
+    tgt_bid, u = (stem - 1, filt + r), (filt - stem) // 2
+    cols, boundary = [()] * len(col.u1s), False
     rows = {} if tgt is None else {b: i for i, b in enumerate(tgt.u1s)}
-    for cls in rules.residue_classes(mod.u1s):
-        b0 = mod.u1s[cls[0]]
-        w = rules.value_on(mod.mono(b0))
+    for cls in rules.residue_classes(col.u1s):
+        b0 = col.u1s[cls[0]]
+        g = Monomial(u, b0, filt)
+        w = rules.value_on(g)
         if w is None:
             continue
         if w.bidegree != tgt_bid:
-            raise PipelineError(f"d{r}({mod.mono(b0)}) = {w} lands at "
+            raise PipelineError(f"d{r}({g}) = {w} lands at "
                                 f"{w.bidegree}, not {tgt_bid}")
         if not padded:
             boundary = True
@@ -271,14 +278,14 @@ def _values_at(mod: BidegreeModule, tgt: BidegreeModule | None, padded: bool,
         for j in cls:
             # a missing row died on an earlier page (or lies beyond
             # the internal u1 truncation); its class is zero
-            i = rows.get(mod.u1s[j] + shift)
+            i = rows.get(col.u1s[j] + shift)
             if i is None:
                 continue
-            exp = mod.scalars[j] - tgt.scalars[i]
+            exp = col.scalars[j] - tgt.scalars[i]
             if exp < 0:
-                raise PipelineError(
-                    f"value 2^{mod.scalars[j]}*{tgt.mono(tgt.u1s[i])} more divisible "
-                    f"than presentation generator {tgt.label(i)}")
+                gen = Monomial(w.u, tgt.u1s[i], w.al)  # the target slot's generator
+                raise PipelineError(f"value 2^{col.scalars[j]}*{gen} more divisible than "
+                                    f"presentation generator 2^{tgt.scalars[i]}*{gen}")
             if exp < tgt.orders[i]:
                 cols[j] = ((i, exp),)
     return (tuple(cols) if any(cols) else None), boundary

@@ -271,7 +271,7 @@ def homology_at(module: BidegreeModule, d_in: LinearMap | None, d_out: LinearMap
     def dense(lm: LinearMap | None) -> list[Vector]:
         if lm is None:
             return []
-        n_t = len(lm.target)
+        n_t = len(lm.target.u1s)
         return [_unit_vector(n_t, *col[0], K) if col else [Witt.zero(K)] * n_t
                 for col in lm.cols]
     out_orders = list(d_out.target.orders) if d_out is not None else []

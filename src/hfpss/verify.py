@@ -18,11 +18,12 @@ from importlib import resources
 
 from .engine import ComputeResult
 from .groupexpr import GroupExpr, GroupExprError, iso_invariants, parse_group_expr
+from .modules import HfpssError
 from .targets import Target
 
 
-class FixtureError(Exception):
-    pass
+class FixtureError(HfpssError):
+    exit_code = 2  # a missing or malformed fixture is a usage error
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ from collections import Counter
 import pytest
 
 from hfpss.charts import glyph_count, render_page, render_svg, render_text, tower_count
+from hfpss.modules import Column, LinearMap
 from hfpss.pages import run_to_einfty
+from hfpss.rules import Propagation
 from hfpss.targets import Target, Window
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -52,7 +54,7 @@ def test_every_nonzero_differential_column_is_an_arrow():
         if not (window.trusted(stem, filt) and window.trusted(stem - 1, filt + 3)):
             continue
         if any(s.mono.u1 < window.N and col for col, s
-               in zip(lm.cols, lm.source.summands)):
+               in zip(lm.cols, stack.page(3).module(stem, filt).summands)):
             expected.add((stem, filt))
     got = {tuple(map(int, a.split("(")[1].split(")")[0].split(",")))
            for a in arrows}
@@ -105,6 +107,21 @@ def test_chart_rejects_a_differential_of_another_page():
                 render(stack.page(r), stack.maps[d])
     for r in (3, 7):
         assert "arrows:\n  d" in render_text(stack.page(r), stack.maps[r])
+
+
+def test_chart_checks_both_ends_of_each_map():
+    """A map whose source, or whose target, is an equal column that is not
+    the page's own object at that bidegree is rejected."""
+    stack = run_to_einfty(Target.C2_V0, Window(0, 12, filt_max=12))
+    (stem, filt), lm = next(iter(stack.maps[3].maps.items()))
+
+    def copy(col):
+        return Column(col.u1s, col.scalars, col.orders, col.free)
+
+    for source, target in ((copy(lm.source), lm.target), (lm.source, copy(lm.target))):
+        prop = Propagation(3, {(stem, filt): LinearMap(source, target, lm.cols)})
+        with pytest.raises(ValueError, match=rf"d3 at \({stem},{filt}\) does not act"):
+            render_text(stack.page(3), prop)
 
 
 _SVG = "{http://www.w3.org/2000/svg}"

@@ -7,7 +7,14 @@ import sys
 
 import pytest
 
+from hfpss import cli
+from hfpss.assembly import ExtensionError
 from hfpss.cli import main
+from hfpss.groupexpr import GroupExprError
+from hfpss.les import LESError
+from hfpss.modules import HfpssError, PipelineError
+from hfpss.pages import CertificateError
+from hfpss.rules import RuleCoverageError
 from hfpss.targets import Target
 from hfpss.verify import FixtureError, load_fixtures
 
@@ -195,6 +202,31 @@ def test_extension_error_is_a_computation_failure(monkeypatch, capsys):
     assert code == 1
     assert err.startswith("computation failed: merge at stem 2:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error, code, kind", [
+    (FixtureError, 2, "error"),
+    (PipelineError, 1, "computation failed"),
+    (CertificateError, 1, "computation failed"),
+    (ExtensionError, 1, "computation failed"),
+    (RuleCoverageError, 1, "computation failed"),
+    (LESError, 1, "computation failed"),
+    (GroupExprError, 1, "computation failed"),
+])
+def test_every_package_error_exits_with_its_code(monkeypatch, capsys, error, code, kind):
+    # every package error derives from HfpssError, which main catches in
+    # one clause: one line on stderr and the class's exit code, no traceback
+    def failing(args):
+        raise error("boom")
+
+    assert issubclass(error, HfpssError) and error.exit_code == code
+    monkeypatch.setattr(cli, "cmd_compute", failing)
+    assert run_cli("compute", "--target", "c6")[0] == code
+    assert capsys.readouterr().err == f"{kind}: boom\n"
+
+
+def test_group_expr_error_is_still_a_value_error():
+    assert issubclass(GroupExprError, ValueError)
 
 
 @pytest.mark.parametrize("flag", ["--labels", "--eta-lines"])

@@ -15,6 +15,7 @@ import pytest
 import hfpss.modules as modules
 import hfpss.snf as snf
 from hfpss.engine import compute
+from hfpss.modules import BidegreeModule
 from hfpss.targets import Target, Window
 
 
@@ -27,11 +28,12 @@ def test_pipeline_identical_through_general_snf(target):
         for r, page, turned in ((3, stack.pages[2], stack.pages[4]),
                                 (7, stack.pages[4], stack.pages[8])):
             prop = stack.maps[r]
-            for (stem, filt), mod in page.modules.items():
+            for (stem, filt), col in page.columns.items():
                 d_out = prop.maps.get((stem, filt))
                 d_in = prop.maps.get((stem + 1, filt - r))
-                got = snf.homology_at(mod, d_in, d_out, w.K)
-                assert got == modules.homology_at(mod, d_in, d_out, w.K), (stem, filt, w.K)
+                got = snf.homology_at(page.module(stem, filt), d_in, d_out, w.K)
+                found, lifts = modules.homology_at(stem, filt, col, d_in, d_out)
+                assert got == (BidegreeModule(stem, filt, *found), lifts), (stem, filt, w.K)
                 assert (got[0] or None) == turned.modules.get((stem, filt)), \
                     (r, stem, filt, w.K)
                 checked.add((r, w.K))

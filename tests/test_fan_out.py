@@ -1,13 +1,14 @@
 """The engine layers pay per distinct column, not per bidegree.
 
 On the wide c6-v0 window of the benchmark (stems 0..191, filt_max 160)
-only a handful of columns are distinct.  Counted there: LinearMap
-validations, the modules turn_page builds, the module objects pages
-share, and the E2 cells build_e2 visits.
+only a handful of columns are distinct.  Counted there: Column records,
+LinearMap validations, BidegreeModule constructions (none: modules are
+built only at the edges), the column objects pages share, and the E2
+cells build_e2 visits.
 """
 
-from hfpss import e2, pages
-from hfpss.modules import LinearMap
+from hfpss import e2, modules
+from hfpss.modules import BidegreeModule, LinearMap
 from hfpss.pages import run_to_einfty
 from hfpss.rules import rule_table
 from hfpss.targets import Target, Window
@@ -15,28 +16,34 @@ from hfpss.targets import Target, Window
 WIDE = Window(0, 191, filt_max=160)
 
 
-def _column(mod):
-    return None if mod is None else (mod.u1s, mod.scalars, mod.orders)
+def _content(col):
+    return None if col is None else (col.u1s, col.scalars, col.orders, col.free)
 
 
 def test_wide_window_work_is_per_distinct_column(monkeypatch):
-    validated, built, residues = [], [], []
-    validate, build, residue = LinearMap.__post_init__, pages.BidegreeModule, e2._u1_residue
+    made, validated, built, residues = [], [], [], []
+    column, validate, residue = modules.Column, LinearMap.__post_init__, e2._u1_residue
+    build = BidegreeModule.__init__
+
+    def counted_column(*fields):
+        made.append(fields)
+        return column(*fields)
 
     def counted_validate(lm):
         validated.append(lm)
         validate(lm)
 
-    def counted_build(stem, filt, u1s, *cols):
-        built.append(u1s)
-        return build(stem, filt, u1s, *cols)
+    def counted_build(mod, *fields):
+        built.append(fields)
+        build(mod, *fields)
 
     def counted_residue(stem, filt):
         residues.append((stem, filt))
         return residue(stem, filt)
 
+    monkeypatch.setattr(modules, "Column", counted_column)
     monkeypatch.setattr(LinearMap, "__post_init__", counted_validate)
-    monkeypatch.setattr(pages, "BidegreeModule", counted_build)
+    monkeypatch.setattr(BidegreeModule, "__init__", counted_build)
     monkeypatch.setattr(e2, "_u1_residue", counted_residue)
     stack = run_to_einfty(Target.C6_V0, WIDE)
     monkeypatch.undo()
@@ -46,25 +53,35 @@ def test_wide_window_work_is_per_distinct_column(monkeypatch):
     assert all((stem + filt) % 2 == 0 for stem, filt in residues)
     assert len(residues) == cells // 2
 
-    # one validation per distinct propagate input that gives a map
-    inputs = 0
+    # one Column per distinct column of the stack, and no module at all
+    distinct = {_content(col) for page in stack.pages.values()
+                for col in page.columns.values()}
+    assert len(made) == len(set(made)) == len(distinct) == len(stack.table) == 6
+    assert built == []
+
+    # the columns of d_r are found once per distinct propagate input; 10
+    # inputs give a map, and they give 5 distinct maps: one LinearMap,
+    # validated once, per distinct (source, target, cols), which every
+    # bidegree that gives it holds
+    inputs, distinct = 0, 0
     for r, page in ((3, stack.pages[2]), (7, stack.pages[4])):
         rules = rule_table(Target.C6_V0, r)
-        inputs += len({(rules.bidegree_key(stem, filt), _column(page.modules[(stem, filt)]),
-                        _column(page.modules.get((stem - 1, filt + r))),
+        maps = stack.maps[r].maps
+        inputs += len({(rules.bidegree_key(stem, filt), _content(page.columns[(stem, filt)]),
+                        _content(page.columns.get((stem - 1, filt + r))),
                         WIDE.in_padded(stem - 1, filt + r))
-                       for stem, filt in stack.maps[r].maps})
-    assert len(validated) == inputs
-    assert inputs < sum(len(stack.maps[r].maps) for r in (3, 7)) // 100
+                       for stem, filt in maps})
+        contents = {(_content(lm.source), _content(lm.target), lm.cols) for lm in maps.values()}
+        assert len(set(maps.values())) == len(contents)
+        distinct += len(contents)
+    assert (inputs, distinct) == (10, 5)
+    assert len(validated) == len(set(validated)) == distinct
+    assert distinct < sum(len(stack.maps[r].maps) for r in (3, 7)) // 1000
 
-    # turn_page builds only new, nonempty modules; an untouched bidegree
-    # keeps its module object on the next page
-    new = 0
+    # an untouched bidegree keeps its column object on the next page
     for r, page, turned in ((3, stack.pages[2], stack.pages[4]),
                             (7, stack.pages[4], stack.pages[8])):
         maps = stack.maps[r].maps
-        for (stem, filt), mod in page.modules.items():
+        for (stem, filt), col in page.columns.items():
             if (stem, filt) not in maps and (stem + 1, filt - r) not in maps:
-                assert turned.modules[(stem, filt)] is mod
-        new += sum(mod is not page.modules[key] for key, mod in turned.modules.items())
-    assert all(built) and len(built) == new
+                assert turned.columns[(stem, filt)] is col

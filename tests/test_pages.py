@@ -9,24 +9,43 @@ from hfpss.assembly import assemble_all
 from hfpss.charts import glyph_count, render_svg, render_text, tower_count
 from hfpss.engine import compute, default_window
 from hfpss.groupexpr import Term, truncate_term
-from hfpss.modules import (BidegreeModule, LinearMap, Page, PipelineError, Summand,
+from hfpss.modules import (BidegreeModule, Column, LinearMap, Page, PipelineError, Summand,
                            homology_at)
 from hfpss.monomials import Monomial, parse_monomial
 from hfpss import charts, pages
 from hfpss.pages import (CertificateError, check_collapse,
                          check_even_r_vanishing, hurewicz_permanent_cycles,
                          periodicity_check, run_to_einfty, tower_shapes,
-                         towers_of_module, turn_page)
+                         towers_at, turn_page)
 from hfpss.rules import Propagation, RuleCoverageError, RuleSet, propagate, rule_table
 from hfpss.targets import Target, Window
 
 m = parse_monomial
 
 
+def page_of(target, r, window, modules):
+    """A page holding the columns of these modules, interned in its own table."""
+    page = Page(target, r, window)
+    for key, mod in modules.items():
+        page.columns[key] = page.table[mod.u1s, mod.scalars, mod.orders, mod.free]
+    return page
+
+
+def _col(mod):
+    """The column of mod, in no table."""
+    return Column(mod.u1s, mod.scalars, mod.orders, mod.free)
+
+
+def _homology(mod, d_in, d_out):
+    """homology_at on the column of mod, its result placed at mod's bidegree."""
+    found, lifts = homology_at(mod.stem, mod.filt, _col(mod), d_in, d_out)
+    return BidegreeModule(mod.stem, mod.filt, *found), lifts
+
+
 def test_homology_identity_on_zero_maps():
     mod = BidegreeModule.from_summands(0, 0, (Summand(0, m("u1"), 3),
                                               Summand(0, m("u1^{2}"), 1)))
-    H, lifts = homology_at(mod, None, None, 3)
+    H, lifts = _homology(mod, None, None)
     assert H.summands == mod.summands
     assert lifts == (0, 0)
 
@@ -35,8 +54,8 @@ def test_homology_kernel_of_mod2_surjection():
     # W-tower mapping onto an F4 class: kernel generated by 2*(generator)
     src = BidegreeModule.from_summands(4, 0, (Summand(0, m("u^{-2}"), 3),))
     tgt = BidegreeModule.from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
-    d_out = LinearMap(src, tgt, [[(0, 0)]])
-    H, section = homology_at(src, None, d_out, 3)
+    d_out = LinearMap(_col(src), _col(tgt), [[(0, 0)]])
+    H, section = _homology(src, None, d_out)
     assert [(s.label(), s.order) for s in H.summands] == [("2u^{-2}", 2)]
 
 
@@ -50,10 +69,10 @@ def test_homology_cokernel_of_u1_shift():
     for j, s in enumerate(src.summands):
         row = tgt.slot_of(Monomial(0, s.mono.u1 + 1, 3))
         cols.append([] if row is None else [(row, 0)])
-    d_in = LinearMap(src, tgt, cols)
-    H, _ = homology_at(tgt, d_in, None, 3)
+    d_in = LinearMap(_col(src), _col(tgt), cols)
+    H, _ = _homology(tgt, d_in, None)
     assert [s.label() for s in H.summands] == ["a^{3}"]
-    Hsrc, _ = homology_at(src, None, d_in, 3)
+    Hsrc, _ = _homology(src, None, d_in)
     assert [s.label() for s in Hsrc.summands] == ["u^{-2}u1^{3}"]  # horizon slot
 
 
@@ -61,10 +80,10 @@ def test_dd_nonzero_rejected():
     mid = BidegreeModule.from_summands(0, 0, (Summand(0, m("u1"), 1),))
     tgt = BidegreeModule.from_summands(-1, 7, (Summand(0, m("u^{4}u1a^{7}"), 1),))
     src = BidegreeModule.from_summands(2, 0, (Summand(0, m("u^{-1}u1"), 1),))
-    d_in = LinearMap(src, mid, [[(0, 0)]])
-    d_out = LinearMap(mid, tgt, [[(0, 0)]])
-    with pytest.raises(PipelineError):
-        homology_at(mid, d_in, d_out, 3)
+    d_in = LinearMap(_col(src), _col(mid), [[(0, 0)]])
+    d_out = LinearMap(_col(mid), _col(tgt), [[(0, 0)]])
+    with pytest.raises(PipelineError, match=r"at \(0,0\) slot u1\^1: d∘d != 0"):
+        _homology(mid, d_in, d_out)
 
 
 def test_d_in_into_free_summand_rejected():
@@ -72,11 +91,11 @@ def test_d_in_into_free_summand_rejected():
     # a free Witt tower is a pipeline fault; into a torsion summand it is not
     src = BidegreeModule.from_summands(2, 0, (Summand(0, m("u^{-1}u1"), 3),))
     torsion = BidegreeModule.from_summands(0, 0, (Summand(0, m("u1"), 3),))
-    H, _ = homology_at(torsion, LinearMap(src, torsion, [[(0, 1)]]), None, 3)
+    H, _ = _homology(torsion, LinearMap(_col(src), _col(torsion), [[(0, 1)]]), None)
     assert [(s.label(), s.order) for s in H.summands] == [("u1", 1)]
     tower = BidegreeModule.from_summands(0, 0, (Summand(0, m("u1"), 3, free=True),))
     with pytest.raises(PipelineError, match="free summand"):
-        homology_at(tower, LinearMap(src, tower, [[(0, 1)]]), None, 3)
+        _homology(tower, LinearMap(_col(src), _col(tower), [[(0, 1)]]), None)
 
 
 @pytest.mark.parametrize("summands", [
@@ -93,7 +112,7 @@ def test_map_with_two_columns_on_one_row_rejected():
                                               Summand(0, m("u^{-2}u1"), 1)))
     tgt = BidegreeModule.from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
     with pytest.raises(PipelineError):
-        LinearMap(src, tgt, [[(0, 0)], [(0, 0)]])
+        LinearMap(_col(src), _col(tgt), [[(0, 0)], [(0, 0)]])
 
 
 def test_map_with_two_entries_in_one_column_rejected():
@@ -101,13 +120,12 @@ def test_map_with_two_entries_in_one_column_rejected():
     tgt = BidegreeModule.from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),
                                               Summand(0, m("u1^{2}a^{3}"), 1)))
     with pytest.raises(PipelineError):
-        LinearMap(src, tgt, [[(0, 0), (1, 0)]])
+        LinearMap(_col(src), _col(tgt), [[(0, 0), (1, 0)]])
 
 
 def test_map_below_the_target_order_rejected():
     # an F4 class sent onto a W/8 generator: 2 * source = 0, 2 * target != 0
-    src = BidegreeModule(4, 0, (0,), (0,), (1,))
-    tgt = BidegreeModule(3, 3, (1,), (0,), (3,))
+    src, tgt = Column((0,), (0,), (1,)), Column((1,), (0,), (3,))
     with pytest.raises(PipelineError, match="not well defined on presentations"):
         LinearMap(src, tgt, [[(0, 0)]])
     assert LinearMap(src, tgt, [[(0, 2)]]).cols == (((0, 2),),)
@@ -116,52 +134,66 @@ def test_map_below_the_target_order_rejected():
 def test_propagate_validates_maps_with_equal_inputs():
     # d3(u^-2) = u1 a^3 and d3(u^-6) = u^-4 u1 a^3 have one input (u mod 4,
     # columns, target columns, target in the window); their value lands on
-    # a W/8 generator from an F4 one, so the shared map is rejected
+    # a W/8 generator from an F4 one, so the shared map is rejected where
+    # it is built, at the first bidegree of the input
     col, tgt_col = ((0,), (0,), (1,)), ((1,), (0,), (3,))
-    page = Page(Target.C2, 2, Window(0, 15), modules={
+    page = page_of(Target.C2, 2, Window(0, 15), {
         (4, 0): BidegreeModule(4, 0, *col), (3, 3): BidegreeModule(3, 3, *tgt_col),
         (12, 0): BidegreeModule(12, 0, *col), (11, 3): BidegreeModule(11, 3, *tgt_col)})
     rules = rule_table(Target.C2, 3)
     assert rules.bidegree_key(4, 0) == rules.bidegree_key(12, 0)
-    with pytest.raises(PipelineError, match=r"not well defined on presentations: u\^\{-2\}"):
+    with pytest.raises(PipelineError, match=r"d3 at \(4,0\): map not well defined on "
+                                            r"presentations: slot u1\^0 -> slot u1\^1"):
         propagate(page, rules)
-    del page.modules[(4, 0)]
-    with pytest.raises(PipelineError, match=r"not well defined on presentations: u\^\{-6\}"):
+    del page.columns[(4, 0)]
+    with pytest.raises(PipelineError, match=r"d3 at \(12,0\): map not well defined"):
         propagate(page, rules)
 
 
 def test_turn_page_rejects_d_in_on_another_module():
+    # the map ends at an equal column outside the page's table
     mod = BidegreeModule.from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
-    copy = BidegreeModule.from_summands(3, 3, mod.summands)
     src = BidegreeModule.from_summands(4, 0, (Summand(0, m("u^{-2}"), 1),))
-    page = Page(Target.C2_V0, 3, Window(0, 5), modules={(3, 3): mod, (4, 0): src})
-    prop = Propagation(maps={(4, 0): LinearMap(src, copy, [[(0, 0)]])})
-    with pytest.raises(PipelineError):
-        turn_page(page, prop, 3)
+    page = page_of(Target.C2_V0, 3, Window(0, 5), {(3, 3): mod, (4, 0): src})
+    prop = Propagation(3, maps={(4, 0): LinearMap(page.columns[(4, 0)], _col(mod), [[(0, 0)]])})
+    with pytest.raises(PipelineError, match=r"d_in target mismatch at \(3,3\)"):
+        turn_page(page, prop)
+
+
+def test_turn_page_rejects_d_out_from_another_module():
+    mod = BidegreeModule.from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
+    src = BidegreeModule.from_summands(4, 0, (Summand(0, m("u^{-2}"), 1),))
+    page = page_of(Target.C2_V0, 3, Window(0, 5), {(3, 3): mod, (4, 0): src})
+    prop = Propagation(3, maps={(4, 0): LinearMap(_col(src), page.columns[(3, 3)], [[(0, 0)]])})
+    with pytest.raises(PipelineError, match=r"d_out source mismatch at \(4,0\)"):
+        turn_page(page, prop)
 
 
 def test_turn_page_checks_each_bidegree_where_a_result_is_reused():
-    # (3,3) and (5,3) have equal columns, and their d_in maps equal columns
-    # and source orders, so (5,3) may reuse the result of (3,3); the checks
-    # on (5,3) and its maps still run
+    # (3,3) and (5,3) hold one interned column, and so do (4,0) and (6,0).
+    # With one map as d_in at both, (5,3) reuses the result of (3,3); a
+    # d_in at (5,3) that ends at an equal column outside the table, or a
+    # d_in into a free column there, is still rejected at (5,3)
     col = ((1,), (0,), (1,))
-    mod, other, copy = (BidegreeModule(*bid, *col) for bid in ((3, 3), (5, 3), (5, 3)))
+    mod, other, free = (BidegreeModule(3, 3, *col), BidegreeModule(5, 3, *col),
+                        BidegreeModule(5, 3, *col, True))
     src, src2 = BidegreeModule(4, 0, (0,), (0,), (1,)), BidegreeModule(6, 0, (0,), (0,), (1,))
 
     def turn(at_5_3, d_in_target):
-        page = Page(Target.C2_V0, 3, Window(0, 5), modules={
+        page = page_of(Target.C2_V0, 3, Window(0, 5), {
             (3, 3): mod, (4, 0): src, (6, 0): src2, (5, 3): at_5_3})
-        prop = Propagation(maps={(4, 0): LinearMap(src, mod, [[(0, 0)]]),
-                                 (6, 0): LinearMap(src2, d_in_target, [[(0, 0)]])})
-        return turn_page(page, prop, 3)
+        cols = page.columns
+        first = LinearMap(cols[(4, 0)], cols[(3, 3)], [[(0, 0)]])
+        second = first if d_in_target is None else \
+            LinearMap(cols[(6, 0)], d_in_target(cols), [[(0, 0)]])
+        return turn_page(page, Propagation(3, maps={(4, 0): first, (6, 0): second}))
 
-    # a d_in that ends at another module with the same columns
     with pytest.raises(PipelineError, match=r"d_in target mismatch at \(5,3\)"):
-        turn(other, copy)
-    free = BidegreeModule(5, 3, *col, True)
+        turn(other, lambda cols: _col(other))
     with pytest.raises(PipelineError, match="d_in enters free summand"):
-        turn(free, free)
-    assert turn(other, other).modules == {}
+        turn(free, lambda cols: cols[(5, 3)])
+    assert turn(other, lambda cols: cols[(5, 3)]).columns == {}
+    assert turn(other, None).columns == {}
 
 
 def test_turn_page_reuses_a_result_only_for_equal_inputs():
@@ -173,20 +205,24 @@ def test_turn_page_reuses_a_result_only_for_equal_inputs():
     tgt, tgt2 = BidegreeModule(2, 6, (2,), (0,), (1,)), BidegreeModule(4, 6, (2,), (0,), (2,))
     lone = BidegreeModule(9, 3, (1,), (0,), (1,))
     lone2 = BidegreeModule(11, 3, (1,), (1,), (1,))
-    page = Page(Target.C2, 3, Window(0, 15), modules={
+    page = page_of(Target.C2, 3, Window(0, 15), {
         (3, 3): mod, (5, 3): mod2, (2, 6): tgt, (4, 6): tgt2, (9, 3): lone, (11, 3): lone2})
-    prop = Propagation(maps={(3, 3): LinearMap(mod, tgt, [[(0, 0)]]),
-                             (5, 3): LinearMap(mod2, tgt2, [[(0, 0)]])})
-    assert turn_page(page, prop, 3).modules == {
+    cols = page.columns
+    prop = Propagation(3, maps={(3, 3): LinearMap(cols[(3, 3)], cols[(2, 6)], [[(0, 0)]]),
+                                (5, 3): LinearMap(cols[(5, 3)], cols[(4, 6)], [[(0, 0)]])})
+    turned = turn_page(page, prop)
+    assert turned.modules == {
         (3, 3): BidegreeModule(3, 3, (1,), (1,), (1,)), (9, 3): lone, (11, 3): lone2}
+    # an untouched column is the same object on the next page
+    assert turned.columns[(9, 3)] is cols[(9, 3)] and turned.table is page.table
 
 
 def test_collapse_names_the_gap_between_trusted_ends():
     # a nonzero pair (5,1) -> (4,10) leaves room for a d9
-    page = Page(Target.C2_V0, 8, Window(0, 10, filt_max=12),
-                modules={(5, 1): BidegreeModule(5, 1, (0,), (0,), (1,)),
-                         (4, 10): BidegreeModule(4, 10, (0,), (0,), (1,)),
-                         (4, 4): BidegreeModule(4, 4, (0,), (0,), (1,))})
+    page = page_of(Target.C2_V0, 8, Window(0, 10, filt_max=12),
+                   {(5, 1): BidegreeModule(5, 1, (0,), (0,), (1,)),
+                    (4, 10): BidegreeModule(4, 10, (0,), (0,), (1,)),
+                    (4, 4): BidegreeModule(4, 4, (0,), (0,), (1,))})
     with pytest.raises(CertificateError, match=r"possible d9 from \(5,1\)"):
         check_collapse(page)
     # the same pair with its target end outside the trusted window passes
@@ -237,7 +273,7 @@ def test_monotone_death(computed_all):
             new, old = res.stack.pages[r_new], res.stack.pages[r_old]
             for key, mod in new.modules.items():
                 prev = old.modules.get(key)
-                assert prev is not None and mod.total_length <= prev.total_length
+                assert prev is not None and sum(mod.orders) <= sum(prev.orders)
 
 
 def _factorize_key(rules, mono):
@@ -397,7 +433,7 @@ def test_tower_recognition():
     summands = tuple(Summand(0, Monomial(-4, b, 0), 3, free=True) for b in range(1, 12)) \
         + (Summand(1, Monomial(-4, 0, 0), 2, free=True),)
     mod = BidegreeModule.from_summands(8, 0, summands)
-    towers = towers_of_module(mod, tower_shapes(mod, 1, 12))
+    towers = towers_at(8, 0, tower_shapes(8, 0, _col(mod), 1, 12))
     labels = {(t.label(), t.period) for t in towers}
     assert labels == {("2u^{-4}", None), ("u^{-4}u1", 1)}
 
@@ -405,21 +441,21 @@ def test_tower_recognition():
 def test_tower_recognition_period_3():
     summands = tuple(Summand(0, Monomial(-1, b, 0), 1) for b in (1, 4, 7, 10))
     mod = BidegreeModule.from_summands(2, 0, summands)
-    (tower,) = towers_of_module(mod, tower_shapes(mod, 3, 12))
+    (tower,) = towers_at(2, 0, tower_shapes(2, 0, _col(mod), 3, 12))
     assert tower.label() == "u^{-1}u1" and tower.period == 3
 
 
 def test_short_run_is_isolated():
     summands = (Summand(0, Monomial(0, 0, 3), 1),)
     mod = BidegreeModule.from_summands(3, 3, summands)
-    (tower,) = towers_of_module(mod, tower_shapes(mod, 1, 12))
+    (tower,) = towers_at(3, 3, tower_shapes(3, 3, _col(mod), 1, 12))
     assert tower.period is None
 
 
 def test_tower_of_unexpected_order_rejected():
     summands = tuple(Summand(0, Monomial(-4, b, 0), 3) for b in range(12))
     with pytest.raises(PipelineError, match=r"order 2\^3 at \(8,0\)"):
-        tower_shapes(BidegreeModule.from_summands(8, 0, summands), 1, 12)
+        tower_shapes(8, 0, _col(BidegreeModule.from_summands(8, 0, summands)), 1, 12)
 
 
 def test_towers_partition_the_reported_slots(computed_all):
@@ -467,34 +503,27 @@ def test_boundary_effects_marked_untrusted(computed_all):
     assert flags > 0  # the propagations really flagged boundary effects
 
 
-def test_each_page_recognises_its_towers_once(monkeypatch):
-    """Every reader of a page's towers reads Page.towers, recognised once.
-
-    compute recognises the Einfty towers only (assembly reads no other
-    page).  Then charts of pages 2, 3, 4, 7 and 8 (E3 and E7 alias E2 and
-    E4), the JSON, the assembly and the glyph counts recognise each module
-    of the three distinct pages exactly once, and find the tower shapes of
-    each distinct column of each page exactly once.
-    """
+def _count_recognition(monkeypatch):
+    """Record the bidegrees towers_at names and the columns tower_shapes reads."""
     recognised, shaped = [], []
-    recognise, shape = pages.towers_of_module, pages.tower_shapes
+    recognise, shape = pages.towers_at, pages.tower_shapes
 
-    def counted(mod, shapes):
-        recognised.append(mod)
-        return recognise(mod, shapes)
+    def counted(stem, filt, shapes):
+        recognised.append((stem, filt))
+        return recognise(stem, filt, shapes)
 
-    def counted_shapes(mod, period, N):
-        shaped.append(mod)
-        return shape(mod, period, N)
+    def counted_shapes(stem, filt, col, period, N):
+        shaped.append(col)
+        return shape(stem, filt, col, period, N)
 
-    def columns(page):
-        return len({(m.u1s, m.scalars, m.orders, m.free) for m in page.modules.values()})
-
-    monkeypatch.setattr(pages, "towers_of_module", counted)
+    monkeypatch.setattr(pages, "towers_at", counted)
     monkeypatch.setattr(pages, "tower_shapes", counted_shapes)
-    stack = compute(Target.C2_V0).stack
-    assert len(recognised) == len(stack.einfty.modules)
-    assert len(shaped) == columns(stack.einfty) < len(stack.einfty.modules)
+    return recognised, shaped
+
+
+def _read_every_page(stack):
+    """Every reader of the towers: charts of pages 2, 3, 4, 7 and 8 (E3 and
+    E7 alias E2 and E4), glyph and tower counts, the JSON and assembly."""
     for r in (2, 3, 4, 7, 8):
         page, prop = stack.page(r), stack.maps.get(r)
         render_text(page, prop, page_index=r)
@@ -503,8 +532,51 @@ def test_each_page_recognises_its_towers_once(monkeypatch):
         tower_count(page)
     pages.stack_to_json(stack)
     assemble_all(stack)
-    assert len(recognised) == sum(len(p.modules) for p in stack.pages.values())
-    assert len(shaped) == sum(columns(p) for p in stack.pages.values())
+
+
+def _distinct_columns(stack):
+    return {(c.u1s, c.scalars, c.orders, c.free)
+            for p in stack.pages.values() for c in p.columns.values()}
+
+
+def test_each_page_recognises_its_towers_once(monkeypatch):
+    """Every reader of a page's towers reads Page.towers, recognised once.
+
+    compute recognises the Einfty towers only (assembly reads no other
+    page).  Then every reader recognises each bidegree of the three
+    distinct pages exactly once, and the tower shapes of each distinct
+    column of the stack are found exactly once, whichever pages hold it.
+    """
+    recognised, shaped = _count_recognition(monkeypatch)
+    stack = compute(Target.C2_V0).stack
+    assert len(recognised) == len(stack.einfty.columns)
+    assert len(shaped) == len(set(stack.einfty.columns.values())) < len(stack.einfty.columns)
+    _read_every_page(stack)
+    assert len(recognised) == sum(len(p.columns) for p in stack.pages.values())
+    assert len(shaped) == len(set(shaped)) == len(_distinct_columns(stack)) == len(stack.table)
+
+
+def test_tower_shapes_once_per_column_of_the_stack(monkeypatch):
+    """On c6-y d3 is zero, so E4 holds E2's columns; E8 adds one more.
+    Shapes are found once per distinct column of the stack, 5, not once
+    per column of each page (4 + 4 + 5)."""
+    recognised, shaped = _count_recognition(monkeypatch)
+    stack = compute(Target.C6_Y).stack
+    _read_every_page(stack)
+    per_page = [len(set(p.columns.values())) for _, p in sorted(stack.pages.items())]
+    assert per_page == [4, 4, 5]
+    assert len(shaped) == len(set(shaped)) == len(_distinct_columns(stack)) == 5
+
+
+def test_tower_shapes_are_kept_per_horizon():
+    # a page read at another N, sharing its column table, finds its own
+    # shapes: the table keeps them by the (period, N) they read.  At
+    # N + 6, the top of the columns, some series no longer reach N.
+    page = run_to_einfty(Target.C2, Window(0, 15)).page(8)
+    assert page.towers
+    window = replace(page.window, N=page.window.N + 6)
+    fresh = Page(page.target, page.r, window, columns=dict(page.columns))
+    assert replace(page, window=window).towers == fresh.towers != page.towers
 
 
 def test_each_page_is_laid_out_once(monkeypatch):
@@ -513,9 +585,9 @@ def test_each_page_is_laid_out_once(monkeypatch):
     Text and SVG charts of pages 2, 3, 4, 7 and 8 (E3 and E7 alias E2 and
     E4) plus stack_to_json build one layout per distinct page and label
     each of its towers once.  The arrows of a differential are found once
-    per (page, differential), and inside that once per distinct (source
-    column, target column, map columns) of a map between trusted
-    bidegrees.
+    per (page, differential), and inside that once per distinct map
+    between trusted bidegrees, which is once per distinct (source column,
+    target column, map columns): propagate builds one map per such triple.
     """
     stack = compute(Target.C2_V0).stack
     laid_out, labelled, styled = [], [], []
@@ -533,14 +605,16 @@ def test_each_page_is_laid_out_once(monkeypatch):
         styled.append(lm)
         return styles(lm, *args)
 
-    def column(mod):
-        return (mod.u1s, mod.scalars, mod.orders, mod.free)
+    def maps(prop):
+        trusted = stack.window.trusted
+        return {lm for (stem, filt), lm in prop.maps.items()
+                if trusted(stem, filt) and trusted(stem - 1, filt + prop.r)}
 
     def inputs(prop):
-        trusted = stack.window.trusted
-        return {(column(lm.source), column(lm.target), lm.cols)
-                for key, lm in prop.maps.items()
-                if trusted(*key) and trusted(lm.target.stem, lm.target.filt)}
+        return {(column(lm.source), column(lm.target), lm.cols) for lm in maps(prop)}
+
+    def column(col):
+        return (col.u1s, col.scalars, col.orders, col.free)
 
     monkeypatch.setattr(charts, "page_layout", counted_layout)
     monkeypatch.setattr(Term, "label", counted_label)
@@ -555,4 +629,5 @@ def test_each_page_is_laid_out_once(monkeypatch):
     assert sorted(map(id, laid_out)) == sorted(map(id, distinct))
     assert len(labelled) == sum(len(ts) for p in distinct for ts in p.towers.values())
     assert len(labelled) == len(set(map(id, labelled)))
+    assert len(styled) == len(set(styled)) == len(maps(stack.maps[3]) | maps(stack.maps[7]))
     assert len(styled) == len(inputs(stack.maps[3])) + len(inputs(stack.maps[7])) > 0

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfpss.e2 import build_e2
-from hfpss.modules import BidegreeModule, Page, homology_at
+from hfpss.modules import BidegreeModule, homology_at
 from hfpss.monomials import parse_monomial
 from hfpss.engine import DEFAULT_STEMS
 from hfpss.pages import run_to_einfty
-from hfpss.rules import (RuleCoverageError, Y_D7_PUBLISHED_VALUES, Y_D7_VALUES,
+from hfpss.rules import (RuleCoverageError, RuleSet, Y_D7_PUBLISHED_VALUES, Y_D7_VALUES,
                          propagate, rule_table)
 from hfpss.targets import Target, Window
+
+from test_pages import page_of
 
 m = parse_monomial
 
@@ -114,9 +116,9 @@ def test_propagate_d3_on_u():
     prop = propagate(page, rule_table(Target.C2_V0, 3))
     # d3(u) = u^4 * d3(u^-3) = a^3 u^3 u1, a class at stem -3, filt 3
     lm = prop.maps[(-2, 0)]
-    j = lm.source.slot_of(m("u"))
+    j = page.module(-2, 0).slot_of(m("u"))
     (row, exp), = lm.cols[j]
-    assert lm.target.summands[row].mono == m("u^{3}u1a^{3}")
+    assert page.module(-3, 3).summands[row].mono == m("u^{3}u1a^{3}")
     assert exp == 0
 
 
@@ -126,7 +128,7 @@ def test_propagate_d3_zero_on_u_minus_4():
     prop = propagate(page, rule_table(Target.C2, 3))
     lm = prop.maps.get((8, 0))
     if lm is not None:
-        j = lm.source.slot_of(m("u^{-4}"))
+        j = page.module(8, 0).slot_of(m("u^{-4}"))
         assert lm.cols[j] == ()
 
 
@@ -138,7 +140,7 @@ def test_entry_acting_as_zero_is_dropped():
     d7 = rule_table(Target.C2, 7)
     for scalar, expected in ((1, {}), (0, {(8, 0): (((0, 0),),)})):
         src = BidegreeModule(8, 0, (0,), (scalar,), (3 - scalar,), True)
-        page = Page(Target.C2, 4, Window(0, 15), modules={(8, 0): src, (7, 7): tgt})
+        page = page_of(Target.C2, 4, Window(0, 15), {(8, 0): src, (7, 7): tgt})
         assert {key: lm.cols for key, lm in propagate(page, d7).maps.items()} == expected
 
 
@@ -159,16 +161,42 @@ def test_propagate_reuses_values_only_for_equal_inputs():
     for stem, (src, tgt, _) in cases.items():
         modules[(stem, 0)] = BidegreeModule(stem, 0, *zip(src), (2,))
         modules[(stem - 1, 7)] = BidegreeModule(stem - 1, 7, *zip(tgt))
-    maps = propagate(Page(Target.C2_V0, 4, Window(0, 100), modules=modules), d7).maps
+    maps = propagate(page_of(Target.C2_V0, 4, Window(0, 100), modules), d7).maps
     assert {key: lm.cols for key, lm in maps.items()} == \
         {(stem, 0): cols for stem, (*_, cols) in cases.items() if cols}
+
+
+def test_propagate_builds_one_map_per_distinct_ends_and_columns():
+    # a d3 table that shifts u1 by 1 from u^-1 and u^-2 and by 2 from u^-3
+    # (u1 has bidegree (0,0), so every value is well graded).  All sources
+    # hold one column.  (2,0) and (4,0) give equal maps from different
+    # inputs, which share one object; (6,0) reaches an equal target column
+    # with other entries, and (12,0) equal entries in another target column.
+    rules = RuleSet(3, 4, tuple(m(f"u^{{-{k}}}") for k in (1, 2, 3)) + (m("1"),),
+                    {m("u^{-1}"): m("uu1a^{3}"), m("u^{-2}"): m("u1a^{3}"),
+                     m("u^{-3}"): m("u^{-1}u1^{2}a^{3}")})
+    src, tgt, wide = ((0, 1, 2), (0,) * 3, (1,) * 3), ((0, 1, 2, 3), (0,) * 4, (1,) * 4), \
+        ((0, 1, 2, 3, 4), (0,) * 5, (1,) * 5)
+    page = page_of(Target.C2_V0, 2, Window(0, 15), {
+        (2, 0): BidegreeModule(2, 0, *src), (1, 3): BidegreeModule(1, 3, *tgt),
+        (4, 0): BidegreeModule(4, 0, *src), (3, 3): BidegreeModule(3, 3, *tgt),
+        (6, 0): BidegreeModule(6, 0, *src), (5, 3): BidegreeModule(5, 3, *tgt),
+        (12, 0): BidegreeModule(12, 0, *src), (11, 3): BidegreeModule(11, 3, *wide)})
+    maps, cols = propagate(page, rules).maps, page.columns
+    shift1, shift2 = (((1, 0),), ((2, 0),), ((3, 0),)), (((2, 0),), ((3, 0),), ())
+    assert {key: (lm.source, lm.target, lm.cols) for key, lm in maps.items()} == {
+        (2, 0): (cols[(2, 0)], cols[(1, 3)], shift1),
+        (4, 0): (cols[(4, 0)], cols[(3, 3)], shift1),
+        (6, 0): (cols[(6, 0)], cols[(5, 3)], shift2),
+        (12, 0): (cols[(12, 0)], cols[(11, 3)], shift1)}
+    assert maps[(2, 0)] is maps[(4, 0)] and len({id(lm) for lm in maps.values()}) == 3
 
 
 def test_coverage_checked_where_only_filtration_zero_differs():
     # u^-1u1 at (2,0) and u^-1u1a^3 at (5,3) agree in u mod 24, filt mod 3
     # and column; the second mixes alpha and u1 and is still rejected
     d7 = rule_table(Target.C6_Y, 7)
-    page = Page(Target.C6_Y, 4, Window(0, 15), modules={
+    page = page_of(Target.C6_Y, 4, Window(0, 15), {
         (2, 0): BidegreeModule(2, 0, (1,), (0,), (1,)),
         (5, 3): BidegreeModule(5, 3, (1,), (0,), (1,))})
     with pytest.raises(RuleCoverageError, match="both alpha and u1"):
@@ -205,8 +233,8 @@ def _reference_entries(stack):
             cols, boundary = _slotwise_cols(page, rules, mod)
             lm = prop.maps.get(key)
             assert (lm.cols if lm else ((),) * len(mod)) == cols, (stack.target, r, key)
-            assert lm is None or lm.source is mod and \
-                lm.target is page.modules[(key[0] - 1, key[1] + r)]
+            assert lm is None or lm.source is page.columns[key] and \
+                lm.target is page.columns[(key[0] - 1, key[1] + r)]
             assert (key in prop.boundary) == boundary, (stack.target, r, key)
             entries += sum(map(len, cols))
     return entries
@@ -218,11 +246,11 @@ def _reference_turns(stack):
                             (7, stack.pages[4], stack.pages[8])):
         maps = stack.maps[r].maps
         expected = {}
-        for (stem, filt), mod in page.modules.items():
-            new_mod, _ = homology_at(mod, maps.get((stem + 1, filt - r)),
-                                     maps.get((stem, filt)), page.K)
-            if new_mod:
-                expected[(stem, filt)] = new_mod
+        for (stem, filt), col in page.columns.items():
+            found, _ = homology_at(stem, filt, col, maps.get((stem + 1, filt - r)),
+                                   maps.get((stem, filt)))
+            if found[0]:
+                expected[(stem, filt)] = BidegreeModule(stem, filt, *found)
         assert turned.modules == expected, (stack.target, r)
 
 
@@ -268,7 +296,7 @@ def test_propagate_d7_dead_target_is_zero():
     e7 = stack.page(7)
     prop7 = stack.maps[7]
     lm = prop7.maps[(8, 0)]
-    for j, s in enumerate(lm.source.summands):
+    for j, s in enumerate(e7.module(8, 0).summands):
         if s.mono.u1 >= 1:
             assert lm.cols[j] == ()
         else:
@@ -284,8 +312,11 @@ def test_grading_of_all_propagated_maps():
     for target in Target:
         page = build_e2(target, win)
         for r in (3, 7):
-            for (stem, filt), lm in propagate(page, rule_table(target, r)).maps.items():
-                assert (lm.target.stem, lm.target.filt) == (stem - 1, filt + r)
+            prop = propagate(page, rule_table(target, r))
+            assert prop.r == r
+            for (stem, filt), lm in prop.maps.items():
+                assert lm.source is page.columns[(stem, filt)]
+                assert lm.target is page.columns[(stem - 1, filt + r)]
 
 
 # Published standalone C6-family differential tables, kept as cross-checks

@@ -13,7 +13,7 @@ import itertools
 import random
 
 from hfpss import snf
-from hfpss.modules import BidegreeModule, LinearMap, Summand, homology_at
+from hfpss.modules import BidegreeModule, Column, LinearMap, Summand, homology_at
 from hfpss.monomials import Monomial
 from hfpss.scalars import Witt
 from hfpss.snf import Lattice, chain_ring_snf, kernel_gens, presentation_invariants
@@ -250,6 +250,10 @@ def _random_sparse_map(rng, src, tgt, allowed):
     return cols
 
 
+def _column(mod):
+    return Column(mod.u1s, mod.scalars, mod.orders, mod.free)
+
+
 def _witt_cols(cols):
     return [[(i, Witt.two_power(e, K)) for i, e in col] for col in cols]
 
@@ -384,9 +388,11 @@ def test_sparse_homology_agrees_with_enumeration_on_100_random_presentations():
     """The production path, and the SNF oracle on the same monomial-sparse maps."""
     for trial, (mid, tgt, src, in_cols, out_cols, oracle) in enumerate(
             _random_presentations(20261017, sparse=True)):
-        d_out = LinearMap(mid, tgt, out_cols)
-        d_in = None if src is None else LinearMap(src, mid, in_cols)
-        H, section = homology_at(mid, d_in, d_out, K)
+        mid_col, tgt_col = _column(mid), _column(tgt)
+        d_out = LinearMap(mid_col, tgt_col, out_cols)
+        d_in = None if src is None else LinearMap(_column(src), mid_col, in_cols)
+        found, section = homology_at(mid.stem, mid.filt, mid_col, d_in, d_out)
+        H = BidegreeModule(mid.stem, mid.filt, *found)
         assert sorted(H.orders) == oracle, f"trial {trial}"
         assert snf.homology_at(mid, d_in, d_out, K) == (H, section), f"trial {trial}"
 

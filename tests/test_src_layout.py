@@ -66,3 +66,28 @@ def test_every_public_definition_is_used_exported_or_oracle():
                 unused.add(f"{module}.{node.name}")
     assert unused - ALLOWED == set(), f"only tests or demos use {sorted(unused - ALLOWED)}"
     assert ALLOWED - unused == set(), f"stale allowlist entries {sorted(ALLOWED - unused)}"
+
+
+CACHES = {"cache", "lru_cache"}
+
+
+def _functools_caches(tree):
+    """Uses of functools.cache or functools.lru_cache in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [a.name for a in node.names if a.name in CACHES]
+        elif (isinstance(node, ast.Attribute) and node.attr in CACHES
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append(node.attr)
+    return found
+
+
+def test_src_keeps_no_module_level_cache():
+    """Columns and maps live as long as their stack's column table, in no
+    cache that outlives it: src/ uses no functools.cache or lru_cache
+    (functools.cached_property keeps a value on its own instance)."""
+    assert {m: _functools_caches(t) for m, t in _trees().items() if _functools_caches(t)} == {}
+    bad = ast.parse("import functools\nfrom functools import lru_cache\n"
+                    "@functools.cache\ndef f(): pass\n")
+    assert _functools_caches(bad) == ["lru_cache", "cache"]
