@@ -2,7 +2,7 @@
 
 A bidegree (stem, filt) fixes a = (filt - stem)/2 and c = filt, so each
 page is built column by column, as the range of u1-exponents b of its
-monomials u^a u1^b alpha^c:
+monomials u^a u1^b alpha^c, and stored as rows of cells (modules.Page):
 
 * integral C2 page: a even, every b; the c = 0 towers are free over the
   truncated Witt ring, everything with c >= 1 is killed by 2,
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modules import Column, Page, PipelineError
+from .modules import Column, Page, PipelineError, empty_rows
 from .targets import Target, Window
 
 
@@ -48,25 +48,28 @@ def _u1_range(target: Target, stem: int, filt: int, n_u1: int) -> range:
 
 
 def build_e2(target: Target, window: Window) -> Page:
-    """The E2 page on the padded window, in a new column table: one
-    interned Column per _u1_residue.  Only cells with stem + filt even are
-    visited: _u1_range is empty on the others."""
-    K = window.K
-    page = Page(target=target, r=2, window=window)
+    """The E2 page on the padded window, in a new column table: one interned
+    Column per _u1_residue, written to its stride-12 progression of a row
+    (the residue has period 12 in the stem).  Only cells with stem + filt
+    even are visited: _u1_range is empty on the others."""
+    K, start, width = window.K, window.stem_range.start, len(window.stem_range)
+    page = Page(target, 2, window, empty_rows(window))
     columns: dict[tuple, Column | None] = {}  # by _u1_residue, None if empty
-    filts = window.filt_range
-    for stem in window.stem_range:
-        for filt in filts[stem % 2::2]:  # filts starts at 0: filt has stem's parity
-            key = _u1_residue(stem, filt)
+    for filt, row in enumerate(page.rows):  # filt_range starts at 0
+        if filt > 12:  # the residue has period 12 in filt as well, above filt 0
+            row[:] = page.rows[filt - 12]
+            continue
+        for i in range((start + filt) % 2, min(12, width), 2):
+            key = _u1_residue(start + i, filt)
             try:
                 col = columns[key]
             except KeyError:
-                bs = _u1_range(target, stem, filt, window.n_u1)
+                bs = _u1_range(target, start + i, filt, window.n_u1)
                 free, n = not target.mod2 and filt == 0, len(bs)
                 col = columns[key] = (page.table[tuple(bs), (0,) * n, (K if free else 1,) * n,
                                                  free] if bs else None)
             if col is not None:
-                page.columns[(stem, filt)] = col
+                row[i::12] = [col] * ((width - 1 - i) // 12 + 1)
     return page
 
 

@@ -1,18 +1,19 @@
-"""Column tables of modules over the truncated Witt ring, and homology.
+"""Column rows of modules over the truncated Witt ring, and homology.
 
 A bidegree (stem, filt) fixes a = (filt - stem)/2 and c = filt, so a
 module is a u1-column: sorted u1-exponents b and, parallel to them,
 scalars j and orders e (slot b is W/2^e generated by 2^j u^a u1^b
 alpha^c), with one flag for free summands (order K - j), which only fill
 a whole filtration-0 bidegree of an integral page.  A stack holds a
-handful of distinct columns, so a Page maps each bidegree to a Column
-interned in the ColumnTable of its stack: one object per content, hashed
-by identity.  Every differential sends a generator to a 2-power times
-one generator and hits each generator at most once, so a LinearMap
-between two columns stores (row, 2-exponent) pairs, and homology is
-slotwise valuation arithmetic.  BidegreeModule (a column placed at its
-bidegree) and Summand records appear only at the edges: labels, JSON,
-Page.module and the Page.modules view, and the SNF oracle in snf.py.
+handful of distinct columns, interned in the ColumnTable of the stack:
+one object per content, hashed by identity, and a Page holds them in
+rows: one per filtration, one cell per padded stem, None if empty.  Every
+differential sends a generator to a 2-power times one generator and hits
+each generator at most once, so a LinearMap between two columns stores
+(row, 2-exponent) pairs, and homology is slotwise valuation arithmetic.
+Bidegree-keyed views (Page.columns, Page.modules, Propagation.maps),
+BidegreeModule and Summand records serve only the edges: labels, JSON,
+charts, tests and the SNF oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .monomials import Monomial
@@ -185,7 +187,8 @@ def homology_at(stem: int, filt: int, col: Column, d_in: LinearMap | None,
     homology is plain valuation arithmetic: the kernel is generated by 2^a
     with a = clamp(e_tgt - v_out, 0, e), the image by 2^t with
     t = max(v_in, e - e_src), and the subquotient is cyclic of order
-    2^(t - a) on the pure lift 2^a * generator.  Returns the new column's
+    2^(t - a) <= 2^e on the pure lift 2^a * generator: no slot grows (a
+    test enumerates small cases to prove it).  Returns the new column's
     (u1s, scalars, orders, free), a ColumnTable key, and its lifts: per
     new slot, the a of the old slot with the same u1-exponent; it is free
     iff col is.  (stem, filt) only names errors: PipelineError if d_in
@@ -214,14 +217,27 @@ def homology_at(stem: int, filt: int, col: Column, d_in: LinearMap | None,
     return (u1s, scalars, new_orders, col.free), lifts
 
 
+def empty_rows(window: Window) -> list[list]:
+    """One row of None per filtration of the padded window, one cell per stem."""
+    width = len(window.stem_range)
+    return [[None] * width for _ in window.filt_range]
+
+
+def rows_view(rows: list[list], window: Window) -> MappingProxyType:
+    """The cells of rows that are not None, read-only and in bidegree order."""
+    stem = window.stem_range.start
+    return MappingProxyType({(stem + i, filt): x for i, cells in enumerate(zip(*rows))
+                             for filt, x in enumerate(cells) if x is not None})
+
+
 @dataclass
 class Page:
     """One page of one spectral sequence on a padded window.
 
-    `columns` maps each bidegree with a slot to its Column in `table`,
-    the table every page of its stack shares.  Complete when build_e2 or
-    turn_page returns it, so `towers`, the chart `layout` and the `modules`
-    view are built on first read and kept.  Trust and truncation are the
+    `rows` (see empty_rows) holds each cell's Column in `table`, the table
+    every page of its stack shares, or None.  Complete when build_e2 or
+    turn_page returns it, so `towers`, the chart `layout` and the views
+    are built on first read and kept.  Trust and truncation are the
     window's: the d3 or d7 value of a trusted source, at (stem - 1,
     filt + r), never leaves the padded window, and K is window.K.
     """
@@ -229,7 +245,7 @@ class Page:
     target: Target
     r: int
     window: Window
-    columns: dict[tuple[int, int], Column] = field(default_factory=dict)
+    rows: list[list[Column | None]]
     table: ColumnTable = field(default_factory=ColumnTable)
 
     @property
@@ -240,11 +256,13 @@ class Page:
         return self.modules.get((stem, filt)) or BidegreeModule(stem, filt, (), (), ())
 
     @cached_property
-    def modules(self) -> dict[tuple[int, int], BidegreeModule]:
-        """The module of each bidegree of `columns`, built on first read: a
-        view for the edges (labels, JSON, tests); the engine reads columns."""
-        return {(n, f): BidegreeModule(n, f, c.u1s, c.scalars, c.orders, c.free)
-                for (n, f), c in self.columns.items()}
+    def columns(self) -> MappingProxyType:
+        return rows_view(self.rows, self.window)
+
+    @cached_property
+    def modules(self) -> MappingProxyType:
+        return MappingProxyType({(n, f): BidegreeModule(n, f, c.u1s, c.scalars, c.orders, c.free)
+                                 for (n, f), c in self.columns.items()})
 
     def is_trusted(self, stem: int, filt: int) -> bool:
         return self.window.trusted(stem, filt)
@@ -260,13 +278,16 @@ class Page:
         period, N = self.target.period, self.window.N
         shapes = self.table.shapes.setdefault((period, N), {})
         towers = {}
-        for (stem, filt), col in sorted(self.columns.items()):
-            found = shapes.get(col)
-            if found is None:
-                found = shapes[col] = tower_shapes(stem, filt, col, period, N)
-            ts = towers_at(stem, filt, found)
-            if ts:
-                towers[(stem, filt)] = ts
+        for stem, cells in enumerate(zip(*self.rows), self.window.stem_range.start):
+            for filt, col in enumerate(cells):
+                if col is None:
+                    continue
+                found = shapes.get(col)
+                if found is None:
+                    found = shapes[col] = tower_shapes(stem, filt, col, period, N)
+                ts = towers_at(stem, filt, found)
+                if ts:
+                    towers[(stem, filt)] = ts
         return towers
 
     @cached_property

@@ -5,22 +5,23 @@ The page succession is
     E2 = E3  --d3-->  E4 = E5 = E6 = E7  --d7-->  E8 = Einfty;
 
 the intermediate equalities hold because the d5 rule sets are empty and
-no even-r differential can exist (source and target bidegrees always have
-opposite parity).  Both facts are certified, not assumed: the d5 table
-must be empty, the even-r case by checking that no nonzero source/target
-bidegree pair exists, and collapse at E8 by checking that every d_r with
-r >= 8 has zero source or zero target.  Each page turn checks that no
-module grew and that d_r∘d_r = 0: homology_at sees every composable pair
-of maps, as d_in and d_out of their middle bidegree, and rejects an image
-that exceeds the kernel.
+no even-r differential can exist (it would flip the parity of stem +
+filt, which is even on every cell).  Both facts are certified, not
+assumed: the d5 table must be empty, the even-r case by a parity check
+of every cell, and collapse at E8 by checking that every d_r with r >= 8
+has zero source or zero target.  Each page turn checks that d_r∘d_r = 0:
+homology_at sees every composable pair of maps, as d_in and d_out of
+their middle bidegree, and rejects an image that exceeds the kernel.
 
-Pages are column tables (modules.Page), and propagate places one
-LinearMap at every bidegree that gives it.  So a page turn runs
-homology_at once per distinct (column, d_in, d_out), and still checks on
-every bidegree, by identity, that d_out starts and d_in ends at its own
-column.  An unchanged column is the same object on the next page.
-Rule coverage is checked by propagate, which factorizes every residue
-class of the page it acts on (E2 for d3, E4 for d7) at least once.
+Pages are rows of interned columns (modules.Page) and propagate places
+one LinearMap, in the same rows, at every cell that gives it: the d_r
+target of cell i of row filt is cell i - 1 of row filt + r.  So a page
+turn walks the rows, runs homology_at once per distinct (column, d_in,
+d_out), and still checks on every cell, by identity, that d_out starts
+and d_in ends at its own column.  An unchanged column is the same object
+on the next page.  Rule coverage is checked by propagate, which
+factorizes every residue class of the page it acts on (E2 for d3, E4
+for d7) at least once.
 
 Freeness of a tower comes from E2, which flags the free summands
 (filtration 0 of the integral pages); page turns carry the flag from each
@@ -35,10 +36,11 @@ bidegree; serialization, assembly and the charts read that one record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .e2 import build_e2
 from .groupexpr import Term, term_order_exp
-from .modules import Column, ColumnTable, Page, PipelineError, homology_at
+from .modules import Column, ColumnTable, Page, PipelineError, empty_rows, homology_at
 from .monomials import NAMED, Monomial
 from .rules import Propagation, propagate, rule_table
 from .targets import Target, Window
@@ -51,46 +53,43 @@ class CertificateError(PipelineError):
 
 
 def turn_page(page: Page, prop: Propagation) -> Page:
-    """Homology at every bidegree, generator names carried by pure lifts,
-    once per distinct (column, d_in, d_out) in a memo for this call."""
-    r, maps, table = prop.r, prop.maps, page.table
-    out = Page(target=page.target, r=r + 1, window=page.window, table=table)
+    """Homology at every cell, generator names carried by pure lifts, once
+    per distinct (column, d_in, d_out) in a memo for this call.  d_out of
+    cell i of row filt is cell i of its map row; d_in is cell i + 1 of
+    map row filt - r."""
+    r, table, start = prop.r, page.table, page.window.stem_range.start
+    out = Page(page.target, r + 1, page.window, empty_rows(page.window), table)
     memo: dict[tuple, Column | None] = {}  # the new column, None if empty
-    for (stem, filt), col in page.columns.items():
-        d_out = maps.get((stem, filt))
-        d_in = maps.get((stem + 1, filt - r))
-        if d_out is not None and d_out.source is not col:
-            raise PipelineError(f"d_out source mismatch at ({stem},{filt})")
-        if d_in is not None and d_in.target is not col:
-            raise PipelineError(f"d_in target mismatch at ({stem},{filt})")
-        key = (col, d_in, d_out)
-        if key in memo:
-            new = memo[key]
-        else:
-            found, _lifts = homology_at(stem, filt, col, d_in, d_out)
-            if sum(found[2]) > sum(col.orders):
-                raise CertificateError(f"module length grew at ({stem},{filt})")
-            new = memo[key] = table[found] if found[0] else None
-        if new is not None:
-            out.columns[(stem, filt)] = new
+    blank = [None] * len(out.rows[0])
+    for filt, (row, outs, new_row) in enumerate(zip(page.rows, prop.rows, out.rows)):
+        ins = prop.rows[filt - r][1:] + [None] if filt >= r else blank
+        for i, (col, d_out, d_in) in enumerate(zip(row, outs, ins)):
+            if col is None:
+                continue
+            if d_out is not None and d_out.source is not col:
+                raise PipelineError(f"d_out source mismatch at ({start + i},{filt})")
+            if d_in is not None and d_in.target is not col:
+                raise PipelineError(f"d_in target mismatch at ({start + i},{filt})")
+            key = (col, d_in, d_out)
+            try:
+                new_row[i] = memo[key]
+            except KeyError:
+                found, _lifts = homology_at(start + i, filt, col, d_in, d_out)
+                new_row[i] = memo[key] = table[found] if found[0] else None
     return out
 
 
-def _nonzero_reported(page: Page) -> set[tuple[int, int]]:
-    N = page.window.N
-    return {key for key, col in page.columns.items() if col.u1s and col.u1s[0] < N}
-
-
 def check_even_r_vanishing(page: Page, rs=(2, 4, 6)) -> None:
-    """Sparseness: no even-r differential has nonzero source and target."""
-    nonzero = _nonzero_reported(page)
-    for (stem, filt) in nonzero:
-        if not page.window.trusted(stem, filt):
-            continue
-        for r in rs:
-            if (stem - 1, filt + r) in nonzero:
-                raise CertificateError(
-                    f"even differential d{r} possible at ({stem},{filt})")
+    """Sparseness: no even-r differential has nonzero source and target,
+    since no cell has stem + filt odd and an even d_r flips that parity."""
+    if any(r % 2 for r in rs):
+        raise ValueError(f"parity certifies even r only, got {rs}")
+    start = page.window.stem_range.start
+    for filt, row in enumerate(page.rows):
+        odd = (start + filt + 1) % 2  # the first cell with stem + filt odd
+        if any(row[odd::2]):
+            i = next(i for i in range(odd, len(row), 2) if row[i] is not None)
+            raise CertificateError(f"cell ({start + i},{filt}) has stem + filt odd")
 
 
 def check_collapse(page: Page) -> None:
@@ -99,12 +98,15 @@ def check_collapse(page: Page) -> None:
     A trusted nonzero source at (stem, filt) is compared with the highest
     trusted nonzero filtration of stem - 1, the target of its longest d_r.
     """
-    trusted = sorted(key for key in _nonzero_reported(page) if page.window.trusted(*key))
-    top = {stem: filt for stem, filt in trusted}  # sorted, so the last filt wins
-    for (stem, filt) in trusted:
-        gap = top.get(stem - 1, filt) - filt
-        if gap >= 8:
-            raise CertificateError(f"possible d{gap} from ({stem},{filt})")
+    window, N = page.window, page.window.N
+    pad = window.stem_lo - window.stem_range.start  # the same at both ends
+    trusted = islice(zip(*page.rows[:window.filt_max + 1]), pad, len(window.stem_range) - pad)
+    top = None  # the highest trusted nonzero filtration of stem - 1, if any
+    for stem, cells in enumerate(trusted, window.stem_lo):  # a stem at a time
+        filts = [f for f, col in enumerate(cells) if col is not None and col.u1s[0] < N]
+        if filts and top is not None and top - filts[0] >= 8:
+            raise CertificateError(f"possible d{top - filts[0]} from ({stem},{filts[0]})")
+        top = filts[-1] if filts else None
 
 
 @dataclass
@@ -146,7 +148,7 @@ def run_to_einfty(target: Target, window: Window) -> PageStack:
         "even-r source/target overlap: none",
         "d5 rule set empty and propagates to zero",
         "E8 collapse: every d_r (r>=8) has zero source or target",
-        "monotone death of total module length",
+        "monotone death of total module length",  # by homology_at, see its docstring
     ]
     return PageStack(target=target, window=window, pages={2: p2, 4: p4, 8: p8},
                      maps={3: prop3, 7: prop7}, table=p2.table, certificates=certificates)

@@ -8,13 +8,13 @@ the current page presentation (classes that died on earlier pages
 contribute zero).  Transversal elements without a stored value have zero
 differential.  The factorization sees only a residue of the monomial
 (RuleSet.bidegree_key of its bidegree and RuleSet.residue_classes of its
-u1-exponent), so propagate factorizes once per residue class of each
-distinct input and moves the whole class by one u1-shift, and builds one
-LinearMap per distinct map, placed at every bidegree that gives it;
-RuleSet.value_on is the slotwise reference.  Coverage is checked there
-too: a monomial the scheme cannot factor raises RuleCoverageError from
-the propagate call that meets it, and every residue of the page meets
-factorize.
+u1-exponent), so propagate walks the rows of the page, factorizes once
+per residue class of each distinct input and moves the whole class by
+one u1-shift, and builds one LinearMap per distinct map, placed in the
+row layout of the page at every cell that gives it; RuleSet.value_on is
+the slotwise reference.  Coverage is checked there too: a monomial the
+scheme cannot factor raises RuleCoverageError from the propagate call
+that meets it, and every residue of the page meets factorize.
 
 Rule data for the C2 tower:
 
@@ -35,11 +35,12 @@ Y_D7_VALUES below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
-from .modules import Column, HfpssError, LinearMap, Page, PipelineError
+from .modules import Column, HfpssError, LinearMap, Page, PipelineError, empty_rows, rows_view
 from .monomials import Monomial, parse_monomial
-from .targets import Target
+from .targets import Target, Window
 
 
 class RuleCoverageError(HfpssError):
@@ -202,24 +203,30 @@ def rule_table(target: Target, page: int) -> RuleSet:
 
 @dataclass
 class Propagation:
-    """The maps of one d_r on a page, by source bidegree (the target of
-    each is (stem - 1, filt + r)), and the sources with a boundary effect."""
+    """The maps of one d_r on a page, in its rows (cell i of row filt maps to
+    cell i - 1 of row filt + r), and the sources with a boundary effect."""
 
     r: int
-    maps: dict[tuple[int, int], LinearMap] = field(default_factory=dict)
+    window: Window
+    rows: list[list[LinearMap | None]]
     boundary: set[tuple[int, int]] = field(default_factory=set)
+
+    @cached_property
+    def maps(self) -> Mapping[tuple[int, int], LinearMap]:
+        return rows_view(self.rows, self.window)
 
 
 def propagate(page: Page, rules: RuleSet) -> Propagation:
     """Evaluate d_r on every basis class of the page.
 
-    The map at a bidegree depends only on its RuleSet.bidegree_key, its
-    column, the column of (stem - 1, filt + r) or its absence, and whether
-    that target lies in the padded window.  So it is computed once per
-    distinct such input, in a memo for this call keyed by column objects,
-    and one LinearMap, validated once, serves every bidegree with the
-    same (source, target, cols); an invalid one names the first of them.
-    Each computation factorizes once per residue class of the slots
+    The map at a cell depends only on its RuleSet.bidegree_key (period
+    2 * u_modulus in the stem), its column, the column of cell i - 1 of
+    row filt + r, or its absence, and whether that cell is in the padded
+    window.  So it is computed once per distinct such input, in a memo
+    for this call keyed by column objects, and one LinearMap, validated
+    once, serves every cell with the same (source, target, cols); an
+    invalid one names the first of them in row order.  Each computation
+    factorizes once per residue class of the slots
     (RuleSet.residue_classes); within a class d_r is one u1-shift.
     Values are reduced in the current page presentation: a target slot
     that is no longer present contributes zero, a scalar-prefixed target
@@ -227,30 +234,37 @@ def propagate(page: Page, rules: RuleSet) -> Propagation:
     the target's order is zero and is dropped.  Values landing outside
     the padded window flag the source bidegree as a boundary effect.
     """
-    r, columns, in_padded = rules.page, page.columns, page.window.in_padded
-    out = Propagation(r)
+    r, rows, window = rules.page, page.rows, page.window
+    out = Propagation(r, window, empty_rows(window))
+    start, period = window.stem_range.start, 2 * rules.u_modulus
     memo: dict[tuple, tuple[LinearMap | None, bool]] = {}  # per distinct input
     made: dict[tuple, LinearMap] = {}  # per distinct (source, target, cols)
-    for (stem, filt), col in sorted(columns.items()):
-        tgt_bid = (stem - 1, filt + r)
-        tgt = columns.get(tgt_bid)
-        padded = in_padded(*tgt_bid)
-        key = (rules.bidegree_key(stem, filt), col, tgt, padded)
-        found = memo.get(key)
-        if found is None:
-            cols, boundary = _values_at(stem, filt, col, tgt, padded, rules)
-            lm = None if cols is None else made.get((col, tgt, cols))
-            if cols is not None and lm is None:
-                try:
-                    lm = made[col, tgt, cols] = LinearMap(col, tgt, cols)
-                except PipelineError as exc:
-                    raise PipelineError(f"d{r} at ({stem},{filt}): {exc}") from None
-            found = memo[key] = (lm, boundary)
-        lm, boundary = found
-        if boundary:
-            out.boundary.add((stem, filt))
-        if lm is not None:
-            out.maps[(stem, filt)] = lm
+    for filt, (row, out_row) in enumerate(zip(rows, out.rows)):
+        tgt_row = rows[filt + r] if filt + r < len(rows) else None
+        keys = [None] * period  # bidegree_key by stem residue, found on first use
+        for i, col in enumerate(row):
+            if col is None:
+                continue
+            padded = tgt_row is not None and i > 0
+            tgt = tgt_row[i - 1] if padded else None
+            bk = keys[i % period]
+            if bk is None:
+                bk = keys[i % period] = rules.bidegree_key(start + i, filt)
+            key = (bk, col, tgt, padded)
+            found = memo.get(key)
+            if found is None:
+                cols, boundary = _values_at(start + i, filt, col, tgt, padded, rules)
+                lm = None if cols is None else made.get((col, tgt, cols))
+                if cols is not None and lm is None:
+                    try:
+                        lm = made[col, tgt, cols] = LinearMap(col, tgt, cols)
+                    except PipelineError as exc:
+                        raise PipelineError(f"d{r} at ({start + i},{filt}): {exc}") from None
+                found = memo[key] = (lm, boundary)
+            lm, boundary = found
+            if boundary:
+                out.boundary.add((start + i, filt))
+            out_row[i] = lm
     return out
 
 

@@ -10,8 +10,9 @@ import pytest
 from hfpss.charts import glyph_count, render_page, render_svg, render_text, tower_count
 from hfpss.modules import Column, LinearMap
 from hfpss.pages import run_to_einfty
-from hfpss.rules import Propagation
 from hfpss.targets import Target, Window
+
+from test_pages import prop_of
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -119,7 +120,7 @@ def test_chart_checks_both_ends_of_each_map():
         return Column(col.u1s, col.scalars, col.orders, col.free)
 
     for source, target in ((copy(lm.source), lm.target), (lm.source, copy(lm.target))):
-        prop = Propagation(3, {(stem, filt): LinearMap(source, target, lm.cols)})
+        prop = prop_of(3, stack.window, {(stem, filt): LinearMap(source, target, lm.cols)})
         with pytest.raises(ValueError, match=rf"d3 at \({stem},{filt}\) does not act"):
             render_text(stack.page(3), prop)
 

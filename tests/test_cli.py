@@ -1,11 +1,16 @@
 """Command-line interface: flags, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfpss import cli
 from hfpss.assembly import ExtensionError
@@ -236,3 +241,36 @@ def test_chart_svg_only_flag_with_text_is_usage_error(flag, capsys):
     assert f"{flag} needs --format svg" in capsys.readouterr().err
     code, _ = run_cli("chart", "--target", "c6", "--stems", "0:4", flag)  # text is the default
     assert code == 2
+
+
+@st.composite
+def _compute_args(draw):
+    """A compute run: target, a stem range (negative, single-stem or
+    reversed), filt_max, K and N, each possibly out of bounds."""
+    lo = draw(st.integers(-30, 60))
+    hi = lo + draw(st.sampled_from((0, 1, 3, 8, -1, -5)))  # LO:LO is one stem, HI < LO empty
+    return (draw(st.sampled_from(list(Target))), lo, hi, draw(st.integers(-1, 12)),
+            draw(st.integers(2, 6)), draw(st.integers(3, 20)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_compute_args())
+def test_compute_exits_0_1_or_2_and_2_on_an_invalid_window(case):
+    """No exception escapes `compute`; an invalid window is a usage error.
+
+    The CLI has no filt_max flag, so filt_max reaches it through the
+    window default_window builds."""
+    target, lo, hi, filt_max, K, N = case
+    make = cli.default_window
+
+    def with_filt_max(*args, **kwargs):
+        return replace(make(*args, **kwargs), filt_max=filt_max)
+
+    stems = f"--stems={lo}:{hi}"
+    with patch.object(cli, "default_window", with_filt_max), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["compute", "--target", target.value, stems, "--format", "text",
+                     "--witt-trunc", str(K), "--u1-trunc", str(N)])
+    valid = hi >= lo and filt_max >= 0 and K >= 3 and N >= 4
+    assert code in (0, 1, 2)
+    assert code == (0 if valid else 2), case

@@ -1,9 +1,11 @@
 """Starting-page constructions and their structural invariants."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfpss.e2 import (_u1_range, _u1_residue, build_e2, check_y_page_is_eta_cokernel,
                       eta_injectivity_check)
+from hfpss.modules import Page, empty_rows
 from hfpss.monomials import NAMED, Monomial
 from hfpss.targets import Target, Window
 
@@ -20,6 +22,51 @@ def test_u1_range_depends_only_on_its_residue(target):
             rep = first.setdefault(_u1_residue(stem, filt), (stem, filt))
             assert _u1_range(target, stem, filt, 18) == _u1_range(target, *rep, 18), \
                 (stem, filt, rep)
+
+
+@pytest.mark.parametrize("target", list(Target))
+def test_u1_residue_has_period_12_in_stem_and_in_filt_above_0(target):
+    # build_e2 fills each row with one stride-12 progression per residue,
+    # and copies each row above 12 from the row 12 below it
+    for stem in range(-40, 60):
+        for filt in range(0, 30):
+            assert _u1_residue(stem + 12, filt) == _u1_residue(stem, filt), (stem, filt)
+            assert _u1_range(target, stem + 12, filt, 18) == _u1_range(target, stem, filt, 18)
+            if filt > 0:
+                assert _u1_residue(stem, filt + 12) == _u1_residue(stem, filt), (stem, filt)
+                assert _u1_range(target, stem, filt + 12, 18) == \
+                    _u1_range(target, stem, filt, 18)
+    assert _u1_residue(0, 12) != _u1_residue(0, 0)  # filt 0 has its own residue
+
+
+@st.composite
+def _e2_windows(draw):
+    lo = draw(st.integers(-30, 60))
+    return draw(st.sampled_from(list(Target))), Window(
+        lo, lo + draw(st.integers(0, 39)), filt_max=draw(st.integers(0, 12)),
+        N=draw(st.integers(4, 20)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_e2_windows())
+def test_row_built_e2_is_the_cellwise_build(case):
+    """The E2 rows equal a build that calls _u1_range on every cell, and
+    equal columns are one interned object."""
+    target, window = case
+    page = build_e2(target, window)
+    expected = {}
+    for stem in window.stem_range:
+        for filt in window.filt_range:
+            bs = tuple(_u1_range(target, stem, filt, window.n_u1))
+            free = not target.mod2 and filt == 0
+            if bs:
+                expected[(stem, filt)] = (bs, (0,) * len(bs),
+                                          (window.K if free else 1,) * len(bs), free)
+    got = {key: (c.u1s, c.scalars, c.orders, c.free) for key, c in page.columns.items()}
+    assert got == expected
+    assert len(set(page.columns.values())) == len(set(expected.values())) == len(page.table)
+    assert all(len(row) == len(window.stem_range) for row in page.rows)
+    assert len(page.rows) == len(window.filt_range)
 
 
 def test_c2_page_has_even_u_powers_and_witt_bottoms():
@@ -121,8 +168,8 @@ def test_eta_injectivity_full_window():
 
 
 def test_eta_injectivity_on_zero_page_is_vacuous():
-    page = build_e2(Target.C6_V0, Window(5, 5, filt_max=0, N=4))
-    page.modules = {}
+    window = Window(5, 5, filt_max=0, N=4)
+    page = Page(Target.C6_V0, 2, window, empty_rows(window))
     report = eta_injectivity_check(page)
     assert report.ok and not report.coker_dims
 

@@ -3,13 +3,13 @@
 On the wide c6-v0 window of the benchmark (stems 0..191, filt_max 160)
 only a handful of columns are distinct.  Counted there: Column records,
 LinearMap validations, BidegreeModule constructions (none: modules are
-built only at the edges), the column objects pages share, and the E2
-cells build_e2 visits.
+built only at the edges), the bidegree-keyed views (none: compute walks
+the rows), the column objects pages share, and the E2 residues build_e2
+reads.
 """
 
-from hfpss import e2, modules
+from hfpss import e2, engine, modules
 from hfpss.modules import BidegreeModule, LinearMap
-from hfpss.pages import run_to_einfty
 from hfpss.rules import rule_table
 from hfpss.targets import Target, Window
 
@@ -45,13 +45,25 @@ def test_wide_window_work_is_per_distinct_column(monkeypatch):
     monkeypatch.setattr(LinearMap, "__post_init__", counted_validate)
     monkeypatch.setattr(BidegreeModule, "__init__", counted_build)
     monkeypatch.setattr(e2, "_u1_residue", counted_residue)
-    stack = run_to_einfty(Target.C6_V0, WIDE)
+    stack = engine.compute(Target.C6_V0, WIDE).stack
     monkeypatch.undo()
 
-    # build_e2 visits the cells with stem + filt even, the only ones with slots
-    cells = len(WIDE.stem_range) * len(WIDE.filt_range)
+    # compute, assembly included, reads the rows and builds no bidegree-keyed view
+    for obj in (*stack.pages.values(), *stack.maps.values()):
+        assert not {"columns", "modules", "maps"} & set(vars(obj)), obj.r
+
+    # build_e2 reads one residue per stride-12 progression of the cells with
+    # stem + filt even, the only ones with slots, on rows 0..12: 6 per row,
+    # together covering each such cell of those rows once; every row above
+    # is a copy of the row 12 below it
+    width = len(WIDE.stem_range)
     assert all((stem + filt) % 2 == 0 for stem, filt in residues)
-    assert len(residues) == cells // 2
+    assert len(residues) == len(set(residues)) == 6 * 13
+    assert {filt for _, filt in residues} == set(range(13))
+    assert sum(len(range(stem - WIDE.stem_range.start, width, 12))
+               for stem, _ in residues) == 13 * width // 2
+    e2_rows = stack.pages[2].rows
+    assert all(e2_rows[f] == e2_rows[f - 12] for f in range(13, len(e2_rows)))
 
     # one Column per distinct column of the stack, and no module at all
     distinct = {_content(col) for page in stack.pages.values()

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -10,7 +11,7 @@ from hfpss.charts import glyph_count, render_svg, render_text, tower_count
 from hfpss.engine import compute, default_window
 from hfpss.groupexpr import Term, truncate_term
 from hfpss.modules import (BidegreeModule, Column, LinearMap, Page, PipelineError, Summand,
-                           homology_at)
+                           empty_rows, homology_at)
 from hfpss.monomials import Monomial, parse_monomial
 from hfpss import charts, pages
 from hfpss.pages import (CertificateError, check_collapse,
@@ -23,12 +24,27 @@ from hfpss.targets import Target, Window
 m = parse_monomial
 
 
+def place(rows, window, cells):
+    """Put each value of cells (None empties a cell) in rows, a Page's or a
+    Propagation's, at its bidegree in the padded window."""
+    for (stem, filt), x in cells.items():
+        assert window.in_padded(stem, filt), (stem, filt)
+        rows[filt][stem - window.stem_range.start] = x
+
+
 def page_of(target, r, window, modules):
     """A page holding the columns of these modules, interned in its own table."""
-    page = Page(target, r, window)
-    for key, mod in modules.items():
-        page.columns[key] = page.table[mod.u1s, mod.scalars, mod.orders, mod.free]
+    page = Page(target, r, window, empty_rows(window))
+    place(page.rows, window, {key: page.table[mod.u1s, mod.scalars, mod.orders, mod.free]
+                              for key, mod in modules.items()})
     return page
+
+
+def prop_of(r, window, maps):
+    """A propagation of d_r holding these maps, by source bidegree."""
+    prop = Propagation(r, window, empty_rows(window))
+    place(prop.rows, window, maps)
+    return prop
 
 
 def _col(mod):
@@ -145,7 +161,7 @@ def test_propagate_validates_maps_with_equal_inputs():
     with pytest.raises(PipelineError, match=r"d3 at \(4,0\): map not well defined on "
                                             r"presentations: slot u1\^0 -> slot u1\^1"):
         propagate(page, rules)
-    del page.columns[(4, 0)]
+    place(page.rows, page.window, {(4, 0): None})
     with pytest.raises(PipelineError, match=r"d3 at \(12,0\): map not well defined"):
         propagate(page, rules)
 
@@ -155,7 +171,8 @@ def test_turn_page_rejects_d_in_on_another_module():
     mod = BidegreeModule.from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
     src = BidegreeModule.from_summands(4, 0, (Summand(0, m("u^{-2}"), 1),))
     page = page_of(Target.C2_V0, 3, Window(0, 5), {(3, 3): mod, (4, 0): src})
-    prop = Propagation(3, maps={(4, 0): LinearMap(page.columns[(4, 0)], _col(mod), [[(0, 0)]])})
+    prop = prop_of(3, page.window,
+                   {(4, 0): LinearMap(page.columns[(4, 0)], _col(mod), [[(0, 0)]])})
     with pytest.raises(PipelineError, match=r"d_in target mismatch at \(3,3\)"):
         turn_page(page, prop)
 
@@ -164,7 +181,8 @@ def test_turn_page_rejects_d_out_from_another_module():
     mod = BidegreeModule.from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
     src = BidegreeModule.from_summands(4, 0, (Summand(0, m("u^{-2}"), 1),))
     page = page_of(Target.C2_V0, 3, Window(0, 5), {(3, 3): mod, (4, 0): src})
-    prop = Propagation(3, maps={(4, 0): LinearMap(_col(src), page.columns[(3, 3)], [[(0, 0)]])})
+    prop = prop_of(3, page.window,
+                   {(4, 0): LinearMap(_col(src), page.columns[(3, 3)], [[(0, 0)]])})
     with pytest.raises(PipelineError, match=r"d_out source mismatch at \(4,0\)"):
         turn_page(page, prop)
 
@@ -186,7 +204,7 @@ def test_turn_page_checks_each_bidegree_where_a_result_is_reused():
         first = LinearMap(cols[(4, 0)], cols[(3, 3)], [[(0, 0)]])
         second = first if d_in_target is None else \
             LinearMap(cols[(6, 0)], d_in_target(cols), [[(0, 0)]])
-        return turn_page(page, Propagation(3, maps={(4, 0): first, (6, 0): second}))
+        return turn_page(page, prop_of(3, page.window, {(4, 0): first, (6, 0): second}))
 
     with pytest.raises(PipelineError, match=r"d_in target mismatch at \(5,3\)"):
         turn(other, lambda cols: _col(other))
@@ -208,8 +226,8 @@ def test_turn_page_reuses_a_result_only_for_equal_inputs():
     page = page_of(Target.C2, 3, Window(0, 15), {
         (3, 3): mod, (5, 3): mod2, (2, 6): tgt, (4, 6): tgt2, (9, 3): lone, (11, 3): lone2})
     cols = page.columns
-    prop = Propagation(3, maps={(3, 3): LinearMap(cols[(3, 3)], cols[(2, 6)], [[(0, 0)]]),
-                                (5, 3): LinearMap(cols[(5, 3)], cols[(4, 6)], [[(0, 0)]])})
+    prop = prop_of(3, page.window, {(3, 3): LinearMap(cols[(3, 3)], cols[(2, 6)], [[(0, 0)]]),
+                                    (5, 3): LinearMap(cols[(5, 3)], cols[(4, 6)], [[(0, 0)]])})
     turned = turn_page(page, prop)
     assert turned.modules == {
         (3, 3): BidegreeModule(3, 3, (1,), (1,), (1,)), (9, 3): lone, (11, 3): lone2}
@@ -227,6 +245,50 @@ def test_collapse_names_the_gap_between_trusted_ends():
         check_collapse(page)
     # the same pair with its target end outside the trusted window passes
     check_collapse(replace(page, window=Window(0, 10, filt_max=9)))
+
+
+@pytest.mark.parametrize("pair, gap", [
+    (((10, 0), (9, 9)), r"d9 from \(10,0\)"),    # the source on the top trusted stem
+    (((5, 1), (4, 12)), r"d11 from \(5,1\)"),    # the target on the top trusted filtration
+    (((0, 0), (-1, 9)), None),                   # the target one stem below the window
+    (((11, 0), (10, 9)), None),                  # the source one stem above it
+    (((5, 1), (4, 13)), None),                   # the target one filtration above it
+], ids=("source-top-stem", "target-top-filt", "target-below", "source-above", "target-above"))
+def test_collapse_reaches_the_edges_of_the_trusted_window(pair, gap):
+    one = BidegreeModule(0, 0, (0,), (0,), (1,))
+    page = page_of(Target.C2_V0, 8, Window(0, 10, filt_max=12), dict.fromkeys(pair, one))
+    if gap is None:
+        check_collapse(page)
+    else:
+        with pytest.raises(CertificateError, match=gap):
+            check_collapse(page)
+
+
+@pytest.mark.parametrize("odd", [(3, 0), (-7, 0), (12, 5), (0, 47)])
+def test_even_r_certificate_names_a_cell_of_odd_parity(odd):
+    # one cell with stem + filt odd, at the corners of the padded window
+    # (stems -7..12, filtrations 0..47) or inside it, among even ones
+    one = BidegreeModule(0, 0, (0,), (0,), (1,))
+    even = {(4, 0): one, (3, 3): one, (-7, 47): one, (12, 0): one}
+    page = page_of(Target.C2_V0, 2, Window(0, 5), {**even, odd: one})
+    for rs in ((2,), (4, 6)):
+        with pytest.raises(CertificateError,
+                           match=rf"cell \({odd[0]},{odd[1]}\) has stem \+ filt odd"):
+            check_even_r_vanishing(page, rs=rs)
+    check_even_r_vanishing(page_of(Target.C2_V0, 2, Window(0, 5), even))
+    with pytest.raises(ValueError, match="even r only"):
+        check_even_r_vanishing(page_of(Target.C2_V0, 2, Window(0, 5), even), rs=(3,))
+
+
+def test_views_are_read_only():
+    stack = run_to_einfty(Target.C2_V0, Window(0, 5))
+    page, prop = stack.pages[2], stack.maps[3]
+    col, lm = next(iter(page.columns.values())), next(iter(prop.maps.values()))
+    for view, value in ((page.columns, col), (page.modules, None), (prop.maps, lm)):
+        with pytest.raises(TypeError):
+            view[(0, 0)] = value
+        with pytest.raises(TypeError):
+            del view[next(iter(view))]
 
 
 @pytest.mark.parametrize("window", [Window(0, 5), Window(-3, 12, filt_max=0)])
@@ -274,6 +336,51 @@ def test_monotone_death(computed_all):
             for key, mod in new.modules.items():
                 prev = old.modules.get(key)
                 assert prev is not None and sum(mod.orders) <= sum(prev.orders)
+
+
+def _small_maps(n_src, n_tgt, exps):
+    """Every monomial-sparse cols from n_src generators to n_tgt: each
+    source generator goes nowhere or to a target row no other one hits,
+    with a 2-exponent from exps."""
+    def fill(j, used):
+        if j == n_src:
+            yield ()
+            return
+        for rest in fill(j + 1, used):
+            yield ((),) + rest
+        for i in range(n_tgt):
+            if i not in used:
+                for exp in exps:
+                    for rest in fill(j + 1, used | {i}):
+                        yield (((i, exp),),) + rest
+    return list(fill(0, frozenset()))
+
+
+def test_homology_never_raises_a_kept_order():
+    """homology_at gives each kept slot an order at most its old order, on
+    every small column and every d_in and d_out of small orders and
+    exponents; so no page turn can grow a module.  Middle columns have one
+    or two slots (free or not), the source two slots and the target one,
+    all of orders 1..3, and the maps 2-exponents 0..2."""
+    middles = [Column(tuple(range(len(orders))), (0,) * len(orders), orders, free)
+               for n in (1, 2) for orders in product(range(1, 4), repeat=n)
+               for free in (False, True)]
+    cases = 0
+    for mid, e_src, e_tgt in product(middles, range(1, 4), range(1, 4)):
+        n = len(mid.u1s)
+        src, tgt = Column((0, 1), (0, 0), (e_src, e_src)), Column((0,), (0,), (e_tgt,))
+        for d_in_cols, d_out_cols in product([None, *_small_maps(2, n, range(3))],
+                                             [None, *_small_maps(n, 1, range(3))]):
+            try:
+                d_in = d_in_cols and LinearMap(src, mid, d_in_cols)
+                d_out = d_out_cols and LinearMap(mid, tgt, d_out_cols)
+                (u1s, _, new_orders, _), _ = homology_at(0, 0, mid, d_in, d_out)
+            except PipelineError:  # not a complex, or d_in enters a free slot
+                continue
+            cases += 1
+            old = dict(zip(mid.u1s, mid.orders))
+            assert all(e <= old[b] for b, e in zip(u1s, new_orders)), (mid, d_in, d_out)
+    assert cases == 14988
 
 
 def _factorize_key(rules, mono):
@@ -575,7 +682,7 @@ def test_tower_shapes_are_kept_per_horizon():
     page = run_to_einfty(Target.C2, Window(0, 15)).page(8)
     assert page.towers
     window = replace(page.window, N=page.window.N + 6)
-    fresh = Page(page.target, page.r, window, columns=dict(page.columns))
+    fresh = Page(page.target, page.r, window, rows=page.rows)
     assert replace(page, window=window).towers == fresh.towers != page.towers
 
 
