@@ -16,8 +16,8 @@ found on first read and kept as Page.layout (as Page.towers is kept).
 It holds each tower's glyph and label, the trusted bidegrees that have
 towers, and max_filt.  The eta-line pairs are added the first time an
 SVG draws them.  The arrows of a differential are added the first time
-a chart draws that differential on the page, after a check that every
-map of it starts and ends at the page's own column of its bidegree.
+a chart draws that differential on the page, after a check, row by row,
+that every map of it starts and ends at the page's own column.
 Inside that one computation, the arrow styles are found once per map,
 as propagate builds one map per distinct (source, target, cols).
 """
@@ -113,28 +113,36 @@ def _arrows(page: Page, prop: Propagation) -> list[Arrow]:
     """Sorted (source, target, dashed) per tower-to-tower differential
     between two trusted bidegrees; computed once per (page, prop).
 
-    Raises ValueError unless every map of prop starts and ends at the
-    page's own column of its bidegree, i.e. prop acts on this page.
+    Walks prop.rows against page.rows, as turn_page does, and raises
+    ValueError unless prop has the page's window and every map starts and
+    ends at the page's own column of its bidegree: prop acts on the page.
     """
     layout = page.layout
     for seen, arrows in layout.arrows:
         if seen is prop:
             return arrows
-    window, towers, columns, N = page.window, page.towers, page.columns, page.window.N
+    window, towers, N, r, rows = page.window, page.towers, page.window.N, prop.r, page.rows
+    if prop.window != window:
+        raise ValueError(f"d{r} of another window does not act on page E{page.r}")
+    start = window.stem_range.start
     styles: dict[LinearMap, tuple[bool, ...]] = {}  # per distinct map
     found = set()
-    for (stem, filt), lm in prop.maps.items():
-        tgt_key = (stem - 1, filt + prop.r)
-        if columns.get((stem, filt)) is not lm.source or columns.get(tgt_key) is not lm.target:
-            raise ValueError(f"d{prop.r} at ({stem},{filt}) does not act on "
-                             f"page E{page.r} of {page.target.value}")
-        if not (window.trusted(stem, filt) and window.trusted(*tgt_key)):
-            continue
-        dashed = styles.get(lm)
-        if dashed is None:
-            dashed = styles[lm] = _styles(lm, towers.get((stem, filt), []),
-                                          towers.get(tgt_key, []), N)
-        found.update(((stem, filt), tgt_key, d) for d in dashed)
+    for filt, (row, maps) in enumerate(zip(rows, prop.rows)):
+        tgts = (None,) + rows[filt + r] if filt + r < len(rows) else (None,) * len(row)
+        for i, (col, lm, tgt) in enumerate(zip(row, maps, tgts)):  # tgt: cell i - 1
+            if lm is None:
+                continue
+            key, tgt_key = (start + i, filt), (start + i - 1, filt + r)
+            if col is not lm.source or tgt is not lm.target:
+                raise ValueError(f"d{r} at ({start + i},{filt}) does not act on "
+                                 f"page E{page.r} of {page.target.value}")
+            if not (window.trusted(*key) and window.trusted(*tgt_key)):
+                continue
+            dashed = styles.get(lm)
+            if dashed is None:
+                dashed = styles[lm] = _styles(lm, towers.get(key, []),
+                                              towers.get(tgt_key, []), N)
+            found.update((key, tgt_key, d) for d in dashed)
     arrows = sorted(found)
     layout.arrows.append((prop, arrows))
     return arrows

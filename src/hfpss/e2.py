@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modules import Column, Page, PipelineError, empty_rows
+from .modules import Column, ColumnTable, Page, PipelineError
 from .targets import Target, Window
 
 
@@ -51,14 +51,13 @@ def build_e2(target: Target, window: Window) -> Page:
     """The E2 page on the padded window, in a new column table: one interned
     Column per _u1_residue, written to its stride-12 progression of a row
     (the residue has period 12 in the stem).  Only cells with stem + filt
-    even are visited: _u1_range is empty on the others."""
+    even are visited: _u1_range is empty on the others.  Above filt 0 the
+    residue has period 12 in filt too: row filt > 12 is row filt - 12."""
     K, start, width = window.K, window.stem_range.start, len(window.stem_range)
-    page = Page(target, 2, window, empty_rows(window))
+    table, rows = ColumnTable(), []
     columns: dict[tuple, Column | None] = {}  # by _u1_residue, None if empty
-    for filt, row in enumerate(page.rows):  # filt_range starts at 0
-        if filt > 12:  # the residue has period 12 in filt as well, above filt 0
-            row[:] = page.rows[filt - 12]
-            continue
+    for filt in range(min(13, len(window.filt_range))):  # filt_range starts at 0
+        row = [None] * width
         for i in range((start + filt) % 2, min(12, width), 2):
             key = _u1_residue(start + i, filt)
             try:
@@ -66,11 +65,13 @@ def build_e2(target: Target, window: Window) -> Page:
             except KeyError:
                 bs = _u1_range(target, start + i, filt, window.n_u1)
                 free, n = not target.mod2 and filt == 0, len(bs)
-                col = columns[key] = (page.table[tuple(bs), (0,) * n, (K if free else 1,) * n,
-                                                 free] if bs else None)
+                col = columns[key] = (table[tuple(bs), (0,) * n, (K if free else 1,) * n,
+                                            free] if bs else None)
             if col is not None:
                 row[i::12] = [col] * ((width - 1 - i) // 12 + 1)
-    return page
+        rows.append(table.row(row))
+    rows += [rows[f % 12 or 12] for f in range(13, len(window.filt_range))]  # = rows[f - 12]
+    return Page(target, 2, window, tuple(rows), table)
 
 
 @dataclass

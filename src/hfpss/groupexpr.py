@@ -201,5 +201,6 @@ def truncate_group(g: GroupExpr, K: int, N: int) -> list[Summand]:
 
 
 def iso_invariants(g: GroupExpr, K: int, N: int) -> list[int]:
-    """Multiset of cyclic summand orders at truncation (K, N)."""
-    return sorted(s.order for s in truncate_group(g, K, N))
+    """Multiset of cyclic summand orders at truncation (K, N): per term,
+    its order once per slot, as truncate_group counts them (and raises)."""
+    return sorted(o for t in g.terms for o in [term_order_exp(t, K)] * len(t.offsets(N)))

@@ -7,13 +7,15 @@ alpha^c), with one flag for free summands (order K - j), which only fill
 a whole filtration-0 bidegree of an integral page.  A stack holds a
 handful of distinct columns, interned in the ColumnTable of the stack:
 one object per content, hashed by identity, and a Page holds them in
-rows: one per filtration, one cell per padded stem, None if empty.  Every
+rows: one per filtration, one cell per padded stem, None if empty.  Rows
+are tuples, shared by identity between filtrations and pages (all blank
+rows of a stack are one, ColumnTable.row), and memoised by it.  Every
 differential sends a generator to a 2-power times one generator and hits
 each generator at most once, so a LinearMap between two columns stores
 (row, 2-exponent) pairs, and homology is slotwise valuation arithmetic.
 Bidegree-keyed views (Page.columns, Page.modules, Propagation.maps),
 BidegreeModule and Summand records serve only the edges: labels, JSON,
-charts, tests and the SNF oracle.
+tests and the SNF oracle; Page.module reads one cell.
 """
 
 from __future__ import annotations
@@ -80,10 +82,15 @@ class ColumnTable(dict):
     def __init__(self):
         super().__init__()
         self.shapes: dict[tuple[int, int], dict[Column, tuple]] = {}
+        self.blanks: dict[int, tuple[None, ...]] = {}
 
     def __missing__(self, key: tuple) -> Column:
         col = self[key] = Column(*key)
         return col
+
+    def row(self, cells: list) -> tuple:
+        """The cells as a row: a tuple, or the stack's blank row if all are None."""
+        return tuple(cells) if any(cells) else self.blanks.setdefault(len(cells), tuple(cells))
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,13 +224,7 @@ def homology_at(stem: int, filt: int, col: Column, d_in: LinearMap | None,
     return (u1s, scalars, new_orders, col.free), lifts
 
 
-def empty_rows(window: Window) -> list[list]:
-    """One row of None per filtration of the padded window, one cell per stem."""
-    width = len(window.stem_range)
-    return [[None] * width for _ in window.filt_range]
-
-
-def rows_view(rows: list[list], window: Window) -> MappingProxyType:
+def rows_view(rows: tuple[tuple, ...], window: Window) -> MappingProxyType:
     """The cells of rows that are not None, read-only and in bidegree order."""
     stem = window.stem_range.start
     return MappingProxyType({(stem + i, filt): x for i, cells in enumerate(zip(*rows))
@@ -234,10 +235,11 @@ def rows_view(rows: list[list], window: Window) -> MappingProxyType:
 class Page:
     """One page of one spectral sequence on a padded window.
 
-    `rows` (see empty_rows) holds each cell's Column in `table`, the table
-    every page of its stack shares, or None.  Complete when build_e2 or
-    turn_page returns it, so `towers`, the chart `layout` and the views
-    are built on first read and kept.  Trust and truncation are the
+    `rows` holds a tuple per filtration of the padded window, each cell
+    the Column of its stem in `table`, the table every page of its stack
+    shares, or None; pages share rows by identity.  Complete when
+    build_e2 or turn_page returns it, so `towers`, the chart `layout` and
+    the views are built on first read and kept.  Trust and truncation are the
     window's: the d3 or d7 value of a trusted source, at (stem - 1,
     filt + r), never leaves the padded window, and K is window.K.
     """
@@ -245,7 +247,7 @@ class Page:
     target: Target
     r: int
     window: Window
-    rows: list[list[Column | None]]
+    rows: tuple[tuple[Column | None, ...], ...]
     table: ColumnTable = field(default_factory=ColumnTable)
 
     @property
@@ -253,7 +255,11 @@ class Page:
         return self.window.K
 
     def module(self, stem: int, filt: int) -> BidegreeModule:
-        return self.modules.get((stem, filt)) or BidegreeModule(stem, filt, (), (), ())
+        """The module at (stem, filt), read from its cell; empty if it has none."""
+        window = self.window
+        col = window.in_padded(stem, filt) and self.rows[filt][stem - window.stem_range.start]
+        fields = (col.u1s, col.scalars, col.orders, col.free) if col and col.u1s else ((),) * 3
+        return BidegreeModule(stem, filt, *fields)
 
     @cached_property
     def columns(self) -> MappingProxyType:

@@ -13,15 +13,18 @@ has zero source or zero target.  Each page turn checks that d_r∘d_r = 0:
 homology_at sees every composable pair of maps, as d_in and d_out of
 their middle bidegree, and rejects an image that exceeds the kernel.
 
-Pages are rows of interned columns (modules.Page) and propagate places
-one LinearMap, in the same rows, at every cell that gives it: the d_r
-target of cell i of row filt is cell i - 1 of row filt + r.  So a page
-turn walks the rows, runs homology_at once per distinct (column, d_in,
-d_out), and still checks on every cell, by identity, that d_out starts
-and d_in ends at its own column.  An unchanged column is the same object
-on the next page.  Rule coverage is checked by propagate, which
-factorizes every residue class of the page it acts on (E2 for d3, E4
-for d7) at least once.
+Pages are tuples of immutable rows of interned columns (modules.Page),
+and propagate places one LinearMap, in the same rows, at every cell that
+gives it: the d_r target of cell i of row filt is cell i - 1 of row
+filt + r.  A page turn computes a row once per distinct (row, d_out row,
+d_in row) objects, reused wherever they meet again, and runs homology_at
+once per distinct (column, d_in, d_out); each cell it computes is
+checked, by identity, to have d_out start and d_in end at its column.
+The checks a reused row skips are pure functions of the same objects,
+which passed them: the column memo's argument, one level up.  An
+unchanged column is the same object on the next page.  Rule coverage is
+checked by propagate, which factorizes every residue class of the page
+it acts on (E2 for d3, E4 for d7) at least once.
 
 Freeness of a tower comes from E2, which flags the free summands
 (filtration 0 of the integral pages); page turns carry the flag from each
@@ -40,7 +43,7 @@ from itertools import islice
 
 from .e2 import build_e2
 from .groupexpr import Term, term_order_exp
-from .modules import Column, ColumnTable, Page, PipelineError, empty_rows, homology_at
+from .modules import Column, ColumnTable, Page, PipelineError, homology_at
 from .monomials import NAMED, Monomial
 from .rules import Propagation, propagate, rule_table
 from .targets import Target, Window
@@ -54,38 +57,48 @@ class CertificateError(PipelineError):
 
 def turn_page(page: Page, prop: Propagation) -> Page:
     """Homology at every cell, generator names carried by pure lifts, once
-    per distinct (column, d_in, d_out) in a memo for this call.  d_out of
-    cell i of row filt is cell i of its map row; d_in is cell i + 1 of
-    map row filt - r."""
+    per distinct (column, d_in, d_out) and (row, d_out row, d_in row) in
+    memos for this call.  d_out of cell i of row filt is cell i of its map
+    row; d_in is cell i + 1 of map row filt - r (a blank row below r)."""
     r, table, start = prop.r, page.table, page.window.stem_range.start
-    out = Page(page.target, r + 1, page.window, empty_rows(page.window), table)
+    blank = table.row([None] * len(page.window.stem_range))
     memo: dict[tuple, Column | None] = {}  # the new column, None if empty
-    blank = [None] * len(out.rows[0])
-    for filt, (row, outs, new_row) in enumerate(zip(page.rows, prop.rows, out.rows)):
-        ins = prop.rows[filt - r][1:] + [None] if filt >= r else blank
-        for i, (col, d_out, d_in) in enumerate(zip(row, outs, ins)):
-            if col is None:
-                continue
-            if d_out is not None and d_out.source is not col:
-                raise PipelineError(f"d_out source mismatch at ({start + i},{filt})")
-            if d_in is not None and d_in.target is not col:
-                raise PipelineError(f"d_in target mismatch at ({start + i},{filt})")
-            key = (col, d_in, d_out)
-            try:
-                new_row[i] = memo[key]
-            except KeyError:
-                found, _lifts = homology_at(start + i, filt, col, d_in, d_out)
-                new_row[i] = memo[key] = table[found] if found[0] else None
-    return out
+    done, rows = {}, []  # done: each new row, by the identity of its three input rows
+    for filt, (row, outs) in enumerate(zip(page.rows, prop.rows)):
+        ins = prop.rows[filt - r] if filt >= r else blank
+        key = (id(row), id(outs), id(ins))  # the rows are alive
+        new_row = done.get(key)
+        if new_row is None:
+            cells = [None] * len(row)
+            for i, (col, d_out, d_in) in enumerate(zip(row, outs, ins[1:] + (None,))):
+                if col is None:
+                    continue
+                if d_out is not None and d_out.source is not col:
+                    raise PipelineError(f"d_out source mismatch at ({start + i},{filt})")
+                if d_in is not None and d_in.target is not col:
+                    raise PipelineError(f"d_in target mismatch at ({start + i},{filt})")
+                key_i = (col, d_in, d_out)
+                try:
+                    cells[i] = memo[key_i]
+                except KeyError:
+                    found, _lifts = homology_at(start + i, filt, col, d_in, d_out)
+                    cells[i] = memo[key_i] = table[found] if found[0] else None
+            new_row = done[key] = table.row(cells)
+        rows.append(new_row)
+    return Page(page.target, r + 1, page.window, tuple(rows), table)
 
 
 def check_even_r_vanishing(page: Page, rs=(2, 4, 6)) -> None:
     """Sparseness: no even-r differential has nonzero source and target,
-    since no cell has stem + filt odd and an even d_r flips that parity."""
+    since no cell has stem + filt odd (checked once per distinct row and
+    filt mod 2) and an even d_r flips that parity."""
     if any(r % 2 for r in rs):
         raise ValueError(f"parity certifies even r only, got {rs}")
-    start = page.window.stem_range.start
+    start, seen = page.window.stem_range.start, set()
     for filt, row in enumerate(page.rows):
+        if (id(row), filt % 2) in seen:  # the rows are alive
+            continue
+        seen.add((id(row), filt % 2))
         odd = (start + filt + 1) % 2  # the first cell with stem + filt odd
         if any(row[odd::2]):
             i = next(i for i in range(odd, len(row), 2) if row[i] is not None)

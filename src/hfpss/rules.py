@@ -8,13 +8,13 @@ the current page presentation (classes that died on earlier pages
 contribute zero).  Transversal elements without a stored value have zero
 differential.  The factorization sees only a residue of the monomial
 (RuleSet.bidegree_key of its bidegree and RuleSet.residue_classes of its
-u1-exponent), so propagate walks the rows of the page, factorizes once
-per residue class of each distinct input and moves the whole class by
-one u1-shift, and builds one LinearMap per distinct map, placed in the
-row layout of the page at every cell that gives it; RuleSet.value_on is
-the slotwise reference.  Coverage is checked there too: a monomial the
-scheme cannot factor raises RuleCoverageError from the propagate call
-that meets it, and every residue of the page meets factorize.
+u1-exponent), so propagate walks each distinct row of the page once,
+factorizes once per residue class of each distinct input, moves the
+whole class by one u1-shift, and builds one LinearMap per distinct map,
+placed in the row layout of the page at every cell that gives it;
+RuleSet.value_on is the slotwise reference.  Coverage is checked there
+too: a monomial the scheme cannot factor raises RuleCoverageError from
+the propagate call that meets it; every residue of the page meets factorize.
 
 Rule data for the C2 tower:
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
-from .modules import Column, HfpssError, LinearMap, Page, PipelineError, empty_rows, rows_view
+from .modules import Column, HfpssError, LinearMap, Page, PipelineError, rows_view
 from .monomials import Monomial, parse_monomial
 from .targets import Target, Window
 
@@ -208,7 +208,7 @@ class Propagation:
 
     r: int
     window: Window
-    rows: list[list[LinearMap | None]]
+    rows: tuple[tuple[LinearMap | None, ...], ...]
     boundary: set[tuple[int, int]] = field(default_factory=set)
 
     @cached_property
@@ -220,52 +220,63 @@ def propagate(page: Page, rules: RuleSet) -> Propagation:
     """Evaluate d_r on every basis class of the page.
 
     The map at a cell depends only on its RuleSet.bidegree_key (period
-    2 * u_modulus in the stem), its column, the column of cell i - 1 of
-    row filt + r, or its absence, and whether that cell is in the padded
-    window.  So it is computed once per distinct such input, in a memo
-    for this call keyed by column objects, and one LinearMap, validated
-    once, serves every cell with the same (source, target, cols); an
-    invalid one names the first of them in row order.  Each computation
-    factorizes once per residue class of the slots
-    (RuleSet.residue_classes); within a class d_r is one u1-shift.
-    Values are reduced in the current page presentation: a target slot
-    that is no longer present contributes zero, a scalar-prefixed target
-    absorbs the matching 2-power, and an entry whose 2-exponent reaches
-    the target's order is zero and is dropped.  Values landing outside
-    the padded window flag the source bidegree as a boundary effect.
+    P = 2 * u_modulus in the stem, and in filt together with filt == 0),
+    its column, the column of cell i - 1 of row filt + r, or its absence,
+    and whether that cell is in the padded window.  So it is computed
+    once per distinct such input, in a memo for this call keyed by column
+    objects, and one LinearMap, validated once, serves every cell with
+    the same (source, target, cols); an invalid one names the first of
+    them in row order.  So is a map row, once per distinct (filt mod P,
+    filt == 0, row, target row), rows by identity; a reused row moves its
+    boundary cells to its filtration.  Each computation factorizes once
+    per residue class of the slots (RuleSet.residue_classes); within a
+    class d_r is one u1-shift.  Values are reduced in the current page
+    presentation: a target slot that is no longer present contributes
+    zero, a scalar-prefixed target absorbs the matching 2-power, and an
+    entry whose 2-exponent reaches the target's order is zero and is
+    dropped.  Values landing outside the padded window flag the source
+    bidegree as a boundary effect.
     """
     r, rows, window = rules.page, page.rows, page.window
-    out = Propagation(r, window, empty_rows(window))
     start, period = window.stem_range.start, 2 * rules.u_modulus
     memo: dict[tuple, tuple[LinearMap | None, bool]] = {}  # per distinct input
     made: dict[tuple, LinearMap] = {}  # per distinct (source, target, cols)
-    for filt, (row, out_row) in enumerate(zip(rows, out.rows)):
+    done, out_rows, boundary = {}, [], set()  # done: (row, boundary cells) per row input
+    row_of = page.table.row
+    for filt, row in enumerate(rows):
         tgt_row = rows[filt + r] if filt + r < len(rows) else None
-        keys = [None] * period  # bidegree_key by stem residue, found on first use
-        for i, col in enumerate(row):
-            if col is None:
-                continue
-            padded = tgt_row is not None and i > 0
-            tgt = tgt_row[i - 1] if padded else None
-            bk = keys[i % period]
-            if bk is None:
-                bk = keys[i % period] = rules.bidegree_key(start + i, filt)
-            key = (bk, col, tgt, padded)
-            found = memo.get(key)
-            if found is None:
-                cols, boundary = _values_at(start + i, filt, col, tgt, padded, rules)
-                lm = None if cols is None else made.get((col, tgt, cols))
-                if cols is not None and lm is None:
-                    try:
-                        lm = made[col, tgt, cols] = LinearMap(col, tgt, cols)
-                    except PipelineError as exc:
-                        raise PipelineError(f"d{r} at ({start + i},{filt}): {exc}") from None
-                found = memo[key] = (lm, boundary)
-            lm, boundary = found
-            if boundary:
-                out.boundary.add((start + i, filt))
-            out_row[i] = lm
-    return out
+        key = (filt % period, filt == 0, id(row), id(tgt_row))  # the rows are alive
+        found_row = done.get(key)
+        if found_row is None:
+            cells, edge = [None] * len(row), []
+            keys = [None] * period  # bidegree_key by stem residue, found on first use
+            for i, col in enumerate(row):
+                if col is None:
+                    continue
+                padded = tgt_row is not None and i > 0
+                tgt = tgt_row[i - 1] if padded else None
+                bk = keys[i % period]
+                if bk is None:
+                    bk = keys[i % period] = rules.bidegree_key(start + i, filt)
+                key_i = (bk, col, tgt, padded)
+                found = memo.get(key_i)
+                if found is None:
+                    cols, edged = _values_at(start + i, filt, col, tgt, padded, rules)
+                    lm = None if cols is None else made.get((col, tgt, cols))
+                    if cols is not None and lm is None:
+                        try:
+                            lm = made[col, tgt, cols] = LinearMap(col, tgt, cols)
+                        except PipelineError as exc:
+                            raise PipelineError(f"d{r} at ({start + i},{filt}): {exc}") from None
+                    found = memo[key_i] = (lm, edged)
+                cells[i], edged = found
+                if edged:
+                    edge.append(i)
+            found_row = done[key] = (row_of(cells), edge)
+        out_rows.append(found_row[0])
+        for i in found_row[1]:
+            boundary.add((start + i, filt))
+    return Propagation(r, window, tuple(out_rows), boundary)
 
 
 def _values_at(stem: int, filt: int, col: Column, tgt: Column | None, padded: bool,

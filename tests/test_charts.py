@@ -125,6 +125,26 @@ def test_chart_checks_both_ends_of_each_map():
             render_text(stack.page(3), prop)
 
 
+@pytest.mark.parametrize("target", list(Target))
+def test_charts_with_arrows_build_no_view(target):
+    # E3 and E7 with their differential, text and SVG with labels and eta
+    # lines, walk the rows: no bidegree-keyed view of a page or a map
+    stack = run_to_einfty(target, Window(0, 24, filt_max=12))
+    for r in (3, 7):
+        page, prop = stack.page(r), stack.maps[r]
+        render_text(page, prop, page_index=r)
+        render_svg(page, prop, labels=True, eta_lines=True)
+        assert page.layout.arrows and not {"columns", "modules"} & set(vars(page))
+        assert "maps" not in vars(prop)
+
+
+def test_chart_rejects_a_differential_of_another_window():
+    stack = run_to_einfty(Target.C2_V0, Window(0, 12, filt_max=12))
+    other = run_to_einfty(Target.C2_V0, Window(0, 11, filt_max=12))
+    with pytest.raises(ValueError, match="d3 of another window does not act on page E2"):
+        render_text(stack.page(3), other.maps[3])
+
+
 _SVG = "{http://www.w3.org/2000/svg}"
 
 

@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from hfpss.e2 import (_u1_range, _u1_residue, build_e2, check_y_page_is_eta_cokernel,
                       eta_injectivity_check)
-from hfpss.modules import Page, empty_rows
+from hfpss.modules import Page
 from hfpss.monomials import NAMED, Monomial
 from hfpss.targets import Target, Window
+
+from test_pages import empty_rows
 
 WIN = Window(0, 15, filt_max=20, N=6)
 WIN6 = Window(0, 20, filt_max=20, N=9)

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from hfpss.groupexpr import (GroupExpr, GroupExprError, Term, iso_invariants,
                              parse_group_expr, truncate_group)
 from hfpss.monomials import Monomial
+from hfpss.targets import Target
+from hfpss.verify import load_fixtures
 
 
 def test_parse_w_series():
@@ -97,3 +99,44 @@ terms = st.builds(
 def test_render_parse_roundtrip(term_list):
     g = GroupExpr(tuple(term_list))
     assert parse_group_expr(g.render()).render() == g.render()
+
+
+def _orders_or_error(f, g, K, N):
+    try:
+        return f(g, K, N)
+    except GroupExprError as exc:
+        return str(exc)
+
+
+def _by_truncation(g, K, N):
+    """The reference: the orders of the summands truncate_group builds."""
+    return sorted(s.order for s in truncate_group(g, K, N))
+
+
+@pytest.mark.parametrize("K", [3, 4, 5])
+@pytest.mark.parametrize("N", [4, 12, 48])
+def test_iso_invariants_count_the_summands_of_truncate_group(K, N):
+    exprs = [fe.expr for t in Target for fe in load_fixtures(t)]
+    assert len(exprs) == 176
+    for g in exprs:
+        assert iso_invariants(g, K, N) == _by_truncation(g, K, N), g.render()
+
+
+def test_iso_invariants_reads_the_order_of_a_term_without_slots():
+    g = parse_group_expr("8u1^{20}W + a^{2}F4")  # 2^3 vanishes at K = 3
+    assert [len(t.offsets(4)) for t in g.terms if t.free] == [0]
+    for f in (iso_invariants, _by_truncation):
+        with pytest.raises(GroupExprError, match="vanishes at K=3"):
+            f(g, 3, 4)
+    assert iso_invariants(g, 4, 4) == [1] == _by_truncation(g, 4, 4)
+
+
+_terms = st.builds(Term, st.integers(0, 6),
+                   st.builds(Monomial, st.integers(-30, 30), st.integers(0, 60), st.integers(0, 9)),
+                   st.sampled_from(("W", "W/4", "F4")), st.sampled_from((None, 1, 3)))
+
+
+@given(st.lists(_terms, max_size=6), st.integers(2, 7), st.integers(1, 64))
+def test_iso_invariants_match_truncate_group_on_random_expressions(terms, K, N):
+    g = GroupExpr(tuple(terms))
+    assert _orders_or_error(iso_invariants, g, K, N) == _orders_or_error(_by_truncation, g, K, N)

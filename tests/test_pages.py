@@ -10,8 +10,8 @@ from hfpss.assembly import assemble_all
 from hfpss.charts import glyph_count, render_svg, render_text, tower_count
 from hfpss.engine import compute, default_window
 from hfpss.groupexpr import Term, truncate_term
-from hfpss.modules import (BidegreeModule, Column, LinearMap, Page, PipelineError, Summand,
-                           empty_rows, homology_at)
+from hfpss.modules import (BidegreeModule, Column, ColumnTable, LinearMap, Page, PipelineError,
+                           Summand, homology_at)
 from hfpss.monomials import Monomial, parse_monomial
 from hfpss import charts, pages
 from hfpss.pages import (CertificateError, check_collapse,
@@ -24,27 +24,35 @@ from hfpss.targets import Target, Window
 m = parse_monomial
 
 
+def empty_rows(window):
+    """One all-None row per filtration of the padded window, one cell per stem."""
+    return ((None,) * len(window.stem_range),) * len(window.filt_range)
+
+
 def place(rows, window, cells):
-    """Put each value of cells (None empties a cell) in rows, a Page's or a
-    Propagation's, at its bidegree in the padded window."""
+    """The rows, a Page's or a Propagation's, with each value of cells
+    (None empties a cell) at its bidegree in the padded window: a new
+    tuple of rows, in which only the rows written to are new tuples."""
+    rows = list(rows)
     for (stem, filt), x in cells.items():
         assert window.in_padded(stem, filt), (stem, filt)
-        rows[filt][stem - window.stem_range.start] = x
+        row = list(rows[filt])
+        row[stem - window.stem_range.start] = x
+        rows[filt] = tuple(row)
+    return tuple(rows)
 
 
 def page_of(target, r, window, modules):
     """A page holding the columns of these modules, interned in its own table."""
-    page = Page(target, r, window, empty_rows(window))
-    place(page.rows, window, {key: page.table[mod.u1s, mod.scalars, mod.orders, mod.free]
-                              for key, mod in modules.items()})
-    return page
+    table = ColumnTable()
+    return Page(target, r, window, place(empty_rows(window), window, {
+        key: table[mod.u1s, mod.scalars, mod.orders, mod.free]
+        for key, mod in modules.items()}), table)
 
 
 def prop_of(r, window, maps):
     """A propagation of d_r holding these maps, by source bidegree."""
-    prop = Propagation(r, window, empty_rows(window))
-    place(prop.rows, window, maps)
-    return prop
+    return Propagation(r, window, place(empty_rows(window), window, maps))
 
 
 def _col(mod):
@@ -161,7 +169,7 @@ def test_propagate_validates_maps_with_equal_inputs():
     with pytest.raises(PipelineError, match=r"d3 at \(4,0\): map not well defined on "
                                             r"presentations: slot u1\^0 -> slot u1\^1"):
         propagate(page, rules)
-    place(page.rows, page.window, {(4, 0): None})
+    page = replace(page, rows=place(page.rows, page.window, {(4, 0): None}))
     with pytest.raises(PipelineError, match=r"d3 at \(12,0\): map not well defined"):
         propagate(page, rules)
 
@@ -289,6 +297,32 @@ def test_views_are_read_only():
             view[(0, 0)] = value
         with pytest.raises(TypeError):
             del view[next(iter(view))]
+
+
+@pytest.mark.parametrize("target", list(Target))
+def test_module_reads_its_cell_and_builds_no_view(target):
+    # every padded bidegree, and a margin of 3 outside the padded window on
+    # each side, answers as the modules view does, and no view is built
+    stack = run_to_einfty(target, Window(-2, 9, filt_max=6))
+    for page in stack.pages.values():
+        stems, filts = page.window.stem_range, page.window.filt_range
+        keys = [(n, f) for n in range(stems.start - 3, stems.stop + 3)
+                for f in range(filts.start - 3, filts.stop + 3)]
+        got = [page.module(*key) for key in keys]
+        assert not {"columns", "modules"} & set(vars(page))
+        assert got == [page.modules.get(key, BidegreeModule(*key, (), (), ())) for key in keys]
+        assert sum(map(len, got)) == sum(map(len, page.modules.values())) > 0
+
+
+def test_even_r_certificate_checks_a_shared_row_at_both_parities():
+    # one row object at every filtration: its cell (4, ·) is even at
+    # filtration 0 and odd at 1, so a memo of rows must also key the parity
+    one = BidegreeModule(0, 0, (0,), (0,), (1,))
+    page = page_of(Target.C2_V0, 2, Window(0, 5), {(4, 0): one})
+    row, blank = page.rows[0], page.rows[1]
+    with pytest.raises(CertificateError, match=r"cell \(4,1\) has stem \+ filt odd"):
+        check_even_r_vanishing(replace(page, rows=(row,) * len(page.rows)))
+    check_even_r_vanishing(replace(page, rows=(row, blank) * (len(page.rows) // 2)))
 
 
 @pytest.mark.parametrize("window", [Window(0, 5), Window(-3, 12, filt_max=0)])

@@ -1,13 +1,15 @@
 """Differential rule tables, factorization, and propagation."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfpss.e2 import build_e2
-from hfpss.modules import BidegreeModule, homology_at
+from hfpss.modules import BidegreeModule, HfpssError, homology_at
 from hfpss.monomials import parse_monomial
 from hfpss.engine import DEFAULT_STEMS
-from hfpss.pages import run_to_einfty
+from hfpss.pages import check_even_r_vanishing, run_to_einfty, turn_page
 from hfpss.rules import (RuleCoverageError, RuleSet, Y_D7_PUBLISHED_VALUES, Y_D7_VALUES,
                          propagate, rule_table)
 from hfpss.targets import Target, Window
@@ -288,6 +290,123 @@ def test_fan_out_matches_slotwise_reference_on_small_windows(case):
     stack = run_to_einfty(*case)
     _reference_entries(stack)
     _reference_turns(stack)
+
+
+@pytest.mark.parametrize("target", list(Target))
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_bidegree_key_has_the_row_period_in_filt(target, r):
+    """propagate keys a row on (filt mod P, filt == 0), P = 2 * u_modulus:
+    filtrations with equal phase give every stem the same bidegree_key.
+    The stems run over two periods of the key in the stem, which is P."""
+    rules = rule_table(target, r)
+    period, by_phase = 2 * rules.u_modulus, {}
+    for filt in range(4 * period):
+        keys = [rules.bidegree_key(stem, filt) for stem in range(-period, 3 * period)]
+        assert keys[:2 * period] == keys[2 * period:]
+        assert by_phase.setdefault((filt % period, filt == 0), keys) == keys, filt
+    # on Y the key also reads whether filt is 0, so P alone is not a period
+    assert (by_phase[0, True] != by_phase[0, False]) == rules.y_mode
+
+
+def _fresh(rows_of):
+    """A copy of a page or propagation whose rows are all new objects, so
+    that no row is shared and no row memo can hit."""
+    return replace(rows_of, rows=tuple(tuple(list(row)) for row in rows_of.rows))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except HfpssError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _lockstep(target, window, rule_of):
+    """E2 to E8 twice from one E2 page: with its shared rows, and with every
+    walk given fresh rows.  Each cell holds the same Column object, each map
+    has the same ends and columns, the boundary sets are equal, and a
+    failing walk raises the same error at the same first cell, which is
+    returned (None if every walk passes)."""
+    page = ref = build_e2(target, window)
+    for r in (3, 7):
+        rules = rule_of(target, r)
+        assert _outcome(check_even_r_vanishing, page, (r - 1,)) is None
+        assert _outcome(check_even_r_vanishing, _fresh(ref), (r - 1,)) is None
+        prop, ref_prop = _outcome(propagate, page, rules), _outcome(propagate, _fresh(ref), rules)
+        if isinstance(prop, str) or isinstance(ref_prop, str):
+            assert prop == ref_prop
+            return prop
+        assert prop.boundary == ref_prop.boundary
+        for row, ref_row in zip(prop.rows, ref_prop.rows, strict=True):
+            for lm, ref_lm in zip(row, ref_row, strict=True):
+                assert (lm is None) == (ref_lm is None)
+                assert lm is None or (lm.source, lm.target, lm.cols) == \
+                    (ref_lm.source, ref_lm.target, ref_lm.cols)
+        page, ref = (_outcome(turn_page, page, prop),
+                     _outcome(turn_page, _fresh(ref), _fresh(ref_prop)))
+        if isinstance(page, str) or isinstance(ref, str):
+            assert page == ref
+            return page
+        for row, ref_row in zip(page.rows, ref.rows, strict=True):
+            assert all(col is ref_col for col, ref_col in zip(row, ref_row, strict=True))
+    return None
+
+
+@st.composite
+def _tall_windows(draw):
+    """A target, a window of at most one stem period (a single stem included)
+    up to 67 rows high, and whether d7 drops a transversal element it
+    stores no value on."""
+    target = draw(st.sampled_from(list(Target)))
+    period = DEFAULT_STEMS[target][1] + 1
+    lo = draw(st.integers(-period, period))
+    window = Window(lo, lo + draw(st.one_of(st.just(0), st.integers(0, period - 1))),
+                    filt_max=draw(st.one_of(st.integers(0, 12), st.integers(41, 60))),
+                    N=draw(st.integers(4, 14)))
+    return target, window, draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tall_windows())
+def test_row_memo_matches_fresh_rows(case):
+    target, window, drop = case
+
+    def rule_of(target, r):
+        rules = rule_table(target, r)
+        if r == 7 and drop:  # a coverage error at the first cell that meets it
+            bare = [g for g in rules.transversal if g not in rules.values]
+            rules = replace(rules, transversal=tuple(g for g in rules.transversal
+                                                     if g != bare[-1]))
+        return rules
+
+    error = _lockstep(target, window, rule_of)
+    assert error is None or drop and error.startswith("RuleCoverageError")
+
+
+def test_row_memo_tells_filtration_0_from_48_on_y():
+    # on Y bidegree_key reads whether filt is 0: one row object at
+    # filtrations 0 and 48, with one target row (E2 row 7 is row 55), has
+    # one phase mod 48, and factorizes its u1 > 0 slots only at filt 0
+    e2 = build_e2(Target.C6_Y, Window(0, 47, filt_max=48))
+    assert e2.rows[7] is e2.rows[55] and e2.rows[0] is not e2.rows[48]
+    page = replace(e2, rows=e2.rows[:48] + e2.rows[:1] + e2.rows[49:])
+    rules = rule_table(Target.C6_Y, 7)
+    got = _outcome(propagate, page, rules)
+    assert got == _outcome(propagate, _fresh(page), rules)
+    assert got.startswith("RuleCoverageError") and "both alpha and u1" in got
+
+
+@pytest.mark.parametrize("r, value", [(3, "uu1a^{3}"), (7, "u^{3}a^{7}")])
+def test_row_memo_fails_where_fresh_rows_fail(r, value):
+    # a well-graded extra value composes nonzero with the stored table: both
+    # walks reject d∘d != 0 at the same first cell
+    def rule_of(target, page):
+        rules = rule_table(target, page)
+        extra = {parse_monomial("u^{-1}"): parse_monomial(value)} if page == r else {}
+        return replace(rules, values={**rules.values, **extra})
+
+    error = _lockstep(Target.C2_V0, Window(0, 15, filt_max=60), rule_of)
+    assert error.startswith("PipelineError: image exceeds kernel") and "d∘d != 0" in error
 
 
 def test_propagate_d7_dead_target_is_zero():
