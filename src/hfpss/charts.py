@@ -13,8 +13,8 @@ for byte-exact golden tests.
 
 Both renderers, and pages.page_to_json, serialise one Layout per page,
 found on first read and kept as Page.layout (as Page.towers is kept).
-It holds each tower's glyph and label, the trusted bidegrees that have
-towers, and max_filt.  The eta-line pairs are added the first time an
+It holds each tower's glyph and label, keyed as Page.towers (trusted
+only), and max_filt.  The eta-line pairs are added the first time an
 SVG draws them.  The arrows of a differential are added the first time
 a chart draws that differential on the page, after a check, row by row,
 that every map of it starts and ends at the page's own column.
@@ -41,10 +41,9 @@ Arrow = tuple[Bidegree, Bidegree, bool]  # source, target, dashed
 class Layout:
     """What the charts and the JSON of one page draw; see page_layout.
 
-    labels has one generator label per tower of every bidegree of
-    Page.towers, trusted or not.  glyphs covers the trusted ones only, in
-    bidegree order, with one GLYPHS character per tower; its keys are the
-    trusted bidegrees that have towers, and max_filt is their top
+    labels has one generator label and glyphs one GLYPHS character per
+    tower, so both have the keys of Page.towers: the trusted bidegrees
+    that have towers, in bidegree order.  max_filt is their top
     filtration.  eta_lines (None until an SVG draws them) and arrows (one
     entry per differential drawn on the page) are filled on first use.
     """
@@ -64,13 +63,10 @@ def _glyph(t: Term) -> str:
 
 def page_layout(page: Page) -> Layout:
     """Glyphs and labels of the towers of the page, each tower labelled once."""
-    trusted = page.window.trusted
-    labels, glyphs = {}, {}
-    for key, ts in page.towers.items():
-        labels[key] = tuple(t.label() for t in ts)
-        if trusted(*key):
-            glyphs[key] = "".join(map(_glyph, ts))
-    return Layout(labels, glyphs, max((f for _, f in glyphs), default=0))
+    towers = page.towers
+    return Layout({key: tuple(t.label() for t in ts) for key, ts in towers.items()},
+                  {key: "".join(map(_glyph, ts)) for key, ts in towers.items()},
+                  max((f for _, f in towers), default=0))
 
 
 def _slot_towers(col: Column, towers: list[Term], N: int) -> list[int | None]:
@@ -111,7 +107,7 @@ def _styles(lm: LinearMap, src_towers: list[Term], tgt_towers: list[Term],
 
 def _arrows(page: Page, prop: Propagation) -> list[Arrow]:
     """Sorted (source, target, dashed) per tower-to-tower differential
-    between two trusted bidegrees; computed once per (page, prop).
+    between two bidegrees of Page.towers; computed once per (page, prop).
 
     Walks prop.rows against page.rows, as turn_page does, and raises
     ValueError unless prop has the page's window and every map starts and
@@ -136,12 +132,11 @@ def _arrows(page: Page, prop: Propagation) -> list[Arrow]:
             if col is not lm.source or tgt is not lm.target:
                 raise ValueError(f"d{r} at ({start + i},{filt}) does not act on "
                                  f"page E{page.r} of {page.target.value}")
-            if not (window.trusted(*key) and window.trusted(*tgt_key)):
+            if key not in towers or tgt_key not in towers:
                 continue
-            dashed = styles.get(lm)
+            dashed = styles.get(lm)  # both ends have towers, which lm's columns fix
             if dashed is None:
-                dashed = styles[lm] = _styles(lm, towers.get(key, []),
-                                              towers.get(tgt_key, []), N)
+                dashed = styles[lm] = _styles(lm, towers[key], towers[tgt_key], N)
             found.update((key, tgt_key, d) for d in dashed)
     arrows = sorted(found)
     layout.arrows.append((prop, arrows))
@@ -204,13 +199,12 @@ def _svg_header(width: int, height: int) -> list[str]:
 
 
 def render_svg(page: Page, prop: Propagation | None = None,
-               labels: bool = False, eta_lines: bool = False,
-               cell: int = 26) -> str:
+               labels: bool = False, eta_lines: bool = False) -> str:
     """SVG 1.1 chart of one page."""
     window, layout = page.window, page.layout
     stems = list(range(window.stem_lo, window.stem_hi + 1))
     max_filt = layout.max_filt
-    margin = 40
+    margin, cell = 40, 26
     width = margin * 2 + cell * len(stems)
     height = margin * 2 + cell * (max_filt + 1)
 
@@ -289,8 +283,8 @@ def render_page(page: Page, prop: Propagation | None = None, fmt: str = "text",
 
 
 def tower_count(page: Page) -> int:
-    """Number of towers in the trusted region of the page."""
-    return sum(len(ts) for (n, f), ts in page.towers.items() if page.window.trusted(n, f))
+    """Number of towers of the page, all in its trusted window."""
+    return sum(map(len, page.towers.values()))
 
 
 glyph_count = tower_count  # a chart draws one glyph per trusted tower

@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -240,8 +241,8 @@ class Page:
     shares, or None; pages share rows by identity.  Complete when
     build_e2 or turn_page returns it, so `towers`, the chart `layout` and
     the views are built on first read and kept.  Trust and truncation are the
-    window's: the d3 or d7 value of a trusted source, at (stem - 1,
-    filt + r), never leaves the padded window, and K is window.K.
+    window's (pages.check_padding certifies the padding), K is window.K,
+    and `towers`, with all that reads it, holds the trusted cells only.
     """
 
     target: Target
@@ -273,18 +274,23 @@ class Page:
     def is_trusted(self, stem: int, filt: int) -> bool:
         return self.window.trusted(stem, filt)
 
+    def trusted_stems(self) -> enumerate[tuple[Column | None, ...]]:
+        """(stem, cells of filts 0..filt_max) per trusted stem: the rows' trusted slice."""
+        w, pad = self.window, self.window.stem_lo - self.window.stem_range.start  # at both ends
+        return enumerate(islice(zip(*self.rows[:w.filt_max + 1]), pad, len(w.stem_range) - pad),
+                         w.stem_lo)
+
     @cached_property
     def towers(self) -> dict[tuple[int, int], list[Term]]:
-        """The towers of each bidegree that has any, in bidegree order.
-
-        Tower shapes are found once per column of the stack (ColumnTable),
-        then named per bidegree.  One record shared by every reader; read
-        it, do not mutate it."""
+        """The towers of each trusted bidegree with any, in bidegree order:
+        the one place that decides what the edges report.  Shapes are found
+        once per column of the stack (ColumnTable), then named per bidegree.
+        One record shared by every reader; read it, do not mutate it."""
         from .pages import tower_shapes, towers_at  # pages imports this module
         period, N = self.target.period, self.window.N
         shapes = self.table.shapes.setdefault((period, N), {})
         towers = {}
-        for stem, cells in enumerate(zip(*self.rows), self.window.stem_range.start):
+        for stem, cells in self.trusted_stems():
             for filt, col in enumerate(cells):
                 if col is None:
                     continue

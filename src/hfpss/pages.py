@@ -9,7 +9,8 @@ no even-r differential can exist (it would flip the parity of stem +
 filt, which is even on every cell).  Both facts are certified, not
 assumed: the d5 table must be empty, the even-r case by a parity check
 of every cell, and collapse at E8 by checking that every d_r with r >= 8
-has zero source or zero target.  Each page turn checks that d_r∘d_r = 0:
+has zero source or zero target; the padding, by checking that no d3 or
+d7 value of a trusted class leaves it.  Each page turn checks d_r∘d_r = 0:
 homology_at sees every composable pair of maps, as d_in and d_out of
 their middle bidegree, and rejects an image that exceeds the kernel.
 
@@ -31,15 +32,14 @@ Freeness of a tower comes from E2, which flags the free summands
 old summand to its survivor, and homology_at rejects any differential
 that enters a free summand.  So the pipeline runs once, at truncation K.
 
-Page.towers recognises a page once and keeps the result: tower_shapes
-runs once per column of the stack and towers_at names the terms of each
-bidegree; serialization, assembly and the charts read that one record.
+Page.towers recognises the trusted cells of a page once and keeps the
+result (tower_shapes per column, towers_at per bidegree); serialization,
+assembly and the charts read that one record and test no trust of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .e2 import build_e2
 from .groupexpr import Term, term_order_exp
@@ -88,12 +88,10 @@ def turn_page(page: Page, prop: Propagation) -> Page:
     return Page(page.target, r + 1, page.window, tuple(rows), table)
 
 
-def check_even_r_vanishing(page: Page, rs=(2, 4, 6)) -> None:
+def check_even_r_vanishing(page: Page) -> None:
     """Sparseness: no even-r differential has nonzero source and target,
     since no cell has stem + filt odd (checked once per distinct row and
     filt mod 2) and an even d_r flips that parity."""
-    if any(r % 2 for r in rs):
-        raise ValueError(f"parity certifies even r only, got {rs}")
     start, seen = page.window.stem_range.start, set()
     for filt, row in enumerate(page.rows):
         if (id(row), filt % 2) in seen:  # the rows are alive
@@ -111,15 +109,19 @@ def check_collapse(page: Page) -> None:
     A trusted nonzero source at (stem, filt) is compared with the highest
     trusted nonzero filtration of stem - 1, the target of its longest d_r.
     """
-    window, N = page.window, page.window.N
-    pad = window.stem_lo - window.stem_range.start  # the same at both ends
-    trusted = islice(zip(*page.rows[:window.filt_max + 1]), pad, len(window.stem_range) - pad)
-    top = None  # the highest trusted nonzero filtration of stem - 1, if any
-    for stem, cells in enumerate(trusted, window.stem_lo):  # a stem at a time
+    N, top = page.window.N, None  # top: the highest trusted nonzero filtration of stem - 1
+    for stem, cells in page.trusted_stems():
         filts = [f for f, col in enumerate(cells) if col is not None and col.u1s[0] < N]
         if filts and top is not None and top - filts[0] >= 8:
             raise CertificateError(f"possible d{top - filts[0]} from ({stem},{filts[0]})")
         top = filts[-1] if filts else None
+
+
+def check_padding(prop: Propagation) -> None:
+    """No d_r value of a trusted source leaves the padded window."""
+    leak = min((key for key in prop.boundary if prop.window.trusted(*key)), default=None)
+    if leak is not None:
+        raise CertificateError(f"d{prop.r} of trusted ({leak[0]},{leak[1]}) leaves the padding")
 
 
 @dataclass
@@ -146,20 +148,23 @@ def run_to_einfty(target: Target, window: Window) -> PageStack:
     """E2 through Einfty at truncation K with all structural certificates."""
     p2 = build_e2(target, window)
     prop3 = propagate(p2, rule_table(target, 3))
+    check_padding(prop3)
     p4 = turn_page(p2, prop3)
 
     if rule_table(target, 5).values:
         raise CertificateError(f"d5 rule set of {target.value} is not empty")
 
     prop7 = propagate(p4, rule_table(target, 7))
+    check_padding(prop7)
     p8 = turn_page(p4, prop7)
 
-    check_even_r_vanishing(p2, rs=(2,))
-    check_even_r_vanishing(p4, rs=(4, 6))
+    check_even_r_vanishing(p2)
+    check_even_r_vanishing(p4)
     check_collapse(p8)
     certificates = [
-        "even-r source/target overlap: none",
-        "d5 rule set empty and propagates to zero",
+        "no cell of E2 or E4 has stem + filt odd",
+        "d5 rule set empty",
+        "padding: no d3 or d7 value of a trusted class leaves the padded window",
         "E8 collapse: every d_r (r>=8) has zero source or target",
         "monotone death of total module length",  # by homology_at, see its docstring
     ]
@@ -258,12 +263,11 @@ def hurewicz_permanent_cycles(stack: PageStack) -> list[str]:
 # Serialization.
 
 def page_to_json(page: Page) -> dict:
-    """The towers of every bidegree, labelled as Page.layout labels them."""
+    """The towers of each trusted bidegree (Page.towers), labelled as Page.layout labels them."""
     layout, K = page.layout, page.K
     bidegrees = [{
         "stem": stem,
         "filt": filt,
-        "trusted": (stem, filt) in layout.glyphs,  # its trusted bidegrees with towers
         "towers": [{
             "gen": gen,
             "ann_exp": "free" if t.free else term_order_exp(t, K),

@@ -93,8 +93,8 @@ def test_criterion_4_structural_page_facts(computed_all):
         assert stack.page(5) is stack.page(4)
         assert stack.page(7) is stack.page(4)
         assert rule_table(target, 5).values == {}
-        check_even_r_vanishing(stack.page(2), rs=(2,))
-        check_even_r_vanishing(stack.page(4), rs=(4, 6))
+        check_even_r_vanishing(stack.page(2))
+        check_even_r_vanishing(stack.page(4))
         check_collapse(stack.einfty)
         assert any("collapse" in c for c in stack.certificates)
     _report(4, "E2=E3, E4=E7 (empty d5, no even-r overlap), E8 collapse "

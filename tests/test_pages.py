@@ -13,7 +13,7 @@ from hfpss.groupexpr import Term, truncate_term
 from hfpss.modules import (BidegreeModule, Column, ColumnTable, LinearMap, Page, PipelineError,
                            Summand, homology_at)
 from hfpss.monomials import Monomial, parse_monomial
-from hfpss import charts, pages
+from hfpss import charts, pages, targets
 from hfpss.pages import (CertificateError, check_collapse,
                          check_even_r_vanishing, hurewicz_permanent_cycles,
                          periodicity_check, run_to_einfty, tower_shapes,
@@ -279,13 +279,10 @@ def test_even_r_certificate_names_a_cell_of_odd_parity(odd):
     one = BidegreeModule(0, 0, (0,), (0,), (1,))
     even = {(4, 0): one, (3, 3): one, (-7, 47): one, (12, 0): one}
     page = page_of(Target.C2_V0, 2, Window(0, 5), {**even, odd: one})
-    for rs in ((2,), (4, 6)):
-        with pytest.raises(CertificateError,
-                           match=rf"cell \({odd[0]},{odd[1]}\) has stem \+ filt odd"):
-            check_even_r_vanishing(page, rs=rs)
+    with pytest.raises(CertificateError,
+                       match=rf"cell \({odd[0]},{odd[1]}\) has stem \+ filt odd"):
+        check_even_r_vanishing(page)
     check_even_r_vanishing(page_of(Target.C2_V0, 2, Window(0, 5), even))
-    with pytest.raises(ValueError, match="even r only"):
-        check_even_r_vanishing(page_of(Target.C2_V0, 2, Window(0, 5), even), rs=(3,))
 
 
 def test_views_are_read_only():
@@ -359,7 +356,7 @@ def test_page_aliases():
 def test_collapse_and_even_r_certificates_run(computed_all):
     for res in computed_all.values():
         check_collapse(res.stack.einfty)
-        check_even_r_vanishing(res.stack.page(4), rs=(4, 6))
+        check_even_r_vanishing(res.stack.page(4))
         assert any("collapse" in c for c in res.stack.certificates)
 
 
@@ -600,18 +597,21 @@ def test_tower_of_unexpected_order_rejected():
 
 
 def test_towers_partition_the_reported_slots(computed_all):
-    """Each reported slot lies in exactly one tower of its bidegree.
+    """Each reported slot of a trusted bidegree lies in exactly one tower
+    of its bidegree, and no padded bidegree has towers.
 
     A tower covers exactly its offsets below N at its (u, alpha), and
     truncating the towers gives back the reported summands.
     """
     for target, res in computed_all.items():
-        N = res.window.N
+        window, N = res.window, res.window.N
         for r in (2, 4, 8):
             page = res.stack.page(r)
             assert page.towers, (target, r)
             assert list(page.towers) == sorted(page.towers), (target, r)
-            for key, mod in page.modules.items():
+            trusted = {key: mod for key, mod in page.modules.items() if window.trusted(*key)}
+            assert set(page.towers) <= set(trusted) < set(page.modules), (target, r)
+            for key, mod in trusted.items():
                 towers = page.towers.get(key, [])
                 reported = [s for s in mod.summands if s.mono.u1 < N]
                 for s in reported:
@@ -642,6 +642,58 @@ def test_boundary_effects_marked_untrusted(computed_all):
             assert trusted == [], (stack.target, r, trusted)
             flags += len(prop.boundary)
     assert flags > 0  # the propagations really flagged boundary effects
+
+
+def test_padding_certificate_names_a_trusted_source_whose_value_leaves(monkeypatch):
+    # With no stem padding, d7 of c6-y's trusted classes on stem 0 lands at
+    # stem -1, outside the computed rows; uncertified, the stack computed
+    # and verify matched 46 of 48 stems.
+    monkeypatch.setattr(targets, "STEM_PAD", 0)
+    with pytest.raises(CertificateError, match=r"d7 of trusted \(0,0\) leaves the padding"):
+        compute(Target.C6_Y)
+
+
+def _towers_of_every_cell(page):
+    """The towers of each padded bidegree that has any, named from the rows
+    without a trust test."""
+    start, period, N = page.window.stem_range.start, page.target.period, page.window.N
+    towers = {}
+    for filt, row in enumerate(page.rows):
+        for i, col in enumerate(row):
+            ts = col and towers_at(start + i, filt, tower_shapes(start + i, filt, col, period, N))
+            if ts:
+                towers[(start + i, filt)] = ts
+    return towers
+
+
+@pytest.mark.parametrize("target, window", [(Target.C2_V0, Window(3, 10, filt_max=4)),
+                                            (Target.C6_V0, Window(1, 8, filt_max=2))])
+def test_towers_and_json_report_the_trusted_edges_and_no_neighbour(target, window):
+    # On E2, E4 and E8 of these windows the trusted edges (stem_lo, stem_hi,
+    # filt_max) and their outer neighbours (stem_lo - 1, stem_hi + 1,
+    # filt_max + 1) all hold towers.
+    lo, hi, top = window.stem_lo, window.stem_hi, window.filt_max
+    for r, page in run_to_einfty(target, window).pages.items():
+        every = _towers_of_every_cell(page)
+        trusted = {key: ts for key, ts in every.items() if window.trusted(*key)}
+        edges = {key for key in trusted if key[0] in (lo, hi) or key[1] == top}
+        outer = {(n, f) for n, f in every
+                 if (n in (lo - 1, hi + 1) and f <= top) or (f == top + 1 and lo <= n <= hi)}
+        assert {n for n, f in edges} >= {lo, hi} and top in {f for n, f in edges}, r
+        assert {n for n, f in outer} >= {lo - 1, hi + 1} and top + 1 in {f for n, f in outer}, r
+        assert page.towers == trusted and list(page.towers) == sorted(trusted), r
+        records = {(b["stem"], b["filt"]): [t["gen"] for t in b["towers"]]
+                   for b in pages.page_to_json(page)["bidegrees"]}
+        assert records == {key: [t.label() for t in ts] for key, ts in trusted.items()}, r
+        assert not outer & (set(page.towers) | set(records)), r
+
+
+def test_json_writes_trusted_bidegrees_only(computed_all):
+    for target, res in computed_all.items():
+        for r, doc in pages.stack_to_json(res.stack)["pages"].items():
+            keys = [(b["stem"], b["filt"]) for b in doc["bidegrees"]]
+            assert keys and all(res.window.trusted(*key) for key in keys), (target, r)
+            assert all(set(b) == {"stem", "filt", "towers"} for b in doc["bidegrees"])
 
 
 def _count_recognition(monkeypatch):
@@ -680,21 +732,32 @@ def _distinct_columns(stack):
             for p in stack.pages.values() for c in p.columns.values()}
 
 
+def _trusted_cells(page):
+    """The column of each trusted cell of the page that has one, read from its rows."""
+    window, start = page.window, page.window.stem_range.start
+    return {(start + i, filt): col for filt, row in enumerate(page.rows)
+            for i, col in enumerate(row) if col is not None and window.trusted(start + i, filt)}
+
+
 def test_each_page_recognises_its_towers_once(monkeypatch):
     """Every reader of a page's towers reads Page.towers, recognised once.
 
     compute recognises the Einfty towers only (assembly reads no other
-    page).  Then every reader recognises each bidegree of the three
-    distinct pages exactly once, and the tower shapes of each distinct
-    column of the stack are found exactly once, whichever pages hold it.
+    page).  Then every reader recognises each trusted bidegree of the
+    three distinct pages exactly once, and the tower shapes of each
+    distinct column of their trusted cells are found exactly once,
+    whichever pages hold it; no padded cell is recognised.
     """
     recognised, shaped = _count_recognition(monkeypatch)
     stack = compute(Target.C2_V0).stack
-    assert len(recognised) == len(stack.einfty.columns)
-    assert len(shaped) == len(set(stack.einfty.columns.values())) < len(stack.einfty.columns)
+    einfty = _trusted_cells(stack.einfty)
+    assert sorted(recognised) == sorted(einfty)
+    assert len(shaped) == len(set(einfty.values())) < len(einfty)
     _read_every_page(stack)
-    assert len(recognised) == sum(len(p.columns) for p in stack.pages.values())
-    assert len(shaped) == len(set(shaped)) == len(_distinct_columns(stack)) == len(stack.table)
+    cells = [_trusted_cells(p) for p in stack.pages.values()]
+    assert sorted(recognised) == sorted(key for c in cells for key in c)
+    distinct = {col for c in cells for col in c.values()}
+    assert len(shaped) == len(set(shaped)) == len(distinct) <= len(stack.table)
 
 
 def test_tower_shapes_once_per_column_of_the_stack(monkeypatch):

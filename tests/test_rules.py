@@ -330,8 +330,8 @@ def _lockstep(target, window, rule_of):
     page = ref = build_e2(target, window)
     for r in (3, 7):
         rules = rule_of(target, r)
-        assert _outcome(check_even_r_vanishing, page, (r - 1,)) is None
-        assert _outcome(check_even_r_vanishing, _fresh(ref), (r - 1,)) is None
+        assert _outcome(check_even_r_vanishing, page) is None
+        assert _outcome(check_even_r_vanishing, _fresh(ref)) is None
         prop, ref_prop = _outcome(propagate, page, rules), _outcome(propagate, _fresh(ref), rules)
         if isinstance(prop, str) or isinstance(ref_prop, str):
             assert prop == ref_prop
