@@ -41,15 +41,14 @@ Arrow = tuple[Bidegree, Bidegree, bool]  # source, target, dashed
 class Layout:
     """What the charts and the JSON of one page draw; see page_layout.
 
-    labels has one generator label and glyphs one GLYPHS character per
-    tower, so both have the keys of Page.towers: the trusted bidegrees
-    that have towers, in bidegree order.  max_filt is their top
-    filtration.  eta_lines (None until an SVG draws them) and arrows (one
-    entry per differential drawn on the page) are filled on first use.
+    cells holds, per key of Page.towers (the trusted bidegrees that have
+    towers, in bidegree order), one GLYPHS character and one generator
+    label per tower: (glyphs, labels).  max_filt is their top filtration.
+    eta_lines (None until an SVG draws them) and arrows (one entry per
+    differential drawn on the page) are filled on first use.
     """
 
-    labels: dict[Bidegree, tuple[str, ...]]
-    glyphs: dict[Bidegree, str]
+    cells: dict[Bidegree, tuple[str, tuple[str, ...]]]
     max_filt: int
     eta_lines: list[tuple[Bidegree, Bidegree]] | None = None
     arrows: list[tuple[Propagation, list[Arrow]]] = field(default_factory=list)
@@ -64,9 +63,8 @@ def _glyph(t: Term) -> str:
 def page_layout(page: Page) -> Layout:
     """Glyphs and labels of the towers of the page, each tower labelled once."""
     towers = page.towers
-    return Layout({key: tuple(t.label() for t in ts) for key, ts in towers.items()},
-                  {key: "".join(map(_glyph, ts)) for key, ts in towers.items()},
-                  max((f for _, f in towers), default=0))
+    return Layout({key: ("".join(map(_glyph, ts)), tuple(t.label() for t in ts))
+                   for key, ts in towers.items()}, max((f for _, f in towers), default=0))
 
 
 def _slot_towers(col: Column, towers: list[Term], N: int) -> list[int | None]:
@@ -150,7 +148,7 @@ def _eta_lines(page: Page) -> list[tuple[Bidegree, Bidegree]]:
     if layout.eta_lines is None:
         eta, trusted = NAMED["eta"], page.window.trusted
         lines = []
-        for (stem, filt) in layout.glyphs:
+        for (stem, filt) in layout.cells:
             if not trusted(stem + 1, filt + 1):
                 continue
             nxt = page.module(stem + 1, filt + 1)
@@ -166,10 +164,10 @@ def render_text(page: Page, prop: Propagation | None = None,
     """Fixed-width glyph grid plus a sorted arrow list."""
     window, layout = page.window, page.layout
     stems = range(window.stem_lo, window.stem_hi + 1)
-    width = max([len(v) for v in layout.glyphs.values()], default=1) + 1
+    width = max([len(glyphs) for glyphs, _ in layout.cells.values()], default=1) + 1
     rows: dict[int, list[str]] = {}
     ends: dict[int, int] = {}  # per row, the column after its last glyph
-    for (stem, filt), cell in layout.glyphs.items():  # by stem within a row
+    for (stem, filt), (cell, _) in layout.cells.items():  # by stem within a row
         row = rows.setdefault(filt, [])
         col = (stem - window.stem_lo) * width
         row.append(" " * (col - ends.get(filt, 0)) + cell)
@@ -249,10 +247,10 @@ def render_svg(page: Page, prop: Propagation | None = None,
         out.append("</g>")
 
     series, dot = GLYPHS["f4_series"], GLYPHS["f4"]
-    for key, glyphs in layout.glyphs.items():
+    for key, (glyphs, names) in layout.cells.items():
         x, y = xy(*key)
         n = len(glyphs)
-        for k, (glyph, label) in enumerate(zip(glyphs, layout.labels[key])):
+        for k, (glyph, label) in enumerate(zip(glyphs, names)):
             cx = int(x + (k - (n - 1) / 2) * 8)
             if glyph == dot:
                 out.append(f'<circle cx="{cx}" cy="{y}" r="2.5" fill="black"/>')

@@ -273,7 +273,7 @@ def page_to_json(page: Page) -> dict:
             "ann_exp": "free" if t.free else term_order_exp(t, K),
             "period": t.period,
             "offset": t.mono.u1,
-        } for t, gen in zip(ts, layout.labels[(stem, filt)])],
+        } for t, gen in zip(ts, layout.cells[(stem, filt)][1])],
     } for (stem, filt), ts in page.towers.items()]
     return {
         "target": page.target.value,

@@ -129,23 +129,16 @@ def _m(s: str) -> Monomial:
     return parse_monomial(s)
 
 
-def _even_residues(mod: int) -> tuple[Monomial, ...]:
-    return tuple(_u(-r) for r in range(0, mod, 2))
+# d3 and d7 values of the C2-family tables (C6 and C6-v0 use the same);
+# the mod-2 tables add one value on each page.  d5 is zero everywhere.
+C2_VALUES = {3: {_u(-2): _m("u1a^{3}")}, 5: {}, 7: {_u(-4): _m("a^{7}")}}
+C2_V0_VALUES = {3: {**C2_VALUES[3], _u(-3): _m("u^{-1}u1a^{3}")}, 5: {},
+                7: {**C2_VALUES[7], _u(-5): _m("u^{-1}a^{7}")}}
 
-
-def _all_residues(mod: int) -> tuple[Monomial, ...]:
-    return tuple(_u(-r) for r in range(mod))
-
-
-def _y_transversal() -> tuple[Monomial, ...]:
-    out = []
-    for c in range(3):
-        for r in range(24):
-            g = Monomial(-r, 0, c)
-            if g.weight == 0:
-                out.append(g)
-    return tuple(out)
-
+# The smash-with-Y transversal: the weight-0 monomials u^-r alpha^c with
+# r < 24 and c < 3.
+Y_TRANSVERSAL = tuple(g for g in (Monomial(-r, 0, c) for c in range(3) for r in range(24))
+                      if g.weight == 0)
 
 # d7 values on the smash-with-Y page.  The first nine are the published
 # generating set; the last three are forced by the same boundary argument
@@ -175,30 +168,17 @@ Y_D7_VALUES = {**Y_D7_PUBLISHED_VALUES, **Y_D7_EXTENDED_VALUES}
 
 
 def rule_table(target: Target, page: int) -> RuleSet:
-    """The declarative differential table for one page of one target."""
+    """The declarative differential table for one page of one target, a
+    new RuleSet with its own copy of the values."""
     if page not in (3, 5, 7):
         raise ValueError(f"no rule set for d{page}")
-    mod2 = target in (Target.C2_V0, Target.C6_V0)
-
     if target is Target.C6_Y:
-        if page in (3, 5):
-            return RuleSet(page, 24, _y_transversal(), {}, y_mode=True)
-        return RuleSet(page, 24, _y_transversal(), dict(Y_D7_VALUES), y_mode=True)
-
-    if page == 3:
-        values = {_u(-2): _m("u1a^{3}")}
-        if mod2:
-            values[_u(-3)] = _m("u^{-1}u1a^{3}")
-        transversal = _all_residues(4) if mod2 else _even_residues(4)
-        return RuleSet(3, 4, transversal, values)
-    if page == 5:
-        transversal = _all_residues(4) if mod2 else _even_residues(4)
-        return RuleSet(5, 4, transversal, {})
-    values = {_u(-4): _m("a^{7}")}
-    if mod2:
-        values[_u(-5)] = _m("u^{-1}a^{7}")
-    transversal = _all_residues(8) if mod2 else _even_residues(8)
-    return RuleSet(7, 8, transversal, values)
+        return RuleSet(page, 24, Y_TRANSVERSAL, dict(Y_D7_VALUES) if page == 7 else {},
+                       y_mode=True)
+    mod2 = target in (Target.C2_V0, Target.C6_V0)
+    modulus = 8 if page == 7 else 4
+    transversal = tuple(_u(-r) for r in range(0, modulus, 1 if mod2 else 2))
+    return RuleSet(page, modulus, transversal, dict((C2_V0_VALUES if mod2 else C2_VALUES)[page]))
 
 
 @dataclass

@@ -33,9 +33,19 @@ class Target(Enum):
         return self is Target.C6_Y
 
 
-# Padding applied around the requested window so that every d3..d7
-# source/target of an interior class is present during computation.
-STEM_PAD = 7
+# Padding around the requested window, by what the differentials reach.
+# The only nonzero d_r are d3 and d7 (the d5 tables are empty), and every
+# d_r lowers the stem by exactly 1 (RuleSet checks each value).  E8 at
+# stem s is the homology of d7 on E4 at s+1 -> s -> s-1, and each of
+# those E4 cells is the homology of d3 on E2 one stem to either side; the
+# d3 target of cell i is cell i - 1, so E2 on s-2..s+2 fixes E8 at s:
+# STEM_PAD = (page turns with a nonempty table) x (stem shift of a d_r).
+# In filtration the same reach is 3 + 7 = 10, but 7 suffices: no d7 value
+# of a trusted class lands on a cell whose own d3 value left the padding
+# (tests pin this), so E4 is right wherever a trusted d7 reads it.
+# check_padding certifies at run time that no trusted d3 or d7 value
+# leaves the padded window.
+STEM_PAD = 2
 FILT_PAD = 7
 U1_PAD = 6
 
@@ -52,7 +62,11 @@ class Window:
     needs); N >= 4, one past the largest series period 3, since below it a
     lone class at u1-offset 0 reaches N and reads as a series.  A window
     outside these bounds raises ValueError when built.
-    Computation internally pads all three directions.
+    Computation internally pads all three directions: stem_range and
+    filt_range are the padded window.  The stem pad is what E8 reads of
+    E2: d7 reads E4 one stem either side, and d3 reads E2 one stem either
+    side of that, so E2 on stem_lo - 2..stem_hi + 2 fixes E8 on the
+    trusted stems (2 = two nonempty page turns x a stem shift of 1).
     """
 
     stem_lo: int
@@ -88,5 +102,4 @@ class Window:
 
     def in_padded(self, stem: int, filt: int) -> bool:
         """(stem, filt) lies in stem_range x filt_range."""
-        return (self.stem_lo - STEM_PAD <= stem <= self.stem_hi + STEM_PAD
-                and 0 <= filt <= self.filt_max + FILT_PAD)
+        return stem in self.stem_range and filt in self.filt_range

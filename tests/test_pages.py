@@ -8,7 +8,7 @@ import pytest
 
 from hfpss.assembly import assemble_all
 from hfpss.charts import glyph_count, render_svg, render_text, tower_count
-from hfpss.engine import compute, default_window
+from hfpss.engine import DEFAULT_STEMS, compute, default_window
 from hfpss.groupexpr import Term, truncate_term
 from hfpss.modules import (BidegreeModule, Column, ColumnTable, LinearMap, Page, PipelineError,
                            Summand, homology_at)
@@ -272,12 +272,16 @@ def test_collapse_reaches_the_edges_of_the_trusted_window(pair, gap):
             check_collapse(page)
 
 
-@pytest.mark.parametrize("odd", [(3, 0), (-7, 0), (12, 5), (0, 47)])
+_STEMS, _FILTS = Window(0, 5).stem_range, Window(0, 5).filt_range  # padded
+_CORNERS = [(stem, filt) for stem in (_STEMS[0], _STEMS[-1]) for filt in (0, _FILTS[-1])]
+
+
+@pytest.mark.parametrize("odd", [(3, 0), *(c for c in _CORNERS if sum(c) % 2), (0, _FILTS[-1])])
 def test_even_r_certificate_names_a_cell_of_odd_parity(odd):
-    # one cell with stem + filt odd, at the corners of the padded window
-    # (stems -7..12, filtrations 0..47) or inside it, among even ones
+    # one cell with stem + filt odd, at the corners or the top edge of the
+    # padded window of Window(0, 5) or inside it, among even ones
     one = BidegreeModule(0, 0, (0,), (0,), (1,))
-    even = {(4, 0): one, (3, 3): one, (-7, 47): one, (12, 0): one}
+    even = {(4, 0): one, (3, 3): one, **{c: one for c in _CORNERS if sum(c) % 2 == 0}}
     page = page_of(Target.C2_V0, 2, Window(0, 5), {**even, odd: one})
     with pytest.raises(CertificateError,
                        match=rf"cell \({odd[0]},{odd[1]}\) has stem \+ filt odd"):
@@ -463,8 +467,12 @@ def test_each_slot_factorized_once_per_differential(monkeypatch):
                 expected.update({(r, _factorize_key(rules, s.mono)) for s in mod.summands})
         assert Counter(calls) == expected, target
         assert set(calls) == on_page, target
-        # so far fewer factorizations than bidegrees
-        assert len(calls) < len(stack.pages[2].modules)
+        # so far fewer factorizations than without the memo, which makes
+        # one per (page, bidegree, residue class of its slots)
+        unmemoized = sum(len(rule_table(target, r).residue_classes(mod.u1s))
+                         for r, page in ((3, stack.pages[2]), (7, stack.pages[4]))
+                         for mod in page.modules.values())
+        assert len(calls) < unmemoized, target
 
 
 def _patched_rule_table(monkeypatch, page, **changes):
@@ -630,7 +638,7 @@ def test_boundary_effects_marked_untrusted(computed_all):
 
     A boundary flag marks a source whose d_r value leaves the padded
     window; a trusted source's d3 or d7 value lands at (stem - 1, filt + r)
-    with r <= STEM_PAD = FILT_PAD, inside it.  So no page needs a trust
+    with 1 <= STEM_PAD and r <= FILT_PAD, inside it.  So no page needs a trust
     record of its own.
     """
     stacks = [res.stack for res in computed_all.values()]
@@ -651,6 +659,56 @@ def test_padding_certificate_names_a_trusted_source_whose_value_leaves(monkeypat
     monkeypatch.setattr(targets, "STEM_PAD", 0)
     with pytest.raises(CertificateError, match=r"d7 of trusted \(0,0\) leaves the padding"):
         compute(Target.C6_Y)
+
+
+def test_stem_pad_is_the_reach_of_the_differentials():
+    """E8 reads E2 STEM_PAD stems to either side: one stem per page turn
+    with a nonempty table, as every d_r value lies one stem below its source."""
+    tables = [rule_table(target, r) for target in Target for r in (3, 5, 7)]
+    turns = {rules.page for rules in tables if rules.values}
+    shifts = {g.stem - v.stem for rules in tables for g, v in rules.values.items()}
+    assert turns == {3, 7} and shifts == {1}
+    assert targets.STEM_PAD == len(turns) * shifts.pop()
+
+
+def test_stem_pad_7_gives_the_outputs_of_the_derived_pad(monkeypatch):
+    # on all five targets: the default window, every single stem from -3
+    # to P + 2, and three periods at filt_max 60 (P stems per period)
+    cases = []
+    for target in Target:
+        period = DEFAULT_STEMS[target][1] + 1
+        cases += [(target, default_window(target)),
+                  *((target, Window(stem, stem)) for stem in range(-3, period + 3)),
+                  (target, Window(0, 3 * period - 1, filt_max=60))]
+
+    def outputs():
+        return [(pages.stack_to_json(res.stack), res.groups)
+                for res in (compute(target, window) for target, window in cases)]
+
+    derived = outputs()
+    monkeypatch.setattr(targets, "STEM_PAD", 7)
+    for case, got, want in zip(cases, outputs(), derived, strict=True):
+        assert got == want, case
+
+
+def test_no_trusted_d7_lands_where_d3_left_the_padding(computed_all):
+    """FILT_PAD = 7 suffices, though d3 and d7 together reach 10 filtrations.
+
+    E4 may be wrong at a cell whose d3 value left the padded window (its
+    kernel is not cut down): the cells in d3's Propagation.boundary.  E8
+    at a trusted cell reads E4 at the target of its d7, and no d7 map of a
+    trusted source lands on such a cell.
+    """
+    stacks = [res.stack for res in computed_all.values()]
+    stacks.append(run_to_einfty(Target.C6_V0, Window(0, 191, filt_max=160)))
+    near = 0  # trusted d7 maps into the top filtrations, where d3 values leave
+    for stack in stacks:
+        window, left = stack.window, stack.maps[3].boundary
+        sources = [key for key in stack.maps[7].maps if window.trusted(*key)]
+        assert [(stem, filt) for stem, filt in sources if (stem - 1, filt + 7) in left] == [], \
+            stack.target
+        near += sum(filt + 7 + 3 >= window.filt_range.stop for _, filt in sources)
+    assert near > 0
 
 
 def _towers_of_every_cell(page):
