@@ -23,7 +23,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -274,32 +273,34 @@ class Page:
     def is_trusted(self, stem: int, filt: int) -> bool:
         return self.window.trusted(stem, filt)
 
-    def trusted_stems(self) -> enumerate[tuple[Column | None, ...]]:
-        """(stem, cells of filts 0..filt_max) per trusted stem: the rows' trusted slice."""
-        w, pad = self.window, self.window.stem_lo - self.window.stem_range.start  # at both ends
-        return enumerate(islice(zip(*self.rows[:w.filt_max + 1]), pad, len(w.stem_range) - pad),
-                         w.stem_lo)
-
     @cached_property
     def towers(self) -> dict[tuple[int, int], list[Term]]:
         """The towers of each trusted bidegree with any, in bidegree order:
-        the one place that decides what the edges report.  Shapes are found
-        once per column of the stack (ColumnTable), then named per bidegree.
-        One record shared by every reader; read it, do not mutate it."""
+        the one place that decides what the edges report.  A cell has towers
+        iff its column has a slot below N; each distinct row is read once, stem
+        by stem.  Shapes are found once per column of the stack (ColumnTable),
+        named in bidegree order, so an error names the first bidegree that
+        fails.  One record shared by every reader; do not mutate it."""
         from .pages import tower_shapes, towers_at  # pages imports this module
-        period, N = self.target.period, self.window.N
+        w, period, N, rows = self.window, self.target.period, self.window.N, self.rows
         shapes = self.table.shapes.setdefault((period, N), {})
-        towers = {}
-        for stem, cells in self.trusted_stems():
-            for filt, col in enumerate(cells):
-                if col is None:
-                    continue
+        trusted = rows[:w.filt_max + 1]
+        distinct = list({id(row): row for row in trusted}.values())  # the rows are alive
+        start, filts_of, towers = w.stem_range.start, {}, {}  # filts_of[j]: distinct[j]'s filts
+        by_stem = list(zip(*distinct))[w.stem_lo - start:w.stem_hi - start + 1]  # trusted stems
+        for stem, cells in enumerate(by_stem, w.stem_lo):  # cells: one per distinct row
+            filts = []
+            for j, col in enumerate(cells):
+                if col is not None and col.u1s[0] < N:
+                    if j not in filts_of:
+                        filts_of[j] = [f for f, row in enumerate(trusted) if row is distinct[j]]
+                    filts += filts_of[j]
+            for filt in sorted(filts):
+                col = rows[filt][stem - start]
                 found = shapes.get(col)
                 if found is None:
                     found = shapes[col] = tower_shapes(stem, filt, col, period, N)
-                ts = towers_at(stem, filt, found)
-                if ts:
-                    towers[(stem, filt)] = ts
+                towers[(stem, filt)] = towers_at(stem, filt, found)
         return towers
 
     @cached_property

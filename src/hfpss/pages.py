@@ -32,8 +32,8 @@ Freeness of a tower comes from E2, which flags the free summands
 old summand to its survivor, and homology_at rejects any differential
 that enters a free summand.  So the pipeline runs once, at truncation K.
 
-Page.towers recognises the trusted cells of a page once and keeps the
-result (tower_shapes per column, towers_at per bidegree); serialization,
+Page.towers names, once, the towers of the trusted cells with a slot below N
+(tower_shapes per column, towers_at per bidegree); check_collapse, serialization,
 assembly and the charts read that one record and test no trust of their own.
 """
 
@@ -106,15 +106,14 @@ def check_even_r_vanishing(page: Page) -> None:
 def check_collapse(page: Page) -> None:
     """E8 = Einfty: every d_r (r >= 8) has zero source or target.
 
-    A trusted nonzero source at (stem, filt) is compared with the highest
-    trusted nonzero filtration of stem - 1, the target of its longest d_r.
+    Reads Page.towers (the trusted cells with a slot below N) in bidegree
+    order: the lowest filtration of a stem against the highest of stem - 1.
     """
-    N, top = page.window.N, None  # top: the highest trusted nonzero filtration of stem - 1
-    for stem, cells in page.trusted_stems():
-        filts = [f for f, col in enumerate(cells) if col is not None and col.u1s[0] < N]
-        if filts and top is not None and top - filts[0] >= 8:
-            raise CertificateError(f"possible d{top - filts[0]} from ({stem},{filts[0]})")
-        top = filts[-1] if filts else None
+    high: dict[int, int] = {}  # per stem, its highest filtration with towers
+    for stem, filt in page.towers:
+        if stem not in high and high.get(stem - 1, filt) - filt >= 8:
+            raise CertificateError(f"possible d{high[stem - 1] - filt} from ({stem},{filt})")
+        high[stem] = filt
 
 
 def check_padding(prop: Propagation) -> None:

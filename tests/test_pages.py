@@ -261,7 +261,10 @@ def test_collapse_names_the_gap_between_trusted_ends():
     (((0, 0), (-1, 9)), None),                   # the target one stem below the window
     (((11, 0), (10, 9)), None),                  # the source one stem above it
     (((5, 1), (4, 13)), None),                   # the target one filtration above it
-], ids=("source-top-stem", "target-top-filt", "target-below", "source-above", "target-above"))
+    (((5, 1), (4, 9)), r"d8 from \(5,1\)"),       # the shortest d_r the certificate covers
+    (((5, 1), (3, 10)), None),                   # stem 4 empty: no d_r reaches two stems down
+], ids=("source-top-stem", "target-top-filt", "target-below", "source-above", "target-above",
+        "gap-8", "stem-between-empty"))
 def test_collapse_reaches_the_edges_of_the_trusted_window(pair, gap):
     one = BidegreeModule(0, 0, (0,), (0,), (1,))
     page = page_of(Target.C2_V0, 8, Window(0, 10, filt_max=12), dict.fromkeys(pair, one))
@@ -270,6 +273,23 @@ def test_collapse_reaches_the_edges_of_the_trusted_window(pair, gap):
     else:
         with pytest.raises(CertificateError, match=gap):
             check_collapse(page)
+
+
+def test_collapse_reads_only_the_cells_with_a_reported_class():
+    one = BidegreeModule(0, 0, (0,), (0,), (1,))
+    window = Window(0, 10, filt_max=12)
+    at_n = BidegreeModule(0, 0, (window.N,), (0,), (1,))  # its one slot at the horizon
+    # (4,10) reports no class, so it is no target of a d9 from (5,1)
+    check_collapse(page_of(Target.C2_V0, 8, window, {(5, 1): one, (4, 10): at_n}))
+
+
+def test_collapse_names_the_first_bad_order_in_bidegree_order():
+    # bad orders at (5,1) and (4,3): the error names (4,3), first in (stem,
+    # filt) order, although the rows meet (5,1)'s lower filtration first
+    bad = {(5, 1): BidegreeModule(0, 0, (0,), (0,), (4,)),
+           (4, 3): BidegreeModule(0, 0, (1,), (0,), (3,))}
+    with pytest.raises(PipelineError, match=r"order 2\^3 at \(4,3\)"):
+        check_collapse(page_of(Target.C2_V0, 8, Window(0, 10, filt_max=12), bad))
 
 
 _STEMS, _FILTS = Window(0, 5).stem_range, Window(0, 5).filt_range  # padded
@@ -746,6 +766,20 @@ def test_towers_and_json_report_the_trusted_edges_and_no_neighbour(target, windo
         assert not outer & (set(page.towers) | set(records)), r
 
 
+def test_towers_are_named_on_every_trusted_cell(computed_all):
+    """Page.towers, read per distinct row and named only where a slot lies
+    below N, equals the towers named on every trusted cell, keys in
+    bidegree order, on E2, E4 and E8 of the default windows and wide c6-v0."""
+    stacks = [res.stack for res in computed_all.values()]
+    stacks.append(run_to_einfty(Target.C6_V0, Window(0, 191, filt_max=160)))
+    for stack in stacks:
+        for r, page in stack.pages.items():
+            trusted = {key: ts for key, ts in _towers_of_every_cell(page).items()
+                       if stack.window.trusted(*key)}
+            assert page.towers == trusted and list(page.towers) == sorted(trusted), \
+                (stack.target, r)
+
+
 def test_json_writes_trusted_bidegrees_only(computed_all):
     for target, res in computed_all.items():
         for r, doc in pages.stack_to_json(res.stack)["pages"].items():
@@ -790,29 +824,32 @@ def _distinct_columns(stack):
             for p in stack.pages.values() for c in p.columns.values()}
 
 
-def _trusted_cells(page):
-    """The column of each trusted cell of the page that has one, read from its rows."""
+def _reported_cells(page):
+    """The column of each trusted cell of the page with a slot below N (a
+    reported class), read from its rows."""
     window, start = page.window, page.window.stem_range.start
     return {(start + i, filt): col for filt, row in enumerate(page.rows)
-            for i, col in enumerate(row) if col is not None and window.trusted(start + i, filt)}
+            for i, col in enumerate(row) if col is not None and window.trusted(start + i, filt)
+            and any(b < window.N for b in col.u1s)}
 
 
 def test_each_page_recognises_its_towers_once(monkeypatch):
     """Every reader of a page's towers reads Page.towers, recognised once.
 
     compute recognises the Einfty towers only (assembly reads no other
-    page).  Then every reader recognises each trusted bidegree of the
-    three distinct pages exactly once, and the tower shapes of each
-    distinct column of their trusted cells are found exactly once,
-    whichever pages hold it; no padded cell is recognised.
+    page).  Then every reader recognises each trusted bidegree with a
+    reported class of the three distinct pages exactly once, and the
+    tower shapes of each distinct column of those cells are found exactly
+    once, whichever pages hold it; no padded cell, and no cell whose slots
+    all lie at or above N, is recognised.
     """
     recognised, shaped = _count_recognition(monkeypatch)
     stack = compute(Target.C2_V0).stack
-    einfty = _trusted_cells(stack.einfty)
+    einfty = _reported_cells(stack.einfty)
     assert sorted(recognised) == sorted(einfty)
-    assert len(shaped) == len(set(einfty.values())) < len(einfty)
+    assert len(shaped) == len(set(shaped)) == len(set(einfty.values())) < len(einfty)
     _read_every_page(stack)
-    cells = [_trusted_cells(p) for p in stack.pages.values()]
+    cells = [_reported_cells(p) for p in stack.pages.values()]
     assert sorted(recognised) == sorted(key for c in cells for key in c)
     distinct = {col for c in cells for col in c.values()}
     assert len(shaped) == len(set(shaped)) == len(distinct) <= len(stack.table)
