@@ -28,11 +28,10 @@ print("\nCollapse certificates:")
 for c in res.stack.certificates:
     print(f"  - {c}")
 
-print("\nEinfty stem-2 column (before extensions):")
-for filt in range(0, 4):
-    slots = res.stack.einfty.reported_summands(2, filt)
-    if slots:
-        print(f"  filtration {filt}: {[s.label() for s in slots][:4]} ...")
+print("\nEinfty stem-2 towers (before extensions):")
+for (stem, filt), towers in res.stack.einfty.towers.items():
+    if stem == 2:
+        print(f"  filtration {filt}: {' + '.join(t.render() for t in towers)}")
 
 g = res.groups[2]
 print(f"\npi_2 after the eta*alpha extension merge: {g.expr}")

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from .groupexpr import Term
 from .modules import Column, LinearMap, Page
-from .monomials import NAMED
 from .rules import Propagation
 
 GLYPHS = {"f4": ".", "f4_series": "o", "w": "#"}
@@ -143,18 +142,18 @@ def _arrows(page: Page, prop: Propagation) -> list[Arrow]:
 
 def _eta_lines(page: Page) -> list[tuple[Bidegree, Bidegree]]:
     """One (bidegree, bidegree + (1, 1)) pair per trusted tower whose
-    generator times eta is a generator of the page; kept on the layout."""
+    generator times eta is a generator of the page; kept on the layout.
+    eta = alpha u1 raises stem, filtration and u1-exponent by one, so the
+    product is a generator iff the next cell's column has that exponent."""
     layout = page.layout
     if layout.eta_lines is None:
-        eta, trusted = NAMED["eta"], page.window.trusted
+        trusted, rows, start = page.window.trusted, page.rows, page.window.stem_range.start
         lines = []
         for (stem, filt) in layout.cells:
-            if not trusted(stem + 1, filt + 1):
-                continue
-            nxt = page.module(stem + 1, filt + 1)
-            lines.extend(((stem, filt), (stem + 1, filt + 1))
-                         for t in page.towers[(stem, filt)]
-                         if nxt.slot_of(t.mono * eta) is not None)
+            nxt = trusted(stem + 1, filt + 1) and rows[filt + 1][stem + 1 - start]
+            if nxt:
+                lines.extend(((stem, filt), (stem + 1, filt + 1))
+                             for t in page.towers[(stem, filt)] if t.mono.u1 + 1 in nxt.u1s)
         layout.eta_lines = lines
     return layout.eta_lines
 

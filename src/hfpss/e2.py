@@ -21,9 +21,7 @@ here, once, and page turns carry the flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .modules import Column, ColumnTable, Page, PipelineError
+from .modules import Column, ColumnTable, Page
 from .targets import Target, Window
 
 
@@ -39,7 +37,7 @@ def _u1_range(target: Target, stem: int, filt: int, n_u1: int) -> range:
     For filt >= 0 it depends on (stem, filt) only through _u1_residue.
     """
     a = (filt - stem) // 2
-    if filt < 0 or (stem + filt) % 2 != 0 or target.even_u_only and a % 2 != 0:
+    if filt < 0 or (stem + filt) % 2 != 0 or not target.mod2 and a % 2 != 0:
         return range(0)
     bs = range(-(a + 2 * filt) % target.period, n_u1, target.period)
     if target.y_page and filt > 0:
@@ -73,50 +71,3 @@ def build_e2(target: Target, window: Window) -> Page:
     rows += [rows[f % 12 or 12] for f in range(13, len(window.filt_range))]  # = rows[f - 12]
     return Page(target, 2, window, tuple(rows), table)
 
-
-@dataclass
-class EtaReport:
-    ok: bool
-    failures: list[str]
-    coker_dims: dict[tuple[int, int], int]
-
-
-def eta_injectivity_check(page: Page) -> EtaReport:
-    """Check that eta-multiplication is injective on a mod-2 C6 page.
-
-    Multiplication by eta = alpha*u1 sends the slot at (stem, filt) to
-    (stem+1, filt+1), shifting the u1-exponent by one.  The report lists
-    the cokernel slot counts, which are exactly the starting-page slots of
-    the smash-with-Y spectral sequence.
-    """
-    if page.target is not Target.C6_V0:
-        raise ValueError("eta injectivity is checked on the mod-2 C6 page")
-    failures = []
-    coker: dict[tuple[int, int], int] = {}
-    horizon = page.window.n_u1 - 1  # slots whose image stays below truncation
-    for (stem, filt), mod in sorted(page.modules.items()):
-        tgt = page.module(stem + 1, filt + 1)
-        images = {b + 1 for b in mod.u1s if b < horizon}
-        if page.window.in_padded(stem + 1, filt + 1):
-            failures += [f"eta kills {mod.label(i)} at ({stem},{filt})"
-                         for i, b in enumerate(mod.u1s) if b < horizon and b + 1 not in tgt.u1s]
-        if page.window.trusted(stem, filt) and tgt:
-            # the unhit slots must be exactly the b = 0 monomials (c >= 1 here)
-            failures += [f"unexpected cokernel slot {tgt.label(i)}"
-                         for i, b in enumerate(tgt.u1s) if b not in images and 0 < b < horizon]
-            coker[(stem + 1, filt + 1)] = tgt.u1s.count(0)
-    return EtaReport(ok=not failures, failures=failures, coker_dims=coker)
-
-
-def check_y_page_is_eta_cokernel(window: Window) -> None:
-    """The direct smash-with-Y construction matches the eta-cokernel."""
-    v0 = build_e2(Target.C6_V0, window)
-    report = eta_injectivity_check(v0)
-    if not report.ok:
-        raise PipelineError("; ".join(report.failures[:5]))
-    y = build_e2(Target.C6_Y, window)
-    for (stem, filt), dim in report.coker_dims.items():
-        got = len(y.module(stem, filt))
-        if got != dim:
-            raise PipelineError(
-                f"Y page at ({stem},{filt}) has {got} slots, cokernel has {dim}")

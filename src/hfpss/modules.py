@@ -13,9 +13,10 @@ rows of a stack are one, ColumnTable.row), and memoised by it.  Every
 differential sends a generator to a 2-power times one generator and hits
 each generator at most once, so a LinearMap between two columns stores
 (row, 2-exponent) pairs, and homology is slotwise valuation arithmetic.
-Bidegree-keyed views (Page.columns, Page.modules, Propagation.maps),
-BidegreeModule and Summand records serve only the edges: labels, JSON,
-tests and the SNF oracle; Page.module reads one cell.
+Bidegree-keyed views (Page.columns, Page.modules, Propagation.maps) and
+BidegreeModule records serve only the tests, the SNF oracle and the
+benchmark's counters: no command builds one.  Page.module reads one cell; groupexpr expands terms into
+Summand records.
 """
 
 from __future__ import annotations
@@ -140,9 +141,6 @@ class BidegreeModule:
         """Read-only view of the slots as Summand records, in u1 order."""
         return tuple(Summand(j, self.mono(b), e, self.free)
                      for b, j, e in zip(self.u1s, self.scalars, self.orders))
-
-    def label(self, i: int) -> str:
-        return self.summands[i].label()
 
     def slot_of(self, mono: Monomial) -> int | None:
         """Index of the slot of mono, by its u1-exponent, if it is here."""
@@ -309,7 +307,3 @@ class Page:
         (charts.page_layout); kept like towers, and read the same way."""
         from .charts import page_layout  # charts imports this module
         return page_layout(self)
-
-    def reported_summands(self, stem: int, filt: int) -> list[Summand]:
-        """Summands below the u1 reporting horizon."""
-        return [s for s in self.module(stem, filt).summands if s.mono.u1 < self.window.N]

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from .e2 import build_e2
 from .groupexpr import Term, term_order_exp
 from .modules import Column, ColumnTable, Page, PipelineError, homology_at
-from .monomials import NAMED, Monomial
+from .monomials import Monomial
 from .rules import Propagation, propagate, rule_table
 from .targets import Target, Window
 
@@ -219,43 +219,6 @@ def towers_at(stem: int, filt: int, shapes: tuple[Shape, ...]) -> list[Term]:
     """The towers at (stem, filt) as Terms, from tower_shapes of its column."""
     u = (filt - stem) // 2
     return [Term(scalar, Monomial(u, b, filt), coeff, per) for scalar, b, coeff, per in shapes]
-
-
-def periodicity_check(stack: PageStack, shift: Monomial, page_r: int,
-                      stems: range) -> list[str]:
-    """Labeled column isomorphism under multiplication by the shift.
-
-    Returns the list of mismatching column pairs (empty = periodic).
-    """
-    page = stack.page(page_r)
-    delta = shift.stem
-    failures = []
-    for n in stems:
-        for filt in page.window.filt_range:
-            if not (page.window.trusted(n, filt)
-                    and page.window.trusted(n + delta, filt)):
-                continue
-            here = {(s.scalar, s.mono * shift, s.order, s.free)
-                    for s in page.reported_summands(n, filt)}
-            there = {(s.scalar, s.mono, s.order, s.free)
-                     for s in page.reported_summands(n + delta, filt)}
-            if here != there:
-                failures.append(f"columns {n} and {n + delta} differ at filtration {filt}")
-    return failures
-
-
-def hurewicz_permanent_cycles(stack: PageStack) -> list[str]:
-    """Detectors of eta, nu, kappabar must survive to Einfty (integral targets)."""
-    missing = []
-    einf = stack.einfty
-    for name in ("eta", "nu", "kappabar"):
-        m = NAMED[name]
-        mod = einf.module(*m.bidegree)
-        if not einf.window.trusted(*m.bidegree):
-            continue
-        if mod.slot_of(m) is None:
-            missing.append(f"{name} = {m} died before Einfty")
-    return missing
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,9 @@ class Target(Enum):
         return 3 if self in (Target.C6, Target.C6_V0, Target.C6_Y) else 1
 
     @property
-    def even_u_only(self) -> bool:
-        """Integral pages contain only even u-powers."""
-        return self in (Target.C2, Target.C6)
-
-    @property
     def mod2(self) -> bool:
-        """Mod-2 pages: every tower is 2-torsion."""
+        """Mod-2 pages: every tower is 2-torsion, and odd u-powers occur
+        (integral pages hold even u-powers only)."""
         return self is not Target.C2 and self is not Target.C6
 
     @property

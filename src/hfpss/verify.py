@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .engine import ComputeResult
 from .groupexpr import GroupExpr, GroupExprError, iso_invariants, parse_group_expr
@@ -36,30 +35,22 @@ class FixtureEntry:
     note: str | None = None
 
 
-def fixtures_dir() -> str | None:
-    return os.environ.get("HFPSS_FIXTURES")
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def _source(target: Target, path: str | None) -> str:
-    """The fixture file in the override directory, else its resource name."""
-    override = path or fixtures_dir()
-    name = f"{target.value}.json"
-    return os.path.join(override, name) if override else name
+    """<dir>/<target>.json, dir being path, else $HFPSS_FIXTURES, else FIXTURES."""
+    return os.path.join(path or os.environ.get("HFPSS_FIXTURES") or FIXTURES,
+                        f"{target.value}.json")
 
 
 def load_fixtures(target: Target, path: str | None = None) -> list[FixtureEntry]:
-    """Parse one fixture table; a malformed file raises FixtureError."""
+    """Parse one fixture table; a missing or malformed file raises FixtureError."""
     source = _source(target, path)
-    if path or fixtures_dir():
-        if not os.path.exists(source):
-            raise FixtureError(f"fixture file not found: {source}")
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        ref = resources.files("hfpss.fixtures").joinpath(source)
-        if not ref.is_file():
-            raise FixtureError(f"fixture resource not found: {source}")
-        text = ref.read_text(encoding="utf-8")
+    if not os.path.exists(source):
+        raise FixtureError(f"fixture file not found: {source}")
+    with open(source, encoding="utf-8") as fh:
+        text = fh.read()
     entries, stem = [], None
     try:
         for e in json.loads(text)["entries"]:

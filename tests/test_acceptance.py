@@ -11,11 +11,12 @@ from hfpss.charts import render_text, tower_count
 from hfpss.engine import compute, default_window
 from hfpss.les import check_eta_les, check_two_les
 from hfpss.monomials import Monomial
-from hfpss.pages import (check_collapse, check_even_r_vanishing,
-                         periodicity_check, run_to_einfty)
+from hfpss.pages import check_collapse, check_even_r_vanishing, run_to_einfty
 from hfpss.rules import rule_table
 from hfpss.targets import Target, Window
 from hfpss.verify import verify_target
+
+from pagechecks import periodicity
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -103,10 +104,10 @@ def test_criterion_4_structural_page_facts(computed_all):
 
 def test_criterion_5_periodicity():
     stack = run_to_einfty(Target.C6, Window(0, 72))
-    assert periodicity_check(stack, Monomial(-12, 0, 0), 4, range(0, 25)) == []
+    assert periodicity(stack.page(4), Monomial(-12, 0, 0), range(0, 25)) == []
     for target in (Target.C6, Target.C6_V0, Target.C6_Y):
         stack = run_to_einfty(target, Window(0, 96))
-        assert periodicity_check(stack, Monomial(-24, 0, 0), 8, range(0, 49)) == []
+        assert periodicity(stack.page(8), Monomial(-24, 0, 0), range(0, 49)) == []
     _report(5, "E4(C6) is (24,0)-periodic on stems 0..24; E8 of the C6 "
                "family is 48-periodic on stems 0..48 (labeled isomorphisms)")
 

@@ -7,10 +7,13 @@ from collections import Counter
 
 import pytest
 
+from hfpss import modules
 from hfpss.charts import glyph_count, render_page, render_svg, render_text, tower_count
+from hfpss.engine import compute
 from hfpss.modules import Column, LinearMap
-from hfpss.pages import run_to_einfty
+from hfpss.pages import run_to_einfty, stack_to_json
 from hfpss.targets import Target, Window
+from hfpss.verify import verify_target
 
 from test_pages import prop_of
 
@@ -136,6 +139,23 @@ def test_charts_with_arrows_build_no_view(target):
         render_svg(page, prop, labels=True, eta_lines=True)
         assert page.layout.arrows and not {"columns", "modules"} & set(vars(page))
         assert "maps" not in vars(prop)
+
+
+def test_no_command_builds_a_bidegree_module(monkeypatch):
+    """compute, verify, the JSON and every chart read columns from the rows:
+    BidegreeModule is left to the tests and the oracle."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a BidegreeModule was built")
+
+    monkeypatch.setattr(modules, "BidegreeModule", refuse)
+    for target in Target:
+        result = compute(target)
+        assert verify_target(result).ok
+        stack_to_json(result.stack)
+        for r in (2, 3, 4, 7, 8):
+            page, prop = result.stack.page(r), result.stack.maps.get(r)
+            render_text(page, prop, page_index=r)
+            render_svg(page, prop, labels=True, eta_lines=True)
 
 
 def test_chart_rejects_a_differential_of_another_window():

@@ -1,15 +1,17 @@
 """Starting-page constructions and their structural invariants."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfpss.e2 import (_u1_range, _u1_residue, build_e2, check_y_page_is_eta_cokernel,
-                      eta_injectivity_check)
-from hfpss.modules import Page
+from hfpss.e2 import _u1_range, _u1_residue, build_e2
+from hfpss.modules import Column, Page
 from hfpss.monomials import NAMED, Monomial
 from hfpss.targets import Target, Window
 
-from test_pages import empty_rows
+from pagechecks import eta_cokernel, y_page_is_eta_cokernel
+from test_pages import empty_rows, place
 
 WIN = Window(0, 15, filt_max=20, N=6)
 WIN6 = Window(0, 20, filt_max=20, N=9)
@@ -72,6 +74,8 @@ def test_row_built_e2_is_the_cellwise_build(case):
 
 
 def test_c2_page_has_even_u_powers_and_witt_bottoms():
+    # the integral targets are the ones not mod 2, and _u1_range keeps their a even
+    assert [t for t in Target if not t.mod2] == [Target.C2, Target.C6]
     page = build_e2(Target.C2, WIN)
     for (stem, filt), mod in page.modules.items():
         for s in mod.summands:
@@ -116,9 +120,7 @@ def test_c6_y_stem_3_starts_with_nu_and_collapses_to_it():
     from hfpss.pages import run_to_einfty
     stack = run_to_einfty(Target.C6_Y, Window(0, 10, N=6))
     einf = stack.einfty
-    nonzero = {f for (n, f), m in einf.modules.items()
-               if n == 3 and einf.reported_summands(n, f)}
-    assert nonzero == {3}
+    assert {f for n, f in einf.towers if n == 3} == {3}
 
 
 def test_weight_zero_filter():
@@ -163,24 +165,42 @@ def test_c2_v0_page_is_h_free():
 
 def test_eta_injectivity_full_window():
     page = build_e2(Target.C6_V0, Window(0, 48))
-    report = eta_injectivity_check(page)
-    assert report.ok, report.failures[:3]
+    failures, coker = eta_cokernel(page)
+    assert failures == [], failures[:3]
     # cokernel slots are the weight-0 monomials with b = 0 or c = 0
-    assert report.coker_dims
+    assert coker
 
 
 def test_eta_injectivity_on_zero_page_is_vacuous():
     window = Window(5, 5, filt_max=0, N=4)
     page = Page(Target.C6_V0, 2, window, empty_rows(window))
-    report = eta_injectivity_check(page)
-    assert report.ok and not report.coker_dims
+    assert eta_cokernel(page) == ([], {})
+
+
+Y_WIN = Window(0, 24, N=9)
 
 
 def test_y_page_matches_eta_cokernel():
-    check_y_page_is_eta_cokernel(Window(0, 24, N=9))
+    assert y_page_is_eta_cokernel(build_e2(Target.C6_V0, Y_WIN), build_e2(Target.C6_Y, Y_WIN)) == []
+
+
+def test_eta_cokernel_reports_a_slot_removed_below_the_horizon():
+    page = build_e2(Target.C6_V0, Y_WIN)
+    col = page.rows[2][4 - Y_WIN.stem_range.start]  # (4, 2): u1^0, u1^3, ...
+    assert col.u1s[:2] == (0, 3)
+    cut = Column(col.u1s[:1] + col.u1s[2:], col.scalars[1:], col.orders[1:])
+    failures, _ = eta_cokernel(replace(page, rows=place(page.rows, Y_WIN, {(4, 2): cut})))
+    assert failures == ["eta kills u1^2 at (3,1)", "unexpected cokernel slot u1^4 at (5,3)"]
+
+
+def test_eta_cokernel_reports_a_y_page_of_another_slot_count():
+    v0, y = build_e2(Target.C6_V0, Y_WIN), build_e2(Target.C6_Y, Y_WIN)
+    assert eta_cokernel(v0)[1][(2, 4)] == 1
+    broken = replace(y, rows=place(y.rows, Y_WIN, {(2, 4): None}))
+    assert y_page_is_eta_cokernel(v0, broken) == ["Y page at (2,4) has 0 slots, cokernel has 1"]
 
 
 def test_eta_injectivity_rejects_wrong_target():
     page = build_e2(Target.C2, WIN)
     with pytest.raises(ValueError):
-        eta_injectivity_check(page)
+        eta_cokernel(page)

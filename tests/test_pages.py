@@ -5,6 +5,7 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfpss.assembly import assemble_all
 from hfpss.charts import glyph_count, render_svg, render_text, tower_count
@@ -14,12 +15,12 @@ from hfpss.modules import (BidegreeModule, Column, ColumnTable, LinearMap, Page,
                            Summand, homology_at)
 from hfpss.monomials import Monomial, parse_monomial
 from hfpss import charts, pages, targets
-from hfpss.pages import (CertificateError, check_collapse,
-                         check_even_r_vanishing, hurewicz_permanent_cycles,
-                         periodicity_check, run_to_einfty, tower_shapes,
-                         towers_at, turn_page)
+from hfpss.pages import (CertificateError, check_collapse, check_even_r_vanishing,
+                         run_to_einfty, tower_shapes, towers_at, turn_page)
 from hfpss.rules import Propagation, RuleCoverageError, RuleSet, propagate, rule_table
 from hfpss.targets import Target, Window
+
+from pagechecks import hurewicz, periodicity
 
 m = parse_monomial
 
@@ -357,15 +358,14 @@ def test_in_padded_is_the_padded_ranges(window):
 def test_c2_e4_bidegree_4_0():
     stack = run_to_einfty(Target.C2, Window(0, 15))
     e4 = stack.page(4)
-    assert [(s.label(), s.free) for s in e4.reported_summands(4, 0)[:1]] == \
-        [("2u^{-2}", True)]
-    assert all(s.scalar == 1 for s in e4.reported_summands(4, 0))
+    assert [(t.label(), t.free) for t in e4.towers[(4, 0)][:1]] == [("2u^{-2}", True)]
+    assert all(t.scalar == 1 for t in e4.towers[(4, 0)])
 
 
 def test_c2_v0_e4_bidegree_3_3():
     stack = run_to_einfty(Target.C2_V0, Window(0, 15))
     e4 = stack.page(4)
-    assert [s.label() for s in e4.reported_summands(3, 3)] == ["a^{3}"]
+    assert [(t.label(), t.period) for t in e4.towers[(3, 3)]] == [("a^{3}", None)]
 
 
 def test_page_aliases():
@@ -542,22 +542,37 @@ def test_empty_window_rejected(bounds):
 
 
 def test_hurewicz_classes_survive(computed_c6):
-    assert hurewicz_permanent_cycles(computed_c6.stack) == []
+    assert hurewicz(computed_c6.stack.einfty) == []
 
 
 def test_hurewicz_classes_survive_c2():
     stack = run_to_einfty(Target.C2, Window(0, 24))
-    assert hurewicz_permanent_cycles(stack) == []
+    assert hurewicz(stack.einfty) == []
+
+
+def test_hurewicz_names_eta_when_its_cell_is_emptied():
+    einf = run_to_einfty(Target.C2, Window(0, 24)).einfty
+    gone = replace(einf, rows=place(einf.rows, einf.window, {(1, 1): None}))
+    assert hurewicz(gone) == ["eta = u1a died before Einfty"]
 
 
 def test_e4_periodicity_c6():
     stack = run_to_einfty(Target.C6, Window(0, 72))
-    assert periodicity_check(stack, Monomial(-12, 0, 0), 4, range(0, 25)) == []
+    assert periodicity(stack.page(4), Monomial(-12, 0, 0), range(0, 25)) == []
 
 
 def test_e8_periodicity_c2_derived():
     stack = run_to_einfty(Target.C2, Window(0, 32))
-    assert periodicity_check(stack, Monomial(-8, 0, 0), 8, range(0, 17)) == []
+    assert periodicity(stack.page(8), Monomial(-8, 0, 0), range(0, 17)) == []
+
+
+def test_periodicity_reports_a_replaced_column():
+    e8 = run_to_einfty(Target.C2, Window(0, 32)).einfty
+    col = e8.rows[0][4 - e8.window.stem_range.start]  # (4, 0): a Witt series from u1^0
+    cut = Column(col.u1s[1:], col.scalars[1:], col.orders[1:], col.free)
+    broken = replace(e8, rows=place(e8.rows, e8.window, {(4, 0): cut}))
+    assert periodicity(broken, Monomial(-8, 0, 0), range(0, 17)) == \
+        ["columns 4 and 20 differ at filtration 0"]
 
 
 def test_free_certification_distinguishes_w4():
@@ -779,6 +794,36 @@ def test_towers_are_named_on_every_trusted_cell(computed_all):
             assert page.towers == trusted and list(page.towers) == sorted(trusted), \
                 (stack.target, r)
 
+
+@st.composite
+def nested_windows(draw):
+    """A target and two of its windows A >= B, with one K and one N."""
+    lo = draw(st.integers(-40, 120))
+    hi, filt_max = draw(st.integers(lo, lo + 60)), draw(st.integers(0, 60))
+    b_lo = draw(st.integers(lo, hi))
+    b_hi, b_filt_max = draw(st.integers(b_lo, hi)), draw(st.integers(0, filt_max))
+    K, N = draw(st.integers(3, 4)), draw(st.integers(4, 14))
+    return (draw(st.sampled_from(list(Target))), Window(lo, hi, filt_max, K, N),
+            Window(b_lo, b_hi, b_filt_max, K, N))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_windows())
+def test_a_window_reports_what_a_wider_one_reports_on_it(case):
+    """Window restriction: every trusted cell of B has A's towers on E2, E4
+    and E8.  Groups agree where B's filt_max is at least 6: no Einfty tower
+    lies above filtration 6, so B then holds every tower of its stems; below
+    6 the groups of B are those of cut columns (no stem is flagged yet)."""
+    target, a, b = case
+    wide, narrow = compute(target, a), compute(target, b)
+    for r in (2, 4, 8):
+        towers = wide.stack.page(r).towers
+        assert {key: ts for key, ts in towers.items() if b.trusted(*key)} == \
+            narrow.stack.page(r).towers, r
+    assert all(filt <= 6 for _, filt in wide.stack.einfty.towers)
+    if b.filt_max >= 6:
+        assert {n: g.expr for n, g in narrow.groups.items()} == \
+            {n: wide.groups[n].expr for n in narrow.groups}
 
 def test_json_writes_trusted_bidegrees_only(computed_all):
     for target, res in computed_all.items():

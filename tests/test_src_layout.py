@@ -16,9 +16,6 @@ ORACLE = {"snf", "scalars"}
 ALLOWED = {
     # called by bench/workloads.py (the render workload) and by no src module
     "les.check_two_les", "les.check_eta_les",
-    # page checks that wait to become structured certificate records
-    "pages.periodicity_check", "pages.hurewicz_permanent_cycles",
-    "e2.check_y_page_is_eta_cokernel",
 }
 
 

@@ -1,9 +1,11 @@
 """Fixture integrity and the verification report."""
 
 import json
+import pathlib
 
 import pytest
 
+from hfpss import verify
 from hfpss.engine import compute, default_window
 from hfpss.groupexpr import iso_invariants, parse_group_expr
 from hfpss.targets import Target
@@ -116,6 +118,13 @@ def test_fixture_env_override(tmp_path, computed_c2, monkeypatch):
     report = verify_target(computed_c2)
     assert report.n_iso_matches == sum(
         1 for n in range(16) if computed_c2.groups[n].expr.is_zero())
+
+
+def test_fixtures_are_read_from_the_directory_beside_verify(monkeypatch):
+    monkeypatch.delenv("HFPSS_FIXTURES", raising=False)
+    beside = pathlib.Path(verify.__file__).parent / "fixtures"
+    for target in Target:
+        assert load_fixtures(target) == load_fixtures(target, str(beside)), target
 
 
 def test_fixture_missing_file_raises(tmp_path):
