@@ -14,9 +14,9 @@ for byte-exact golden tests.
 Both renderers, and pages.page_to_json, serialise one Layout per page,
 found on first read and kept as Page.layout (as Page.towers is kept).
 It holds each tower's glyph and label, keyed as Page.towers (trusted
-only), and max_filt.  The eta-line pairs are added the first time an
-SVG draws them.  The arrows of a differential are added the first time
-a chart draws that differential on the page, after a check, row by row,
+only), and max_filt.  The eta-line pairs are computed when an SVG
+draws them.  The arrows of a differential are added the first time a
+chart draws that differential on the page, after a check, row by row,
 that every map of it starts and ends at the page's own column.
 Inside that one computation, the arrow styles are found once per map,
 as propagate builds one map per distinct (source, target, cols).
@@ -43,13 +43,12 @@ class Layout:
     cells holds, per key of Page.towers (the trusted bidegrees that have
     towers, in bidegree order), one GLYPHS character and one generator
     label per tower: (glyphs, labels).  max_filt is their top filtration.
-    eta_lines (None until an SVG draws them) and arrows (one entry per
-    differential drawn on the page) are filled on first use.
+    arrows (one entry per differential drawn on the page) is filled on
+    first use.
     """
 
     cells: dict[Bidegree, tuple[str, tuple[str, ...]]]
     max_filt: int
-    eta_lines: list[tuple[Bidegree, Bidegree]] | None = None
     arrows: list[tuple[Propagation, list[Arrow]]] = field(default_factory=list)
 
 
@@ -142,20 +141,17 @@ def _arrows(page: Page, prop: Propagation) -> list[Arrow]:
 
 def _eta_lines(page: Page) -> list[tuple[Bidegree, Bidegree]]:
     """One (bidegree, bidegree + (1, 1)) pair per trusted tower whose
-    generator times eta is a generator of the page; kept on the layout.
-    eta = alpha u1 raises stem, filtration and u1-exponent by one, so the
-    product is a generator iff the next cell's column has that exponent."""
-    layout = page.layout
-    if layout.eta_lines is None:
-        trusted, rows, start = page.window.trusted, page.rows, page.window.stem_range.start
-        lines = []
-        for (stem, filt) in layout.cells:
-            nxt = trusted(stem + 1, filt + 1) and rows[filt + 1][stem + 1 - start]
-            if nxt:
-                lines.extend(((stem, filt), (stem + 1, filt + 1))
-                             for t in page.towers[(stem, filt)] if t.mono.u1 + 1 in nxt.u1s)
-        layout.eta_lines = lines
-    return layout.eta_lines
+    generator times eta is a generator of the page.  eta = alpha u1 raises
+    stem, filtration and u1-exponent by one, so the product is a generator
+    iff the next cell's column has that exponent."""
+    trusted, rows, start = page.window.trusted, page.rows, page.window.stem_range.start
+    lines = []
+    for (stem, filt), towers in page.towers.items():
+        nxt = trusted(stem + 1, filt + 1) and rows[filt + 1][stem + 1 - start]
+        if nxt:
+            lines.extend(((stem, filt), (stem + 1, filt + 1))
+                         for t in towers if t.mono.u1 + 1 in nxt.u1s)
+    return lines
 
 
 def render_text(page: Page, prop: Propagation | None = None,

@@ -13,15 +13,14 @@ rows of a stack are one, ColumnTable.row), and memoised by it.  Every
 differential sends a generator to a 2-power times one generator and hits
 each generator at most once, so a LinearMap between two columns stores
 (row, 2-exponent) pairs, and homology is slotwise valuation arithmetic.
-Bidegree-keyed views (Page.columns, Page.modules, Propagation.maps) and
-BidegreeModule records serve only the tests, the SNF oracle and the
-benchmark's counters: no command builds one.  Page.module reads one cell; groupexpr expands terms into
-Summand records.
+The bidegree-keyed views Page.modules and Propagation.maps, and the
+BidegreeModule records of the first, exist for the counters of
+bench/tracer.py (the tests read them too): no command builds one.
+groupexpr expands terms into Summand records.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -98,18 +97,11 @@ class ColumnTable(dict):
 class BidegreeModule:
     """The u1-column of one bidegree, placed there; u1s must be strictly increasing.
 
-    Built from its columns, or from Summand records at the edges:
+    A read-only view, read as Summand records:
 
-    >>> mod = BidegreeModule.from_summands(4, 0, (Summand(0, Monomial(-2, 1, 0), 1),
-    ...                                           Summand(1, Monomial(-2, 0, 0), 2)))
-    >>> mod.u1s, mod.scalars, mod.orders, mod.free
-    ((0, 1), (1, 0), (2, 1), False)
-    >>> mod == BidegreeModule(4, 0, (0, 1), (1, 0), (2, 1))
-    True
+    >>> mod = BidegreeModule(4, 0, (0, 1), (1, 0), (2, 1))
     >>> [s.label() for s in mod.summands]
     ['2u^{-2}', 'u^{-2}u1']
-    >>> mod.slot_of(Monomial(-2, 1, 0)), mod.slot_of(Monomial(-2, 2, 0))
-    (1, None)
     """
 
     stem: int
@@ -118,16 +110,6 @@ class BidegreeModule:
     scalars: tuple[int, ...]
     orders: tuple[int, ...]
     free: bool = False
-
-    @classmethod
-    def from_summands(cls, stem: int, filt: int, summands) -> BidegreeModule:
-        """The module of these summands, which must form a u1-column at (stem, filt)."""
-        ss = tuple(sorted(summands, key=lambda s: s.mono.u1))
-        mod = cls(stem, filt, tuple(s.mono.u1 for s in ss), tuple(s.scalar for s in ss),
-                  tuple(s.order for s in ss), any(s.free for s in ss))
-        if len(set(mod.u1s)) < len(ss) or mod.summands != ss:
-            raise PipelineError(f"summands do not form a u1-column at ({stem},{filt})")
-        return mod
 
     def __len__(self) -> int:
         return len(self.u1s)
@@ -141,12 +123,6 @@ class BidegreeModule:
         """Read-only view of the slots as Summand records, in u1 order."""
         return tuple(Summand(j, self.mono(b), e, self.free)
                      for b, j, e in zip(self.u1s, self.scalars, self.orders))
-
-    def slot_of(self, mono: Monomial) -> int | None:
-        """Index of the slot of mono, by its u1-exponent, if it is here."""
-        i = bisect_left(self.u1s, mono.u1)
-        found = i < len(self.u1s) and self.u1s[i] == mono.u1 and mono == self.mono(mono.u1)
-        return i if found else None
 
 
 @dataclass(slots=True, eq=False)
@@ -252,21 +228,10 @@ class Page:
     def K(self) -> int:
         return self.window.K
 
-    def module(self, stem: int, filt: int) -> BidegreeModule:
-        """The module at (stem, filt), read from its cell; empty if it has none."""
-        window = self.window
-        col = window.in_padded(stem, filt) and self.rows[filt][stem - window.stem_range.start]
-        fields = (col.u1s, col.scalars, col.orders, col.free) if col and col.u1s else ((),) * 3
-        return BidegreeModule(stem, filt, *fields)
-
-    @cached_property
-    def columns(self) -> MappingProxyType:
-        return rows_view(self.rows, self.window)
-
     @cached_property
     def modules(self) -> MappingProxyType:
         return MappingProxyType({(n, f): BidegreeModule(n, f, c.u1s, c.scalars, c.orders, c.free)
-                                 for (n, f), c in self.columns.items()})
+                                 for (n, f), c in rows_view(self.rows, self.window).items()})
 
     def is_trusted(self, stem: int, filt: int) -> bool:
         return self.window.trusted(stem, filt)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 from .e2 import build_e2
 from .groupexpr import Term, term_order_exp
-from .modules import Column, ColumnTable, Page, PipelineError, homology_at
+from .modules import Column, Page, PipelineError, homology_at
 from .monomials import Monomial
 from .rules import Propagation, propagate, rule_table
 from .targets import Target, Window
@@ -129,7 +129,6 @@ class PageStack:
     window: Window
     pages: dict[int, Page]
     maps: dict[int, Propagation]
-    table: ColumnTable  # the one column table of the stack, shared by its pages
     certificates: list[str] = field(default_factory=list)
 
     def page(self, r: int) -> Page:
@@ -168,7 +167,7 @@ def run_to_einfty(target: Target, window: Window) -> PageStack:
         "monotone death of total module length",  # by homology_at, see its docstring
     ]
     return PageStack(target=target, window=window, pages={2: p2, 4: p4, 8: p8},
-                     maps={3: prop3, 7: prop7}, table=p2.table, certificates=certificates)
+                     maps={3: prop3, 7: prop7}, certificates=certificates)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ the tests as an independent oracle for it.
 
 from __future__ import annotations
 
-from .modules import BidegreeModule, LinearMap, PipelineError
+from .modules import Column, LinearMap, PipelineError
 from .scalars import Witt
 
 
@@ -228,22 +228,23 @@ def subquotient(orders: list[int], in_cols: list[Vector], out_cols: list[Vector]
     return ker, im, presentation_invariants(rel_z, a, K)
 
 
-def homology(module: BidegreeModule, in_cols: list[Vector], out_cols: list[Vector],
-             out_orders: list[int], K: int) -> tuple[BidegreeModule, tuple[int, ...]]:
-    """ker(d_out)/im(d_in) at `module`, maps as in subquotient.
+def homology(stem: int, filt: int, col: Column, in_cols: list[Vector], out_cols: list[Vector],
+             out_orders: list[int], K: int) -> tuple[tuple, tuple[int, ...]]:
+    """ker(d_out)/im(d_in) on the column col of (stem, filt), maps as in
+    subquotient; returns what modules.homology_at returns.
 
     Surviving generators are named greedily by minimal pure lifts
-    2^j * (old generator), slots in u1 order; as in modules.homology_at,
-    the lifts give j per new slot.  Raises PipelineError if pure lifts
+    2^j * (old generator), slots in u1 order; the lifts give j per new
+    slot.  (stem, filt) only names errors: PipelineError if pure lifts
     cannot realize the invariants (possible only for maps that mix
     monomials).
     """
-    n = len(module)
+    n = len(col.u1s)
     if n == 0:
-        return module, ()
-    ker, acc, invariants = subquotient(list(module.orders), in_cols, out_cols, out_orders, K)
+        return ((), (), (), col.free), ()
+    ker, acc, invariants = subquotient(list(col.orders), in_cols, out_cols, out_orders, K)
     u1s, scalars, orders, lifts = [], [], [], []
-    for i, (b, scalar) in enumerate(zip(module.u1s, module.scalars)):
+    for i, (b, scalar) in enumerate(zip(col.u1s, col.scalars)):
         lift = next((j for j in range(K) if ker.contains(_unit_vector(n, i, j, K))), None)
         if lift is None:
             continue
@@ -259,20 +260,18 @@ def homology(module: BidegreeModule, in_cols: list[Vector], out_cols: list[Vecto
         acc = acc.extended(_unit_vector(n, i, lift, K))
     if sorted(orders) != invariants:
         raise PipelineError(
-            f"pure lifts cannot realize the invariants {invariants} "
-            f"at ({module.stem},{module.filt})")
-    return BidegreeModule(module.stem, module.filt, tuple(u1s), tuple(scalars),
-                          tuple(orders), module.free), tuple(lifts)
+            f"pure lifts cannot realize the invariants {invariants} at ({stem},{filt})")
+    return (tuple(u1s), tuple(scalars), tuple(orders), col.free), tuple(lifts)
 
 
-def homology_at(module: BidegreeModule, d_in: LinearMap | None, d_out: LinearMap | None,
-                K: int) -> tuple[BidegreeModule, tuple[int, ...]]:
+def homology_at(stem: int, filt: int, col: Column, d_in: LinearMap | None,
+                d_out: LinearMap | None, K: int) -> tuple[tuple, tuple[int, ...]]:
     """modules.homology_at by Smith normal form: each (row, exp) becomes 2^exp."""
     def dense(lm: LinearMap | None) -> list[Vector]:
         if lm is None:
             return []
         n_t = len(lm.target.u1s)
-        return [_unit_vector(n_t, *col[0], K) if col else [Witt.zero(K)] * n_t
-                for col in lm.cols]
+        return [_unit_vector(n_t, *c[0], K) if c else [Witt.zero(K)] * n_t
+                for c in lm.cols]
     out_orders = list(d_out.target.orders) if d_out is not None else []
-    return homology(module, dense(d_in), dense(d_out), out_orders, K)
+    return homology(stem, filt, col, dense(d_in), dense(d_out), out_orders, K)

@@ -98,9 +98,6 @@ class VerifyReport:
     def ok(self) -> bool:
         return all(e.iso_match for e in self.entries)
 
-    def name_mismatches_outside_exceptions(self) -> list[VerifyEntry]:
-        return [e for e in self.entries if not e.name_match and not e.exception]
-
     def render_text(self) -> str:
         lines = [f"target {self.target.value}: "
                  f"{self.n_iso_matches}/{self.n_checked} isomorphism matches"]

@@ -1,19 +1,36 @@
-"""Structural facts of the paper's pages, checked on the rows by the tests.
+"""Structural facts of the paper's pages, checked on the rows by the tests,
+and the cell reader and module builder the tests share.
 
 Each check returns its failures as strings (empty = the fact holds).
 """
 
 from dataclasses import replace
 
+from hfpss.modules import BidegreeModule, PipelineError
 from hfpss.monomials import NAMED
 from hfpss.targets import Target
 
 
+def cell(page, stem, filt):
+    """The Column at (stem, filt) of the page's rows, None if none or outside them."""
+    w = page.window
+    return page.rows[filt][stem - w.stem_range.start] if w.in_padded(stem, filt) else None
+
+
 def u1s(page, stem, filt):
     """The u1-exponents of the slots at (stem, filt), () if none or outside the rows."""
-    w = page.window
-    col = w.in_padded(stem, filt) and page.rows[filt][stem - w.stem_range.start]
+    col = cell(page, stem, filt)
     return col.u1s if col else ()
+
+
+def from_summands(stem, filt, summands):
+    """The module of these Summand records, which must form a u1-column at (stem, filt)."""
+    ss = tuple(sorted(summands, key=lambda s: s.mono.u1))
+    mod = BidegreeModule(stem, filt, tuple(s.mono.u1 for s in ss), tuple(s.scalar for s in ss),
+                         tuple(s.order for s in ss), any(s.free for s in ss))
+    if len(set(mod.u1s)) < len(ss) or mod.summands != ss:
+        raise PipelineError(f"summands do not form a u1-column at ({stem},{filt})")
+    return mod
 
 
 def periodicity(page, shift, stems):

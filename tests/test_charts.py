@@ -58,7 +58,7 @@ def test_every_nonzero_differential_column_is_an_arrow():
         if not (window.trusted(stem, filt) and window.trusted(stem - 1, filt + 3)):
             continue
         if any(s.mono.u1 < window.N and col for col, s
-               in zip(lm.cols, stack.page(3).module(stem, filt).summands)):
+               in zip(lm.cols, stack.page(3).modules[(stem, filt)].summands)):
             expected.add((stem, filt))
     got = {tuple(map(int, a.split("(")[1].split(")")[0].split(",")))
            for a in arrows}

@@ -15,7 +15,7 @@ import pytest
 import hfpss.modules as modules
 import hfpss.snf as snf
 from hfpss.engine import compute
-from hfpss.modules import BidegreeModule
+from hfpss.modules import BidegreeModule, rows_view
 from hfpss.targets import Target, Window
 
 
@@ -28,14 +28,15 @@ def test_pipeline_identical_through_general_snf(target):
         for r, page, turned in ((3, stack.pages[2], stack.pages[4]),
                                 (7, stack.pages[4], stack.pages[8])):
             prop = stack.maps[r]
-            for (stem, filt), col in page.columns.items():
+            for (stem, filt), col in rows_view(page.rows, w).items():
                 d_out = prop.maps.get((stem, filt))
                 d_in = prop.maps.get((stem + 1, filt - r))
-                got = snf.homology_at(page.module(stem, filt), d_in, d_out, w.K)
-                found, lifts = modules.homology_at(stem, filt, col, d_in, d_out)
-                assert got == (BidegreeModule(stem, filt, *found), lifts), (stem, filt, w.K)
-                assert (got[0] or None) == turned.modules.get((stem, filt)), \
-                    (r, stem, filt, w.K)
+                got = modules.homology_at(stem, filt, col, d_in, d_out)
+                assert snf.homology_at(stem, filt, col, d_in, d_out, w.K) == got, \
+                    (stem, filt, w.K)
+                found = got[0]
+                assert (BidegreeModule(stem, filt, *found) if found[0] else None) \
+                    == turned.modules.get((stem, filt)), (r, stem, filt, w.K)
                 checked.add((r, w.K))
     # every bidegree of E2 and E4, at K and at K+1
     assert checked == {(r, K) for r in (3, 7) for K in (window.K, window.K + 1)}

@@ -14,9 +14,11 @@ from itertools import groupby
 import pytest
 
 from hfpss import e2, engine, modules
-from hfpss.modules import BidegreeModule, ColumnTable, LinearMap
+from hfpss.modules import BidegreeModule, ColumnTable, LinearMap, rows_view
 from hfpss.rules import rule_table
 from hfpss.targets import Target, Window
+
+from pagechecks import cell
 
 WIDE = Window(0, 191, filt_max=160)
 
@@ -60,7 +62,7 @@ def test_wide_window_work_is_per_distinct_column(monkeypatch):
 
     # compute, assembly included, reads the rows and builds no bidegree-keyed view
     for obj in (*stack.pages.values(), *stack.maps.values()):
-        assert not {"columns", "modules", "maps"} & set(vars(obj)), obj.r
+        assert not {"modules", "maps"} & set(vars(obj)), obj.r
 
     # build_e2 reads one residue per stride-12 progression of the cells with
     # stem + filt even, the only ones with slots, on rows 0..12: 6 per row,
@@ -95,8 +97,8 @@ def test_wide_window_work_is_per_distinct_column(monkeypatch):
 
     # one Column per distinct column of the stack, and no module at all
     distinct = {_content(col) for page in stack.pages.values()
-                for col in page.columns.values()}
-    assert len(made) == len(set(made)) == len(distinct) == len(stack.table) == 6
+                for col in rows_view(page.rows, page.window).values()}
+    assert len(made) == len(set(made)) == len(distinct) == len(stack.einfty.table) == 6
     assert built == []
 
     # the columns of d_r are found once per distinct propagate input; 10
@@ -107,8 +109,8 @@ def test_wide_window_work_is_per_distinct_column(monkeypatch):
     for r, page in ((3, stack.pages[2]), (7, stack.pages[4])):
         rules = rule_table(Target.C6_V0, r)
         maps = stack.maps[r].maps
-        inputs += len({(rules.bidegree_key(stem, filt), _content(page.columns[(stem, filt)]),
-                        _content(page.columns.get((stem - 1, filt + r))),
+        inputs += len({(rules.bidegree_key(stem, filt), _content(cell(page, stem, filt)),
+                        _content(cell(page, stem - 1, filt + r)),
                         WIDE.in_padded(stem - 1, filt + r))
                        for stem, filt in maps})
         contents = {(_content(lm.source), _content(lm.target), lm.cols) for lm in maps.values()}
@@ -122,9 +124,9 @@ def test_wide_window_work_is_per_distinct_column(monkeypatch):
     for r, page, turned in ((3, stack.pages[2], stack.pages[4]),
                             (7, stack.pages[4], stack.pages[8])):
         maps = stack.maps[r].maps
-        for (stem, filt), col in page.columns.items():
+        for (stem, filt), col in rows_view(page.rows, page.window).items():
             if (stem, filt) not in maps and (stem + 1, filt - r) not in maps:
-                assert turned.columns[(stem, filt)] is col
+                assert cell(turned, stem, filt) is col
 
 
 def test_zero_differential_keeps_the_distinct_rows():
@@ -134,6 +136,7 @@ def test_zero_differential_keeps_the_distinct_rows():
     stack = engine.compute(Target.C6_Y).stack
     e2_rows, d3_rows, e4_rows = stack.pages[2].rows, stack.maps[3].rows, stack.pages[4].rows
     assert len(e4_rows) == 48 and {id(row) for row in d3_rows} == {id(d3_rows[0])}
-    assert not any(d3_rows[0]) and d3_rows[0] is stack.table.row([None] * len(d3_rows[0]))
+    blank = stack.einfty.table.row([None] * len(d3_rows[0]))
+    assert not any(d3_rows[0]) and d3_rows[0] is blank
     assert len({id(row) for row in e2_rows}) == len({id(row) for row in e4_rows}) == 13
     assert all(a is b for row, new in zip(e2_rows, e4_rows) for a, b in zip(row, new))

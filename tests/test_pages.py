@@ -12,7 +12,7 @@ from hfpss.charts import glyph_count, render_svg, render_text, tower_count
 from hfpss.engine import DEFAULT_STEMS, compute, default_window
 from hfpss.groupexpr import Term, truncate_term
 from hfpss.modules import (BidegreeModule, Column, ColumnTable, LinearMap, Page, PipelineError,
-                           Summand, homology_at)
+                           Summand, homology_at, rows_view)
 from hfpss.monomials import Monomial, parse_monomial
 from hfpss import charts, pages, targets
 from hfpss.pages import (CertificateError, check_collapse, check_even_r_vanishing,
@@ -20,7 +20,7 @@ from hfpss.pages import (CertificateError, check_collapse, check_even_r_vanishin
 from hfpss.rules import Propagation, RuleCoverageError, RuleSet, propagate, rule_table
 from hfpss.targets import Target, Window
 
-from pagechecks import hurewicz, periodicity
+from pagechecks import cell, from_summands, hurewicz, periodicity
 
 m = parse_monomial
 
@@ -68,8 +68,7 @@ def _homology(mod, d_in, d_out):
 
 
 def test_homology_identity_on_zero_maps():
-    mod = BidegreeModule.from_summands(0, 0, (Summand(0, m("u1"), 3),
-                                              Summand(0, m("u1^{2}"), 1)))
+    mod = from_summands(0, 0, (Summand(0, m("u1"), 3), Summand(0, m("u1^{2}"), 1)))
     H, lifts = _homology(mod, None, None)
     assert H.summands == mod.summands
     assert lifts == (0, 0)
@@ -77,8 +76,8 @@ def test_homology_identity_on_zero_maps():
 
 def test_homology_kernel_of_mod2_surjection():
     # W-tower mapping onto an F4 class: kernel generated by 2*(generator)
-    src = BidegreeModule.from_summands(4, 0, (Summand(0, m("u^{-2}"), 3),))
-    tgt = BidegreeModule.from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
+    src = from_summands(4, 0, (Summand(0, m("u^{-2}"), 3),))
+    tgt = from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
     d_out = LinearMap(_col(src), _col(tgt), [[(0, 0)]])
     H, section = _homology(src, None, d_out)
     assert [(s.label(), s.order) for s in H.summands] == [("2u^{-2}", 2)]
@@ -86,14 +85,9 @@ def test_homology_kernel_of_mod2_surjection():
 
 def test_homology_cokernel_of_u1_shift():
     # F4 tower shifted into an F4 tower: cokernel one F4 at the bottom slot
-    src = BidegreeModule.from_summands(4, 0, tuple(Summand(0, Monomial(-2, b, 0), 1)
-                                                   for b in range(4)))
-    tgt = BidegreeModule.from_summands(3, 3, tuple(Summand(0, Monomial(0, b, 3), 1)
-                                                   for b in range(4)))
-    cols = []
-    for j, s in enumerate(src.summands):
-        row = tgt.slot_of(Monomial(0, s.mono.u1 + 1, 3))
-        cols.append([] if row is None else [(row, 0)])
+    src = from_summands(4, 0, tuple(Summand(0, Monomial(-2, b, 0), 1) for b in range(4)))
+    tgt = from_summands(3, 3, tuple(Summand(0, Monomial(0, b, 3), 1) for b in range(4)))
+    cols = [[(tgt.u1s.index(b + 1), 0)] if b + 1 in tgt.u1s else [] for b in src.u1s]
     d_in = LinearMap(_col(src), _col(tgt), cols)
     H, _ = _homology(tgt, d_in, None)
     assert [s.label() for s in H.summands] == ["a^{3}"]
@@ -102,9 +96,9 @@ def test_homology_cokernel_of_u1_shift():
 
 
 def test_dd_nonzero_rejected():
-    mid = BidegreeModule.from_summands(0, 0, (Summand(0, m("u1"), 1),))
-    tgt = BidegreeModule.from_summands(-1, 7, (Summand(0, m("u^{4}u1a^{7}"), 1),))
-    src = BidegreeModule.from_summands(2, 0, (Summand(0, m("u^{-1}u1"), 1),))
+    mid = from_summands(0, 0, (Summand(0, m("u1"), 1),))
+    tgt = from_summands(-1, 7, (Summand(0, m("u^{4}u1a^{7}"), 1),))
+    src = from_summands(2, 0, (Summand(0, m("u^{-1}u1"), 1),))
     d_in = LinearMap(_col(src), _col(mid), [[(0, 0)]])
     d_out = LinearMap(_col(mid), _col(tgt), [[(0, 0)]])
     with pytest.raises(PipelineError, match=r"at \(0,0\) slot u1\^1: d∘d != 0"):
@@ -114,11 +108,11 @@ def test_dd_nonzero_rejected():
 def test_d_in_into_free_summand_rejected():
     # freeness is carried from E2, never recomputed, so a differential into
     # a free Witt tower is a pipeline fault; into a torsion summand it is not
-    src = BidegreeModule.from_summands(2, 0, (Summand(0, m("u^{-1}u1"), 3),))
-    torsion = BidegreeModule.from_summands(0, 0, (Summand(0, m("u1"), 3),))
+    src = from_summands(2, 0, (Summand(0, m("u^{-1}u1"), 3),))
+    torsion = from_summands(0, 0, (Summand(0, m("u1"), 3),))
     H, _ = _homology(torsion, LinearMap(_col(src), _col(torsion), [[(0, 1)]]), None)
     assert [(s.label(), s.order) for s in H.summands] == [("u1", 1)]
-    tower = BidegreeModule.from_summands(0, 0, (Summand(0, m("u1"), 3, free=True),))
+    tower = from_summands(0, 0, (Summand(0, m("u1"), 3, free=True),))
     with pytest.raises(PipelineError, match="free summand"):
         _homology(tower, LinearMap(_col(src), _col(tower), [[(0, 1)]]), None)
 
@@ -129,21 +123,19 @@ def test_d_in_into_free_summand_rejected():
 ])
 def test_summands_off_a_u1_column_rejected(summands):
     with pytest.raises(PipelineError, match="u1-column at \\(3,3\\)"):
-        BidegreeModule.from_summands(3, 3, summands)
+        from_summands(3, 3, summands)
 
 
 def test_map_with_two_columns_on_one_row_rejected():
-    src = BidegreeModule.from_summands(4, 0, (Summand(0, m("u^{-2}"), 1),
-                                              Summand(0, m("u^{-2}u1"), 1)))
-    tgt = BidegreeModule.from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
+    src = from_summands(4, 0, (Summand(0, m("u^{-2}"), 1), Summand(0, m("u^{-2}u1"), 1)))
+    tgt = from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
     with pytest.raises(PipelineError):
         LinearMap(_col(src), _col(tgt), [[(0, 0)], [(0, 0)]])
 
 
 def test_map_with_two_entries_in_one_column_rejected():
-    src = BidegreeModule.from_summands(4, 0, (Summand(0, m("u^{-2}"), 1),))
-    tgt = BidegreeModule.from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),
-                                              Summand(0, m("u1^{2}a^{3}"), 1)))
+    src = from_summands(4, 0, (Summand(0, m("u^{-2}"), 1),))
+    tgt = from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1), Summand(0, m("u1^{2}a^{3}"), 1)))
     with pytest.raises(PipelineError):
         LinearMap(_col(src), _col(tgt), [[(0, 0), (1, 0)]])
 
@@ -177,21 +169,21 @@ def test_propagate_validates_maps_with_equal_inputs():
 
 def test_turn_page_rejects_d_in_on_another_module():
     # the map ends at an equal column outside the page's table
-    mod = BidegreeModule.from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
-    src = BidegreeModule.from_summands(4, 0, (Summand(0, m("u^{-2}"), 1),))
+    mod = from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
+    src = from_summands(4, 0, (Summand(0, m("u^{-2}"), 1),))
     page = page_of(Target.C2_V0, 3, Window(0, 5), {(3, 3): mod, (4, 0): src})
     prop = prop_of(3, page.window,
-                   {(4, 0): LinearMap(page.columns[(4, 0)], _col(mod), [[(0, 0)]])})
+                   {(4, 0): LinearMap(cell(page, 4, 0), _col(mod), [[(0, 0)]])})
     with pytest.raises(PipelineError, match=r"d_in target mismatch at \(3,3\)"):
         turn_page(page, prop)
 
 
 def test_turn_page_rejects_d_out_from_another_module():
-    mod = BidegreeModule.from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
-    src = BidegreeModule.from_summands(4, 0, (Summand(0, m("u^{-2}"), 1),))
+    mod = from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
+    src = from_summands(4, 0, (Summand(0, m("u^{-2}"), 1),))
     page = page_of(Target.C2_V0, 3, Window(0, 5), {(3, 3): mod, (4, 0): src})
     prop = prop_of(3, page.window,
-                   {(4, 0): LinearMap(_col(src), page.columns[(3, 3)], [[(0, 0)]])})
+                   {(4, 0): LinearMap(_col(src), cell(page, 3, 3), [[(0, 0)]])})
     with pytest.raises(PipelineError, match=r"d_out source mismatch at \(4,0\)"):
         turn_page(page, prop)
 
@@ -209,7 +201,7 @@ def test_turn_page_checks_each_bidegree_where_a_result_is_reused():
     def turn(at_5_3, d_in_target):
         page = page_of(Target.C2_V0, 3, Window(0, 5), {
             (3, 3): mod, (4, 0): src, (6, 0): src2, (5, 3): at_5_3})
-        cols = page.columns
+        cols = rows_view(page.rows, page.window)
         first = LinearMap(cols[(4, 0)], cols[(3, 3)], [[(0, 0)]])
         second = first if d_in_target is None else \
             LinearMap(cols[(6, 0)], d_in_target(cols), [[(0, 0)]])
@@ -219,8 +211,8 @@ def test_turn_page_checks_each_bidegree_where_a_result_is_reused():
         turn(other, lambda cols: _col(other))
     with pytest.raises(PipelineError, match="d_in enters free summand"):
         turn(free, lambda cols: cols[(5, 3)])
-    assert turn(other, lambda cols: cols[(5, 3)]).columns == {}
-    assert turn(other, None).columns == {}
+    for turned in (turn(other, lambda cols: cols[(5, 3)]), turn(other, None)):
+        assert rows_view(turned.rows, turned.window) == {}
 
 
 def test_turn_page_reuses_a_result_only_for_equal_inputs():
@@ -234,14 +226,14 @@ def test_turn_page_reuses_a_result_only_for_equal_inputs():
     lone2 = BidegreeModule(11, 3, (1,), (1,), (1,))
     page = page_of(Target.C2, 3, Window(0, 15), {
         (3, 3): mod, (5, 3): mod2, (2, 6): tgt, (4, 6): tgt2, (9, 3): lone, (11, 3): lone2})
-    cols = page.columns
+    cols = rows_view(page.rows, page.window)
     prop = prop_of(3, page.window, {(3, 3): LinearMap(cols[(3, 3)], cols[(2, 6)], [[(0, 0)]]),
                                     (5, 3): LinearMap(cols[(5, 3)], cols[(4, 6)], [[(0, 0)]])})
     turned = turn_page(page, prop)
     assert turned.modules == {
         (3, 3): BidegreeModule(3, 3, (1,), (1,), (1,)), (9, 3): lone, (11, 3): lone2}
     # an untouched column is the same object on the next page
-    assert turned.columns[(9, 3)] is cols[(9, 3)] and turned.table is page.table
+    assert cell(turned, 9, 3) is cols[(9, 3)] and turned.table is page.table
 
 
 def test_collapse_names_the_gap_between_trusted_ends():
@@ -313,27 +305,12 @@ def test_even_r_certificate_names_a_cell_of_odd_parity(odd):
 def test_views_are_read_only():
     stack = run_to_einfty(Target.C2_V0, Window(0, 5))
     page, prop = stack.pages[2], stack.maps[3]
-    col, lm = next(iter(page.columns.values())), next(iter(prop.maps.values()))
-    for view, value in ((page.columns, col), (page.modules, None), (prop.maps, lm)):
+    lm = next(iter(prop.maps.values()))
+    for view, value in ((page.modules, None), (prop.maps, lm)):
         with pytest.raises(TypeError):
             view[(0, 0)] = value
         with pytest.raises(TypeError):
             del view[next(iter(view))]
-
-
-@pytest.mark.parametrize("target", list(Target))
-def test_module_reads_its_cell_and_builds_no_view(target):
-    # every padded bidegree, and a margin of 3 outside the padded window on
-    # each side, answers as the modules view does, and no view is built
-    stack = run_to_einfty(target, Window(-2, 9, filt_max=6))
-    for page in stack.pages.values():
-        stems, filts = page.window.stem_range, page.window.filt_range
-        keys = [(n, f) for n in range(stems.start - 3, stems.stop + 3)
-                for f in range(filts.start - 3, filts.stop + 3)]
-        got = [page.module(*key) for key in keys]
-        assert not {"columns", "modules"} & set(vars(page))
-        assert got == [page.modules.get(key, BidegreeModule(*key, (), (), ())) for key in keys]
-        assert sum(map(len, got)) == sum(map(len, page.modules.values())) > 0
 
 
 def test_even_r_certificate_checks_a_shared_row_at_both_parities():
@@ -613,7 +590,7 @@ def test_freeness_matches_the_k_plus_one_run(computed_all):
 def test_tower_recognition():
     summands = tuple(Summand(0, Monomial(-4, b, 0), 3, free=True) for b in range(1, 12)) \
         + (Summand(1, Monomial(-4, 0, 0), 2, free=True),)
-    mod = BidegreeModule.from_summands(8, 0, summands)
+    mod = from_summands(8, 0, summands)
     towers = towers_at(8, 0, tower_shapes(8, 0, _col(mod), 1, 12))
     labels = {(t.label(), t.period) for t in towers}
     assert labels == {("2u^{-4}", None), ("u^{-4}u1", 1)}
@@ -621,14 +598,14 @@ def test_tower_recognition():
 
 def test_tower_recognition_period_3():
     summands = tuple(Summand(0, Monomial(-1, b, 0), 1) for b in (1, 4, 7, 10))
-    mod = BidegreeModule.from_summands(2, 0, summands)
+    mod = from_summands(2, 0, summands)
     (tower,) = towers_at(2, 0, tower_shapes(2, 0, _col(mod), 3, 12))
     assert tower.label() == "u^{-1}u1" and tower.period == 3
 
 
 def test_short_run_is_isolated():
     summands = (Summand(0, Monomial(0, 0, 3), 1),)
-    mod = BidegreeModule.from_summands(3, 3, summands)
+    mod = from_summands(3, 3, summands)
     (tower,) = towers_at(3, 3, tower_shapes(3, 3, _col(mod), 1, 12))
     assert tower.period is None
 
@@ -636,7 +613,7 @@ def test_short_run_is_isolated():
 def test_tower_of_unexpected_order_rejected():
     summands = tuple(Summand(0, Monomial(-4, b, 0), 3) for b in range(12))
     with pytest.raises(PipelineError, match=r"order 2\^3 at \(8,0\)"):
-        tower_shapes(8, 0, _col(BidegreeModule.from_summands(8, 0, summands)), 1, 12)
+        tower_shapes(8, 0, _col(from_summands(8, 0, summands)), 1, 12)
 
 
 def test_towers_partition_the_reported_slots(computed_all):
@@ -866,7 +843,7 @@ def _read_every_page(stack):
 
 def _distinct_columns(stack):
     return {(c.u1s, c.scalars, c.orders, c.free)
-            for p in stack.pages.values() for c in p.columns.values()}
+            for p in stack.pages.values() for c in rows_view(p.rows, p.window).values()}
 
 
 def _reported_cells(page):
@@ -897,7 +874,7 @@ def test_each_page_recognises_its_towers_once(monkeypatch):
     cells = [_reported_cells(p) for p in stack.pages.values()]
     assert sorted(recognised) == sorted(key for c in cells for key in c)
     distinct = {col for c in cells for col in c.values()}
-    assert len(shaped) == len(set(shaped)) == len(distinct) <= len(stack.table)
+    assert len(shaped) == len(set(shaped)) == len(distinct) <= len(stack.einfty.table)
 
 
 def test_tower_shapes_once_per_column_of_the_stack(monkeypatch):
@@ -907,7 +884,8 @@ def test_tower_shapes_once_per_column_of_the_stack(monkeypatch):
     recognised, shaped = _count_recognition(monkeypatch)
     stack = compute(Target.C6_Y).stack
     _read_every_page(stack)
-    per_page = [len(set(p.columns.values())) for _, p in sorted(stack.pages.items())]
+    per_page = [len(set(rows_view(p.rows, p.window).values()))
+                for _, p in sorted(stack.pages.items())]
     assert per_page == [4, 4, 5]
     assert len(shaped) == len(set(shaped)) == len(_distinct_columns(stack)) == 5
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfpss.e2 import build_e2
-from hfpss.modules import BidegreeModule, HfpssError, homology_at
+from hfpss.modules import BidegreeModule, HfpssError, homology_at, rows_view
 from hfpss.monomials import parse_monomial
 from hfpss.engine import DEFAULT_STEMS
 from hfpss.pages import check_even_r_vanishing, run_to_einfty, turn_page
@@ -14,6 +14,7 @@ from hfpss.rules import (RuleCoverageError, RuleSet, Y_D7_PUBLISHED_VALUES, Y_D7
                          propagate, rule_table)
 from hfpss.targets import Target, Window
 
+from pagechecks import cell, u1s
 from test_pages import page_of
 
 m = parse_monomial
@@ -118,9 +119,9 @@ def test_propagate_d3_on_u():
     prop = propagate(page, rule_table(Target.C2_V0, 3))
     # d3(u) = u^4 * d3(u^-3) = a^3 u^3 u1, a class at stem -3, filt 3
     lm = prop.maps[(-2, 0)]
-    j = page.module(-2, 0).slot_of(m("u"))
+    j = u1s(page, -2, 0).index(m("u").u1)
     (row, exp), = lm.cols[j]
-    assert page.module(-3, 3).summands[row].mono == m("u^{3}u1a^{3}")
+    assert page.modules[(-3, 3)].summands[row].mono == m("u^{3}u1a^{3}")
     assert exp == 0
 
 
@@ -130,7 +131,7 @@ def test_propagate_d3_zero_on_u_minus_4():
     prop = propagate(page, rule_table(Target.C2, 3))
     lm = prop.maps.get((8, 0))
     if lm is not None:
-        j = page.module(8, 0).slot_of(m("u^{-4}"))
+        j = u1s(page, 8, 0).index(m("u^{-4}").u1)
         assert lm.cols[j] == ()
 
 
@@ -184,7 +185,7 @@ def test_propagate_builds_one_map_per_distinct_ends_and_columns():
         (4, 0): BidegreeModule(4, 0, *src), (3, 3): BidegreeModule(3, 3, *tgt),
         (6, 0): BidegreeModule(6, 0, *src), (5, 3): BidegreeModule(5, 3, *tgt),
         (12, 0): BidegreeModule(12, 0, *src), (11, 3): BidegreeModule(11, 3, *wide)})
-    maps, cols = propagate(page, rules).maps, page.columns
+    maps, cols = propagate(page, rules).maps, rows_view(page.rows, page.window)
     shift1, shift2 = (((1, 0),), ((2, 0),), ((3, 0),)), (((2, 0),), ((3, 0),), ())
     assert {key: (lm.source, lm.target, lm.cols) for key, lm in maps.items()} == {
         (2, 0): (cols[(2, 0)], cols[(1, 3)], shift1),
@@ -217,8 +218,8 @@ def _slotwise_cols(page, rules, mod):
         if v is not None and not page.window.in_padded(*v.bidegree):
             boundary = True
         elif v is not None:
-            tgt = page.module(*v.bidegree)
-            row = tgt.slot_of(v)
+            tgt = cell(page, *v.bidegree)
+            row = tgt.u1s.index(v.u1) if tgt and v.u1 in tgt.u1s else None
             if row is not None and s.scalar - tgt.scalars[row] < tgt.orders[row]:
                 col = ((row, s.scalar - tgt.scalars[row]),)
         cols.append(col)
@@ -235,8 +236,8 @@ def _reference_entries(stack):
             cols, boundary = _slotwise_cols(page, rules, mod)
             lm = prop.maps.get(key)
             assert (lm.cols if lm else ((),) * len(mod)) == cols, (stack.target, r, key)
-            assert lm is None or lm.source is page.columns[key] and \
-                lm.target is page.columns[(key[0] - 1, key[1] + r)]
+            assert lm is None or lm.source is cell(page, *key) and \
+                lm.target is cell(page, key[0] - 1, key[1] + r)
             assert (key in prop.boundary) == boundary, (stack.target, r, key)
             entries += sum(map(len, cols))
     return entries
@@ -248,7 +249,7 @@ def _reference_turns(stack):
                             (7, stack.pages[4], stack.pages[8])):
         maps = stack.maps[r].maps
         expected = {}
-        for (stem, filt), col in page.columns.items():
+        for (stem, filt), col in rows_view(page.rows, page.window).items():
             found, _ = homology_at(stem, filt, col, maps.get((stem + 1, filt - r)),
                                    maps.get((stem, filt)))
             if found[0]:
@@ -416,15 +417,15 @@ def test_propagate_d7_dead_target_is_zero():
     e7 = stack.page(7)
     prop7 = stack.maps[7]
     lm = prop7.maps[(8, 0)]
-    for j, s in enumerate(e7.module(8, 0).summands):
+    for j, s in enumerate(e7.modules[(8, 0)].summands):
         if s.mono.u1 >= 1:
             assert lm.cols[j] == ()
         else:
             assert len(lm.cols[j]) == 1
     # and on the E4 page the boundary alpha^4 u^-2 u1^{j-1} |-> alpha^7 u1^j
     e4 = stack.page(4)
-    assert e4.module(7, 7).slot_of(m("a^{7}")) is not None
-    assert e4.module(7, 7).slot_of(m("u1a^{7}")) is None  # died at d3
+    assert m("a^{7}").u1 in u1s(e4, 7, 7)
+    assert m("u1a^{7}").u1 not in u1s(e4, 7, 7)  # died at d3
 
 
 def test_grading_of_all_propagated_maps():
@@ -435,8 +436,8 @@ def test_grading_of_all_propagated_maps():
             prop = propagate(page, rule_table(target, r))
             assert prop.r == r
             for (stem, filt), lm in prop.maps.items():
-                assert lm.source is page.columns[(stem, filt)]
-                assert lm.target is page.columns[(stem - 1, filt + r)]
+                assert lm.source is cell(page, stem, filt)
+                assert lm.target is cell(page, stem - 1, filt + r)
 
 
 # Published standalone C6-family differential tables, kept as cross-checks
@@ -486,7 +487,7 @@ def test_c6_cross_check_tables_via_restriction():
         page = build_e2(target, win)
         for g, v in table.items():
             assert rules.value_on(g) == v, (target, r, g)
-            assert page.module(*g.bidegree).slot_of(g) is not None
+            assert g.u1 in u1s(page, *g.bidegree)
 
 
 def test_restriction_compatibility():

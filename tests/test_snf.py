@@ -13,11 +13,12 @@ import itertools
 import random
 
 from hfpss import snf
-from hfpss.modules import BidegreeModule, Column, LinearMap, Summand, homology_at
+from hfpss.modules import Column, LinearMap, Summand, homology_at
 from hfpss.monomials import Monomial
 from hfpss.scalars import Witt
 from hfpss.snf import Lattice, chain_ring_snf, kernel_gens, presentation_invariants
 
+from pagechecks import from_summands
 from test_scalars import witt_elements
 
 K = 3
@@ -195,8 +196,7 @@ def _random_module(rng, stem, filt, max_rank=4, max_log=6):
     if not exps:
         exps = [1]
     monos = _random_monomials(rng, len(exps), stem, filt)
-    return BidegreeModule.from_summands(stem, filt, tuple(
-        Summand(0, m, e) for m, e in zip(monos, exps)))
+    return from_summands(stem, filt, tuple(Summand(0, m, e) for m, e in zip(monos, exps)))
 
 
 def _random_map_into_kernel(rng, src, mid, ker_elements):
@@ -391,10 +391,11 @@ def test_sparse_homology_agrees_with_enumeration_on_100_random_presentations():
         mid_col, tgt_col = _column(mid), _column(tgt)
         d_out = LinearMap(mid_col, tgt_col, out_cols)
         d_in = None if src is None else LinearMap(_column(src), mid_col, in_cols)
-        found, section = homology_at(mid.stem, mid.filt, mid_col, d_in, d_out)
-        H = BidegreeModule(mid.stem, mid.filt, *found)
-        assert sorted(H.orders) == oracle, f"trial {trial}"
-        assert snf.homology_at(mid, d_in, d_out, K) == (H, section), f"trial {trial}"
+        got = homology_at(mid.stem, mid.filt, mid_col, d_in, d_out)
+        (_u1s, _scalars, orders, _free), _lifts = got
+        assert sorted(orders) == oracle, f"trial {trial}"
+        assert snf.homology_at(mid.stem, mid.filt, mid_col, d_in, d_out, K) == got, \
+            f"trial {trial}"
 
 
 def test_kernel_gens_span_the_kernel():
@@ -421,17 +422,16 @@ def test_homology_basis_order_independence():
         in_vecs = _dense(_witt_cols(in_cols), n)
         out_vecs = _dense(_witt_cols(out_cols), n_t)
         out_orders = [t.order for t in tgt.summands]
-        expected = snf.homology(mid, in_vecs, out_vecs, out_orders, K)
+        homology = functools.partial(snf.homology, mid.stem, mid.filt, _column(mid))
+        expected = homology(in_vecs, out_vecs, out_orders, K)
         rows = range(n_t - 1, -1, -1)
         perm_out = [[v[i] for i in rows] for v in out_vecs]
         perm_orders = [out_orders[i] for i in rows]
         perm_in = in_vecs[::-1]
         if (perm_out, perm_orders) != (out_vecs, out_orders):
             permuted["d_out"] += 1
-            assert snf.homology(mid, in_vecs, perm_out, perm_orders, K) == expected, \
-                f"trial {trial}"
+            assert homology(in_vecs, perm_out, perm_orders, K) == expected, f"trial {trial}"
         if perm_in != in_vecs:
             permuted["d_in"] += 1
-            assert snf.homology(mid, perm_in, out_vecs, out_orders, K) == expected, \
-                f"trial {trial}"
+            assert homology(perm_in, out_vecs, out_orders, K) == expected, f"trial {trial}"
     assert min(permuted.values()) >= 30, permuted

@@ -3,19 +3,26 @@
 Every public top-level function and class of src/hfpss must be read
 somewhere in src/ outside its own definition, be exported by
 hfpss/__init__, live in the Smith normal form oracle (snf, scalars) or be
-on the allowlist below.  A helper that only the tests call belongs in the
-test that calls it.
+on the allowlist below.  So must every public method and property of a
+class there, read as an attribute, unless its class is exported.  A
+helper that only the tests call belongs in the test that calls it.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hfpss"
+BENCH = SRC.parent.parent / "bench"
 ORACLE = {"snf", "scalars"}
-# Exactly the names that need it; a stale entry fails the test too.
+# Exactly the names that need it, each with the bench file that reads it
+# and no src module does; a stale entry fails the test too.
 ALLOWED = {
-    # called by bench/workloads.py (the render workload) and by no src module
-    "les.check_two_les", "les.check_eta_les",
+    "les.check_two_les": "workloads.py",  # the render workload
+    "les.check_eta_les": "workloads.py",
+    "Page.modules": "tracer.py",  # the slot and bidegree counters
+    "Page.is_trusted": "tracer.py",
+    "BidegreeModule.summands": "tracer.py",
 }
 
 
@@ -24,19 +31,15 @@ def _trees():
             for path in sorted(SRC.glob("*.py"))}
 
 
-def _names_read(node, skip=None):
-    """Names loaded and attributes read under node, not descending into skip."""
-    out, stack = set(), [node]
-    while stack:
-        n = stack.pop()
-        if n is skip:
-            continue
+def _reads(node):
+    """The names loaded and the attributes read under node, counted."""
+    names, attrs = Counter(), Counter()
+    for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            names[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
-        stack.extend(ast.iter_child_nodes(n))
-    return out
+            attrs[n.attr] += 1
+    return names, attrs
 
 
 def _exported(trees):
@@ -47,22 +50,43 @@ def _exported(trees):
     return set()
 
 
-def test_every_public_definition_is_used_exported_or_oracle():
-    trees = _trees()
-    exported = _exported(trees)
-    unused = set()
+def _public(body, kinds):
+    return [node for node in body if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
+def _unused(trees):
+    """The public definitions that nothing in src reads outside themselves,
+    as module.name for a top-level one and Class.name for a method."""
+    exported, names, attrs, unused = _exported(trees), Counter(), Counter(), set()
+    for tree in trees.values():
+        tree_names, tree_attrs = _reads(tree)
+        names += tree_names
+        attrs += tree_attrs
     for module, tree in trees.items():
         if module in ORACLE:
             continue
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        for node in _public(tree.body, (ast.FunctionDef, ast.ClassDef)):
+            if node.name in exported:
                 continue
-            if node.name.startswith("_") or node.name in exported:
-                continue
-            if not any(node.name in _names_read(t, skip=node) for t in trees.values()):
+            own_names, own_attrs = _reads(node)
+            read = names[node.name] + attrs[node.name]
+            if read == own_names[node.name] + own_attrs[node.name]:
                 unused.add(f"{module}.{node.name}")
-    assert unused - ALLOWED == set(), f"only tests or demos use {sorted(unused - ALLOWED)}"
-    assert ALLOWED - unused == set(), f"stale allowlist entries {sorted(ALLOWED - unused)}"
+            if isinstance(node, ast.ClassDef):
+                unused |= {f"{node.name}.{method.name}"
+                           for method in _public(node.body, ast.FunctionDef)
+                           if attrs[method.name] == _reads(method)[1][method.name]}
+    return unused
+
+
+def test_every_public_definition_is_used_exported_or_oracle():
+    unused, allowed = _unused(_trees()), set(ALLOWED)
+    assert unused - allowed == set(), f"only tests or demos use {sorted(unused - allowed)}"
+    assert allowed - unused == set(), f"stale allowlist entries {sorted(allowed - unused)}"
+    unread = {name for name, bench in ALLOWED.items()
+              if not _reads(ast.parse((BENCH / bench).read_text(encoding="utf-8")))[1][
+                  name.split(".")[1]]}
+    assert unread == set(), f"allowlisted, but their bench file reads no {sorted(unread)}"
 
 
 CACHES = {"cache", "lru_cache"}
