@@ -2,7 +2,7 @@
 
 import pytest
 
-from hfpss.engine import compute, default_window
+from hfpss.engine import DEFAULT_STEMS, compute, default_window
 from hfpss.groupexpr import parse_group_expr
 from hfpss.les import check_eta_les, check_two_les, degraded_log4, expand_slots
 from hfpss.targets import Target, Window
@@ -38,6 +38,39 @@ def test_two_les_exact_every_stem(extended_groups):
     assert len(checks) == 16
     for c in checks:
         assert c.ok, (c.stem, c.lhs, c.coker, c.ker)
+
+
+def test_two_les_c6_exact_every_stem(extended_groups):
+    checks = check_two_les(extended_groups[Target.C6],
+                           extended_groups[Target.C6_V0],
+                           Window(0, 47))
+    assert len(checks) == 48
+    for c in checks:
+        assert c.ok, (c.stem, c.lhs, c.coker, c.ker)
+
+
+# Stems where each sequence fails when filt_max cuts the columns of the
+# default windows: (two-LES C2, two-LES C6 -> C6-v0, eta-LES C6-v0 -> C6-y),
+# 2/2/4, 2/2/8 and 5/13/14 stems at filt_max 5, 3 and 0.
+FAILING_STEMS = {
+    5: ([7, 8], [7, 24], [8, 12, 26, 42]),
+    3: ([5, 8], [21, 24], [9, 12, 22, 25, 39, 40, 42, 43]),
+    0: ([2, 4, 8, 10, 12],
+        [2, 4, 10, 12, 18, 20, 24, 26, 28, 34, 36, 42, 44],
+        [2, 6, 10, 12, 14, 18, 22, 26, 30, 34, 38, 42, 44, 46]),
+}
+
+
+@pytest.mark.parametrize("filt_max", sorted(FAILING_STEMS, reverse=True))
+def test_les_fail_where_filt_max_cuts_columns(filt_max):
+    groups = {t: {s: g.expr for s, g in compute(
+        t, Window(*DEFAULT_STEMS[t], filt_max=filt_max)).groups.items()}
+        for t in Target}
+    checks = (check_two_les(groups[Target.C2], groups[Target.C2_V0], Window(0, 15)),
+              check_two_les(groups[Target.C6], groups[Target.C6_V0], Window(0, 47)),
+              check_eta_les(groups[Target.C6_V0], groups[Target.C6_Y], Window(0, 47)))
+    failing = tuple([c.stem for c in cs if not c.ok] for cs in checks)
+    assert failing == FAILING_STEMS[filt_max]
 
 
 def test_eta_les_exact_every_stem(extended_groups):
