@@ -266,15 +266,6 @@ def render_svg(page: Page, prop: Propagation | None = None,
     return "\n".join(out) + "\n"
 
 
-def render_page(page: Page, prop: Propagation | None = None, fmt: str = "text",
-                page_index: int | None = None, **kwargs) -> str:
-    if fmt == "text":
-        return render_text(page, prop, page_index=page_index)
-    if fmt == "svg":
-        return render_svg(page, prop, **kwargs)
-    raise ValueError(f"unknown chart format {fmt!r}")
-
-
 def tower_count(page: Page) -> int:
     """Number of towers of the page, all in its trusted window."""
     return sum(map(len, page.towers.values()))

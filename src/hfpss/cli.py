@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .charts import render_page
+from .charts import render_svg, render_text
 from .engine import compute, default_window
 from .verify import verify_target
 from .modules import HfpssError
@@ -109,9 +109,10 @@ def cmd_chart(args) -> int:
     stack = run_to_einfty(args.target, window)
     page = stack.page(args.page)
     prop = stack.maps.get(args.page) if args.page in (3, 7) else None
-    text = render_page(page, prop, fmt=args.format, page_index=args.page,
-                       **({"labels": args.labels, "eta_lines": args.eta_lines}
-                          if args.format == "svg" else {}))
+    if args.format == "svg":
+        text = render_svg(page, prop, labels=args.labels, eta_lines=args.eta_lines)
+    else:
+        text = render_text(page, prop, page_index=args.page)
     _write(args.out, text)
     return 0
 

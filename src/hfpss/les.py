@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .groupexpr import ETA_ALPHA_CLIMB, GroupExpr, Term
-from .modules import HfpssError
+from .groupexpr import ETA_ALPHA_CLIMB, ZERO_GROUP, GroupExpr, Term, truncate_term
+from .modules import HfpssError, Summand
 from .monomials import Monomial
 from .targets import Window
 
@@ -43,60 +43,42 @@ class LESError(HfpssError):
     pass
 
 
-@dataclass(frozen=True)
-class Slot:
-    mono: Monomial
-    log4: int
-    kind: str                 # "f4", "w4", "free"
-    scalar: int
-    partner: Monomial | None  # for w4: the swallowed filtration-2 class
+def expand_slots(expr: GroupExpr, K: int, N: int) -> list[Summand]:
+    """Horizon-honest summands of a truncated group expression.
 
+    These are groupexpr's summands, except that a W/4 slot whose partner
+    (the swallowed filtration-2 class, one climb step up) lies at or
+    above N counts as order 1.  So a W/4 slot in the horizon is exactly a
+    slot that is not free and has order 2.
 
-def expand_slots(expr: GroupExpr, K: int, N: int) -> list[Slot]:
-    """Horizon-honest summand list of a truncated group expression."""
+    >>> from hfpss.groupexpr import parse_group_expr
+    >>> slots = expand_slots(parse_group_expr("u^{-1}W/4[[u1]]"), 3, 12)
+    >>> [s.order for s in slots].count(2), [s.order for s in slots].count(1)
+    (11, 1)
+    """
     slots = []
     for t in expr.terms:
-        for b in t.offsets(N):
-            mono = Monomial(t.mono.u, b, t.mono.al)
-            if t.coeff == "F4":
-                slots.append(Slot(mono, 1, "f4", t.scalar, None))
-            elif t.coeff == "W":
-                slots.append(Slot(mono, K - t.scalar, "free", t.scalar, None))
-            else:  # W/4 merge: the partner sits one u1- and one u-step up
-                partner = mono * ETA_ALPHA_CLIMB
-                if partner.u1 < N:
-                    slots.append(Slot(mono, 2, "w4", t.scalar, partner))
-                else:
-                    slots.append(Slot(mono, 1, "f4", t.scalar, None))
+        for s in truncate_term(t, K, N):
+            if t.coeff == "W/4" and (s.mono * ETA_ALPHA_CLIMB).u1 >= N:
+                s = replace(s, order=1)
+            slots.append(s)
     return slots
 
 
 def degraded_log4(expr: GroupExpr, K: int, N: int) -> int:
     """log4 of the truncated order, with boundary-degraded W/4 slots."""
-    return sum(s.log4 for s in expand_slots(expr, K, N))
+    return sum(s.order for s in expand_slots(expr, K, N))
 
 
-def _partner(t: Term) -> Term:
-    """The filtration-2 series a W/4 term swallowed, one climb step up."""
-    return replace(t, mono=t.mono * ETA_ALPHA_CLIMB)
-
-
-def group_contains(expr: GroupExpr, mono: Monomial) -> bool:
-    """Does the untruncated group contain a class detected by mono?"""
-    return any(t.covers(mono) or t.coeff == "W/4" and _partner(t).covers(mono)
-               for t in expr.terms)
-
-
-def _find_beyond_horizon(expr: GroupExpr, mono: Monomial) -> tuple[int, int] | None:
-    """(order exponent, extension depth) of mono in the untruncated group."""
-    for t in expr.terms:
-        if t.period is None:
-            continue  # isolated classes are always inside the horizon
-        f = 2 if t.coeff == "W/4" else 1
-        if t.covers(mono):
-            return f, 0
-        if t.coeff == "W/4" and _partner(t).covers(mono):
-            return f, 1
+def _lookup(expr: GroupExpr, mono: Monomial) -> tuple[Term, Monomial, int] | None:
+    """(term, slot, depth) of mono in the untruncated group: depth 0 if mono
+    is the slot, 1 if it is the partner of a W/4 slot, one climb step up."""
+    c = ETA_ALPHA_CLIMB
+    below = Monomial(mono.u - c.u, mono.u1 - c.u1, mono.al - c.al)
+    for depth, slot in ((0, mono), (1, below)):
+        for t in expr.terms:
+            if t.covers(slot) and (depth == 0 or t.coeff == "W/4"):
+                return t, slot, depth
     return None
 
 
@@ -115,26 +97,26 @@ class StemCheck:
 def check_two_les(c2_groups: dict[int, GroupExpr], v0_groups: dict[int, GroupExpr],
                   window: Window) -> list[StemCheck]:
     """|pi_n(mod 2)| = |coker(2 | pi_n)| * |ker(2 | pi_{n-1})| stem by stem."""
-    K, N = window.K, window.N
-    zero = GroupExpr(())
+    K, N, lo, hi = window.K, window.N, window.stem_lo, window.stem_hi
+    c2 = {n: expand_slots(c2_groups.get(n, ZERO_GROUP), K, N) for n in range(lo - 1, hi + 1)}
     out = []
-    for n in range(window.stem_lo, window.stem_hi + 1):
-        lhs = degraded_log4(v0_groups.get(n, zero), K, N)
+    for n in range(lo, hi + 1):
+        v0 = v0_groups.get(n, ZERO_GROUP)
+        lhs = degraded_log4(v0, K, N)
 
         # coker(2): one F4 unit per summand, landing at u1-degree b + scalar.
-        coker = sum(1 for s in expand_slots(c2_groups.get(n, zero), K, N)
-                    if s.mono.u1 + s.scalar < N)
+        coker = sum(1 for s in c2[n] if s.mono.u1 + s.scalar < N)
 
         # ker(2): one F4 unit per finite summand, none for free towers; the
         # unit is hit by the class alpha*u steps below it on the mod-2 side.
         ker = 0
-        for s in expand_slots(c2_groups.get(n - 1, zero), K, N):
-            if s.kind == "free":
+        for s in c2[n - 1]:
+            if s.free:
                 continue
             ker += 1
             if s.mono.al >= 1:
                 preimage = Monomial(s.mono.u - 1, s.mono.u1, s.mono.al - 1)
-                if not group_contains(v0_groups.get(n, zero), preimage):
+                if _lookup(v0, preimage) is None:
                     raise LESError(
                         f"stem {n}: ker(2) class {s.mono} has no top-cell "
                         f"preimage {preimage} in the mod-2 group")
@@ -142,55 +124,46 @@ def check_two_les(c2_groups: dict[int, GroupExpr], v0_groups: dict[int, GroupExp
     return out
 
 
-def _eta_map_counts(src: GroupExpr, dst: GroupExpr, K: int, N: int) -> tuple[int, int]:
+def _eta_map_counts(src: list[Summand], dst: GroupExpr,
+                    dst_slots: list[Summand]) -> tuple[int, int]:
     """(in-horizon image log4, kernel log4) of eta: src -> dst."""
-    src_slots = expand_slots(src, K, N)
-    dst_slots = expand_slots(dst, K, N)
-    by_gen = {s.mono: s for s in dst_slots}
-    by_partner = {s.partner: s for s in dst_slots if s.partner is not None}
+    by_mono = {s.mono: s for s in dst_slots}
     # image subgroup exponent accumulated per target slot
     image_t: dict[Monomial, int] = {}
     ker = 0
-    for s in src_slots:
-        e = s.log4
-        tgt_mono = s.mono * ETA
-        hit = by_gen.get(tgt_mono)
-        delta = 0
-        if hit is None:
-            hit = by_partner.get(tgt_mono)
-            delta = 1
-        if hit is not None:
-            f = hit.log4
-            ker += e - min(e, f - delta)
-            t = max(delta, f - e)
-            prev = image_t.get(hit.mono)
-            image_t[hit.mono] = t if prev is None else min(prev, t)
+    for s in src:
+        e, tgt = s.order, s.mono * ETA
+        found = _lookup(dst, tgt)
+        if found is None:
+            ker += e
+            continue
+        t, gen, depth = found
+        hit = by_mono.get(gen)
+        if hit is not None and (depth == 0 or hit.order == 2):  # tgt in the horizon
+            f = hit.order
+            ker += e - min(e, f - depth)
+            image_t[gen] = min(image_t.get(gen, f), max(depth, f - e))
+        elif t.period is not None:
+            # maps out past the horizon: kernel as in the infinite model,
+            # but no in-horizon image (isolated classes are always inside)
+            ker += e - min(e, (2 if t.coeff == "W/4" else 1) - depth)
         else:
-            beyond = _find_beyond_horizon(dst, tgt_mono)
-            if beyond is not None:
-                # maps out past the horizon: kernel as in the infinite
-                # model, but no in-horizon image
-                f, delta = beyond
-                ker += e - min(e, f - delta)
-            else:
-                ker += e
-    by_mono = {s.mono: s for s in dst_slots}
-    image = sum(by_mono[m].log4 - t for m, t in image_t.items())
+            ker += e
+    image = sum(by_mono[m].order - t for m, t in image_t.items())
     return image, ker
 
 
 def check_eta_les(v0_groups: dict[int, GroupExpr], y_groups: dict[int, GroupExpr],
                   window: Window) -> list[StemCheck]:
     """|pi_n(^Y)| = |coker(eta)| * |ker(eta)| stem by stem."""
-    K, N = window.K, window.N
-    zero = GroupExpr(())
+    K, N, lo, hi = window.K, window.N, window.stem_lo, window.stem_hi
+    v0 = {n: v0_groups.get(n, ZERO_GROUP) for n in range(lo - 2, hi + 1)}
+    slots = {n: expand_slots(g, K, N) for n, g in v0.items()}
+    # (image, kernel) of eta: pi_{n-1} -> pi_n, once per map
+    eta = {n: _eta_map_counts(slots[n - 1], v0[n], slots[n]) for n in range(lo - 1, hi + 1)}
     out = []
-    for n in range(window.stem_lo, window.stem_hi + 1):
-        lhs = degraded_log4(y_groups.get(n, zero), K, N)
-        image_in, _ = _eta_map_counts(v0_groups.get(n - 1, zero),
-                                      v0_groups.get(n, zero), K, N)
-        coker = degraded_log4(v0_groups.get(n, zero), K, N) - image_in
-        _, ker = _eta_map_counts(v0_groups.get(n - 2, zero),
-                                 v0_groups.get(n - 1, zero), K, N)
-        out.append(StemCheck(n, lhs, coker, ker))
+    for n in range(lo, hi + 1):
+        lhs = degraded_log4(y_groups.get(n, ZERO_GROUP), K, N)
+        coker = sum(s.order for s in slots[n]) - eta[n][0]
+        out.append(StemCheck(n, lhs, coker, eta[n - 1][1]))
     return out

@@ -111,9 +111,6 @@ class BidegreeModule:
     orders: tuple[int, ...]
     free: bool = False
 
-    def __len__(self) -> int:
-        return len(self.u1s)
-
     def mono(self, b: int) -> Monomial:
         """The monomial of this bidegree with u1-exponent b."""
         return Monomial((self.filt - self.stem) // 2, b, self.filt)

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from hfpss import modules
-from hfpss.charts import glyph_count, render_page, render_svg, render_text, tower_count
+from hfpss.charts import glyph_count, render_svg, render_text, tower_count
 from hfpss.engine import compute
 from hfpss.modules import Column, LinearMap
 from hfpss.pages import run_to_einfty, stack_to_json
@@ -84,14 +84,6 @@ def test_svg_contains_dashed_arrows():
     stack = run_to_einfty(Target.C6, Window(0, 48, filt_max=14))
     svg = render_svg(stack.page(7), stack.maps[7])
     assert "stroke-dasharray" in svg
-
-
-def test_render_page_dispatch():
-    stack = run_to_einfty(Target.C6, Window(0, 10, filt_max=8))
-    assert render_page(stack.page(8), fmt="text").startswith("target c6")
-    assert render_page(stack.page(8), fmt="svg").startswith("<svg")
-    with pytest.raises(ValueError):
-        render_page(stack.page(8), fmt="png")
 
 
 def test_determinism():

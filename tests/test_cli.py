@@ -117,6 +117,11 @@ def test_chart_bad_page_is_usage_error():
     assert code == 2
 
 
+def test_chart_unknown_format_is_usage_error():
+    code, _ = run_cli("chart", "--target", "c6", "--format", "png")
+    assert code == 2
+
+
 @pytest.mark.parametrize("content, where", [
     ('{"target": "c2", "entries": [{"stem": 0,', None),
     ("{}", None),

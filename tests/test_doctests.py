@@ -4,10 +4,10 @@ import doctest
 
 import pytest
 
-from hfpss import groupexpr, modules, monomials, scalars
+from hfpss import groupexpr, les, modules, monomials, scalars
 
 
-@pytest.mark.parametrize("module", [monomials, groupexpr, modules, scalars],
+@pytest.mark.parametrize("module", [monomials, groupexpr, les, modules, scalars],
                          ids=lambda mod: mod.__name__)
 def test_module_doctests(module):
     result = doctest.testmod(module)

@@ -16,7 +16,7 @@ import json
 import pathlib
 import sys
 
-from hfpss.charts import render_page
+from hfpss.charts import render_svg, render_text
 from hfpss.cli import main
 from hfpss.engine import compute
 from hfpss.targets import Target
@@ -47,10 +47,9 @@ def chart_digests(stacks: dict) -> dict[str, str]:
             page = stack.page(r)
             prop = stack.maps.get(r) if r in (3, 7) else None
             out[f"chart {target.value} E{r} text"] = _sha(
-                render_page(page, prop, fmt="text", page_index=r))
+                render_text(page, prop, page_index=r))
             out[f"chart {target.value} E{r} svg"] = _sha(
-                render_page(page, prop, fmt="svg", page_index=r,
-                            labels=True, eta_lines=True))
+                render_svg(page, prop, labels=True, eta_lines=True))
     return out
 
 

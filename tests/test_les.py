@@ -2,8 +2,9 @@
 
 import pytest
 
+from hfpss import les
 from hfpss.engine import DEFAULT_STEMS, compute, default_window
-from hfpss.groupexpr import parse_group_expr
+from hfpss.groupexpr import ETA_ALPHA_CLIMB, parse_group_expr
 from hfpss.les import check_eta_les, check_two_les, degraded_log4, expand_slots
 from hfpss.targets import Target, Window
 
@@ -91,10 +92,12 @@ def test_degraded_log4_boundary_slot():
 def test_expand_slots_partner_monomials():
     g = parse_group_expr("u^{-1}W/4[[u1]]")
     slots = expand_slots(g, 3, 12)
-    w4 = [s for s in slots if s.kind == "w4"]
-    assert w4[0].partner is not None
-    assert w4[0].partner.al == 2 and w4[0].partner.u == 0
-    assert sum(1 for s in slots if s.kind == "f4") == 1  # the boundary slot
+    w4 = [s for s in slots if not s.free and s.order == 2]
+    partner = w4[0].mono * ETA_ALPHA_CLIMB
+    assert partner.al == 2 and partner.u == 0
+    assert les._lookup(g, partner) == (g.terms[0], w4[0].mono, 1)
+    assert les._lookup(g, w4[0].mono) == (g.terms[0], w4[0].mono, 0)
+    assert sum(1 for s in slots if s.order == 1) == 1  # the boundary slot
 
 
 def test_expand_slots_stop_at_the_horizon():
@@ -102,6 +105,23 @@ def test_expand_slots_stop_at_the_horizon():
     assert expand_slots(parse_group_expr("u1^{5}F4 + u1^{5}W[[u1]]"), 3, 4) == []
     slots = expand_slots(parse_group_expr("u1^{2}F4[[u1]] + u1^{3}F4"), 3, 4)
     assert sorted(s.mono.u1 for s in slots) == [2, 3, 3]
+
+
+def test_each_group_is_expanded_and_each_eta_map_counted_once(extended_groups,
+                                                              monkeypatch):
+    expanded, maps = [], []
+    expand, eta_map = les.expand_slots, les._eta_map_counts
+    monkeypatch.setattr(les, "expand_slots",
+                        lambda g, K, N: expanded.append(g) or expand(g, K, N))
+    monkeypatch.setattr(les, "_eta_map_counts", lambda *a: maps.append(a) or eta_map(*a))
+    check_eta_les(extended_groups[Target.C6_V0], extended_groups[Target.C6_Y],
+                  Window(0, 47))
+    # C6-v0 on stems -2..47 and C6-y on 0..47; eta: pi_{n-1} -> pi_n for n in -1..47
+    assert (len(expanded), len(maps)) == (50 + 48, 49)
+    expanded.clear()
+    check_two_les(extended_groups[Target.C2], extended_groups[Target.C2_V0],
+                  Window(0, 15))
+    assert len(expanded) == 17 + 16  # C2 on stems -1..15, C2-v0 on 0..15
 
 
 def test_two_les_catches_wrong_groups(extended_groups):

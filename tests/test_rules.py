@@ -235,7 +235,7 @@ def _reference_entries(stack):
         for key, mod in page.modules.items():
             cols, boundary = _slotwise_cols(page, rules, mod)
             lm = prop.maps.get(key)
-            assert (lm.cols if lm else ((),) * len(mod)) == cols, (stack.target, r, key)
+            assert (lm.cols if lm else ((),) * len(mod.u1s)) == cols, (stack.target, r, key)
             assert lm is None or lm.source is cell(page, *key) and \
                 lm.target is cell(page, key[0] - 1, key[1] + r)
             assert (key in prop.boundary) == boundary, (stack.target, r, key)
