@@ -18,7 +18,7 @@ from .charts import render_svg, render_text
 from .engine import compute, default_window
 from .verify import verify_target
 from .modules import HfpssError
-from .pages import stack_to_json
+from .pages import run_to_einfty, stack_to_json
 from .targets import Target, Window
 
 USAGE_ERROR = 2
@@ -60,19 +60,18 @@ def cmd_compute(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     result = compute(args.target, window)
-    groups = {str(stem): g.expr.render() for stem, g in sorted(result.groups.items())}
+    groups = [(stem, g.expr.render()) for stem, g in sorted(result.groups.items())]
     if args.format == "json":
         doc = {
             "target": args.target.value,
             "window": {"stem_lo": window.stem_lo, "stem_hi": window.stem_hi,
                        "K": window.K, "N": window.N},
-            "groups": groups,
+            "groups": {str(stem): expr for stem, expr in groups},
             "stack": stack_to_json(result.stack),
         }
         _write(args.out, json.dumps(doc, indent=1, sort_keys=True) + "\n")
     else:
-        lines = [f"pi_{stem}({args.target.value}) = {expr}"
-                 for stem, expr in sorted(((int(k), v) for k, v in groups.items()))]
+        lines = [f"pi_{stem}({args.target.value}) = {expr}" for stem, expr in groups]
         _write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -105,10 +104,9 @@ def cmd_chart(args) -> int:
                 print(f"chart: {flag} needs --format svg", file=sys.stderr)
                 return USAGE_ERROR
     window = default_window(args.target, *(args.stems or (None, None)))
-    from .pages import run_to_einfty
     stack = run_to_einfty(args.target, window)
     page = stack.page(args.page)
-    prop = stack.maps.get(args.page) if args.page in (3, 7) else None
+    prop = stack.maps.get(args.page)
     if args.format == "svg":
         text = render_svg(page, prop, labels=args.labels, eta_lines=args.eta_lines)
     else:

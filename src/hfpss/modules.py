@@ -53,10 +53,6 @@ class Summand:
     order: int
     free: bool = False
 
-    def label(self) -> str:
-        prefix = "" if self.scalar == 0 else str(1 << self.scalar)
-        return prefix + str(self.mono)
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Column:
@@ -100,8 +96,8 @@ class BidegreeModule:
     A read-only view, read as Summand records:
 
     >>> mod = BidegreeModule(4, 0, (0, 1), (1, 0), (2, 1))
-    >>> [s.label() for s in mod.summands]
-    ['2u^{-2}', 'u^{-2}u1']
+    >>> [(s.scalar, str(s.mono)) for s in mod.summands]
+    [(1, 'u^{-2}'), (0, 'u^{-2}u1')]
     """
 
     stem: int

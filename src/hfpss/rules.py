@@ -64,23 +64,15 @@ class RuleSet:
                     f"d{self.page}({g}) = {v} violates (stem-1, filt+{self.page})")
 
     def factorize(self, m: Monomial) -> tuple[Monomial, Monomial]:
-        """Split m = l * g with l in the linearity monoid, g transversal."""
-        if self.y_mode:
-            c_res = m.al % 3
-            v1_power = 0
-            a_res_base = m.u
-            if m.u1 > 0:
-                if c_res != 0 or m.al != 0:
-                    raise RuleCoverageError(f"{m} has both alpha and u1 factors")
-                v1_power = m.u1
-                a_res_base = m.u + m.u1
-            r = -((-a_res_base) % self.u_modulus)
-            g = Monomial(r, 0, c_res)
-            l = Monomial(a_res_base - r - v1_power, v1_power, m.al - c_res)
-        else:
-            r = -((-m.u) % self.u_modulus)
-            g = Monomial(r, 0, 0)
-            l = Monomial(m.u - r, m.u1, m.al)
+        """Split m = l * g with l in the linearity monoid, g transversal:
+        g = u^r alpha^c' with r = u + s mod u_modulus in (-u_modulus, 0], where
+        on Y s = u1's exponent (v1 = u^-1 u1) and c' = alpha's mod 3, else 0."""
+        if self.y_mode and m.u1 > 0 and m.al != 0:
+            raise RuleCoverageError(f"{m} has both alpha and u1 factors")
+        s, c = (m.u1, m.al % 3) if self.y_mode else (0, 0)
+        r = -((-(m.u + s)) % self.u_modulus)
+        g = Monomial(r, 0, c)
+        l = Monomial(m.u - r, m.u1, m.al - c)
         if l * g != m:
             raise RuleCoverageError(f"factorization of {m} failed")
         if g not in self.transversal:
@@ -172,13 +164,13 @@ def rule_table(target: Target, page: int) -> RuleSet:
     new RuleSet with its own copy of the values."""
     if page not in (3, 5, 7):
         raise ValueError(f"no rule set for d{page}")
-    if target is Target.C6_Y:
+    if target.y_page:
         return RuleSet(page, 24, Y_TRANSVERSAL, dict(Y_D7_VALUES) if page == 7 else {},
                        y_mode=True)
-    mod2 = target in (Target.C2_V0, Target.C6_V0)
     modulus = 8 if page == 7 else 4
-    transversal = tuple(_u(-r) for r in range(0, modulus, 1 if mod2 else 2))
-    return RuleSet(page, modulus, transversal, dict((C2_V0_VALUES if mod2 else C2_VALUES)[page]))
+    transversal = tuple(_u(-r) for r in range(0, modulus, 1 if target.mod2 else 2))
+    return RuleSet(page, modulus, transversal,
+                   dict((C2_V0_VALUES if target.mod2 else C2_VALUES)[page]))
 
 
 @dataclass

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 
 from .engine import ComputeResult
-from .groupexpr import GroupExpr, GroupExprError, iso_invariants, parse_group_expr
+from .groupexpr import ZERO_GROUP, GroupExpr, GroupExprError, iso_invariants, parse_group_expr
 from .modules import HfpssError
 from .targets import Target
 
@@ -39,9 +39,8 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def _source(target: Target, path: str | None) -> str:
-    """<dir>/<target>.json, dir being path, else $HFPSS_FIXTURES, else FIXTURES."""
-    return os.path.join(path or os.environ.get("HFPSS_FIXTURES") or FIXTURES,
-                        f"{target.value}.json")
+    """<dir>/<target>.json, dir being path, else FIXTURES."""
+    return os.path.join(path or FIXTURES, f"{target.value}.json")
 
 
 def load_fixtures(target: Target, path: str | None = None) -> list[FixtureEntry]:
@@ -142,7 +141,7 @@ def verify_target(result: ComputeResult, fixtures: list[FixtureEntry] | None = N
         if not (result.window.stem_lo <= fe.stem <= result.window.stem_hi):
             continue
         got = result.groups.get(fe.stem)
-        got_expr = got.expr if got else GroupExpr(())
+        got_expr = got.expr if got else ZERO_GROUP
         try:
             expected = [iso_invariants(fe.expr, k, N) for k in (K, K + 1)]
         except GroupExprError as exc:

@@ -1,5 +1,5 @@
 """Structural facts of the paper's pages, checked on the rows by the tests,
-and the cell reader and module builder the tests share.
+and the cell reader, summand label and module builder the tests share.
 
 Each check returns its failures as strings (empty = the fact holds).
 """
@@ -21,6 +21,11 @@ def u1s(page, stem, filt):
     """The u1-exponents of the slots at (stem, filt), () if none or outside the rows."""
     col = cell(page, stem, filt)
     return col.u1s if col else ()
+
+
+def label(s):
+    """A Summand's generator name: its scalar's 2-power prefix and its monomial."""
+    return ("" if s.scalar == 0 else str(1 << s.scalar)) + str(s.mono)
 
 
 def from_summands(stem, filt, summands):

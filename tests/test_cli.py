@@ -171,13 +171,33 @@ def test_unknown_target_is_usage_error(capsys):
     assert "unknown target 'c7'" in capsys.readouterr().err
 
 
-def test_env_var_fixture_override(tmp_path, monkeypatch):
-    bad = {"target": "c2", "entries": [
-        {"stem": n, "expr": "0", "underlined": False} for n in range(16)]}
-    (tmp_path / "c2.json").write_text(json.dumps(bad))
-    monkeypatch.setenv("HFPSS_FIXTURES", str(tmp_path))
-    code, _ = run_cli("verify", "--target", "c2")
-    assert code == 1
+def test_verify_json_out_writes_one_report_per_target(tmp_path):
+    out = tmp_path / "report.json"
+    code, _ = run_cli("verify", "--target", "c2", "--json-out", str(out))
+    assert code == 0
+    (report,) = json.loads(out.read_text())
+    assert (report["target"], report["checked"], report["iso_matches"], report["ok"]) == \
+        ("c2", 16, 16, True)
+
+
+def test_fixture_vanishing_at_K_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "c2.json").write_text(json.dumps(
+        {"target": "c2", "entries": [{"stem": 0, "expr": "8W"}]}))
+    code, _ = run_cli("verify", "--target", "c2", "--fixtures", str(tmp_path))
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: fixture file {tmp_path}/c2.json, stem 0: scalar 2^3 vanishes at K=3\n"
+
+
+def test_importing_the_cli_leaves_the_oracle_les_and_resources_unloaded():
+    """Start-up stays small: the SNF oracle, the LES checks and
+    importlib.resources are not imported with the CLI."""
+    unwanted = ("hfpss.snf", "hfpss.scalars", "hfpss.les", "importlib.resources")
+    code = f"import sys, hfpss.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        cwd=os.path.dirname(os.path.dirname(__file__)), env=ENV, timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_module_entry_point():

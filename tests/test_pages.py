@@ -20,7 +20,7 @@ from hfpss.pages import (CertificateError, check_collapse, check_even_r_vanishin
 from hfpss.rules import Propagation, RuleCoverageError, RuleSet, propagate, rule_table
 from hfpss.targets import Target, Window
 
-from pagechecks import cell, from_summands, hurewicz, periodicity
+from pagechecks import cell, from_summands, hurewicz, label, periodicity
 
 m = parse_monomial
 
@@ -80,7 +80,7 @@ def test_homology_kernel_of_mod2_surjection():
     tgt = from_summands(3, 3, (Summand(0, m("u1a^{3}"), 1),))
     d_out = LinearMap(_col(src), _col(tgt), [[(0, 0)]])
     H, section = _homology(src, None, d_out)
-    assert [(s.label(), s.order) for s in H.summands] == [("2u^{-2}", 2)]
+    assert [(label(s), s.order) for s in H.summands] == [("2u^{-2}", 2)]
 
 
 def test_homology_cokernel_of_u1_shift():
@@ -90,9 +90,9 @@ def test_homology_cokernel_of_u1_shift():
     cols = [[(tgt.u1s.index(b + 1), 0)] if b + 1 in tgt.u1s else [] for b in src.u1s]
     d_in = LinearMap(_col(src), _col(tgt), cols)
     H, _ = _homology(tgt, d_in, None)
-    assert [s.label() for s in H.summands] == ["a^{3}"]
+    assert [label(s) for s in H.summands] == ["a^{3}"]
     Hsrc, _ = _homology(src, None, d_in)
-    assert [s.label() for s in Hsrc.summands] == ["u^{-2}u1^{3}"]  # horizon slot
+    assert [label(s) for s in Hsrc.summands] == ["u^{-2}u1^{3}"]  # horizon slot
 
 
 def test_dd_nonzero_rejected():
@@ -111,7 +111,7 @@ def test_d_in_into_free_summand_rejected():
     src = from_summands(2, 0, (Summand(0, m("u^{-1}u1"), 3),))
     torsion = from_summands(0, 0, (Summand(0, m("u1"), 3),))
     H, _ = _homology(torsion, LinearMap(_col(src), _col(torsion), [[(0, 1)]]), None)
-    assert [(s.label(), s.order) for s in H.summands] == [("u1", 1)]
+    assert [(label(s), s.order) for s in H.summands] == [("u1", 1)]
     tower = from_summands(0, 0, (Summand(0, m("u1"), 3, free=True),))
     with pytest.raises(PipelineError, match="free summand"):
         _homology(tower, LinearMap(_col(src), _col(tower), [[(0, 1)]]), None)
@@ -584,7 +584,7 @@ def test_freeness_matches_the_k_plus_one_run(computed_all):
                     if s.free:
                         assert (s.order, o_hi) == (K - s.scalar, K + 1 - s.scalar)
                     else:
-                        assert o_hi == s.order, (target, r, key, s.label())
+                        assert o_hi == s.order, (target, r, key, label(s))
 
 
 def test_tower_recognition():
@@ -636,7 +636,7 @@ def test_towers_partition_the_reported_slots(computed_all):
                 reported = [s for s in mod.summands if s.mono.u1 < N]
                 for s in reported:
                     assert sum(t.covers(s.mono) for t in towers) == 1, \
-                        (target, r, key, s.label())
+                        (target, r, key, label(s))
                 rebuilt = []
                 for t in towers:
                     assert [s.mono.u1 for s in reported if t.covers(s.mono)] \

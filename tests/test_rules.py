@@ -1,13 +1,14 @@
 """Differential rule tables, factorization, and propagation."""
 
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfpss.e2 import build_e2
 from hfpss.modules import BidegreeModule, HfpssError, homology_at, rows_view
-from hfpss.monomials import parse_monomial
+from hfpss.monomials import Monomial, parse_monomial
 from hfpss.engine import DEFAULT_STEMS
 from hfpss.pages import check_even_r_vanishing, run_to_einfty, turn_page
 from hfpss.rules import (RuleCoverageError, RuleSet, Y_D7_PUBLISHED_VALUES, Y_D7_VALUES,
@@ -95,6 +96,45 @@ def test_factorize_rejects_mixed_y_monomial():
     ry = rule_table(Target.C6_Y, 7)
     with pytest.raises(RuleCoverageError):
         ry.factorize(m("u^{-1}u1a^{3}"))  # b > 0 with c > 0: not a Y-basis class
+
+
+def _in_monoid(rules, l):
+    """Whether l lies in the linearity monoid of the table: alpha, u1 and
+    u^{+-u_modulus} off Y; alpha^3, u^{+-24} and v1 = u^-1 u1 on Y."""
+    if l.u1 < 0 or l.al < 0:
+        return False
+    if rules.y_mode:
+        return (l.u + l.u1) % 24 == 0 and l.al % 3 == 0
+    return l.u % rules.u_modulus == 0
+
+
+@pytest.mark.parametrize("target", list(Target))
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_factorize_is_the_split_through_the_one_transversal_element(target, r):
+    """factorize(m) = (m/g, g) for the one transversal g with m/g in the
+    monoid, and raises when there is none or m is a Y monomial with both
+    u1 and alpha."""
+    rules = rule_table(target, r)
+    for a, b, c in product(range(-24, 25), range(7), range(7)):
+        mono = Monomial(a, b, c)
+        split = [(Monomial(a - g.u, b - g.u1, c - g.al), g) for g in rules.transversal]
+        split = [(l, g) for l, g in split if _in_monoid(rules, l)]
+        assert len(split) <= 1, (mono, split)
+        if not split or (rules.y_mode and b > 0 and c > 0):
+            with pytest.raises(RuleCoverageError):
+                rules.factorize(mono)
+        else:
+            assert rules.factorize(mono) == split[0], mono
+
+
+@pytest.mark.parametrize("target", list(Target))
+def test_rule_tables_have_the_shape_of_the_paper(target):
+    """Every d3 value is its source times u^2 u1 alpha^3, every d7 value its
+    source times u^4 alpha^7, and d5 is zero."""
+    for r, shift in ((3, m("u^{2}u1a^{3}")), (7, m("u^{4}a^{7}"))):
+        values = rule_table(target, r).values
+        assert values == {g: g * shift for g in values}, (target, r)
+    assert rule_table(target, 5).values == {}
 
 
 def test_coverage_over_padded_windows():

@@ -1,6 +1,5 @@
 """Fixture integrity and the verification report."""
 
-import json
 import pathlib
 
 import pytest
@@ -110,18 +109,7 @@ def test_verify_detects_mismatch(computed_c2):
     assert "MISMATCH" in report.render_text()
 
 
-def test_fixture_env_override(tmp_path, computed_c2, monkeypatch):
-    path = tmp_path / "c2.json"
-    entries = [{"stem": n, "expr": "0", "underlined": False} for n in range(16)]
-    path.write_text(json.dumps({"target": "c2", "entries": entries}))
-    monkeypatch.setenv("HFPSS_FIXTURES", str(tmp_path))
-    report = verify_target(computed_c2)
-    assert report.n_iso_matches == sum(
-        1 for n in range(16) if computed_c2.groups[n].expr.is_zero())
-
-
-def test_fixtures_are_read_from_the_directory_beside_verify(monkeypatch):
-    monkeypatch.delenv("HFPSS_FIXTURES", raising=False)
+def test_fixtures_are_read_from_the_directory_beside_verify():
     beside = pathlib.Path(verify.__file__).parent / "fixtures"
     for target in Target:
         assert load_fixtures(target) == load_fixtures(target, str(beside)), target
