@@ -24,6 +24,8 @@ from __future__ import annotations
 from .modules import Column, ColumnTable, Page
 from .targets import Target, Window
 
+E2_STRIDE = 12  # the period of _u1_residue in the stem, and in filt above 0
+
 
 def _u1_residue(stem: int, filt: int) -> tuple:
     """What _u1_range reads of (stem, filt): the parity of stem + filt,
@@ -47,16 +49,16 @@ def _u1_range(target: Target, stem: int, filt: int, n_u1: int) -> range:
 
 def build_e2(target: Target, window: Window) -> Page:
     """The E2 page on the padded window, in a new column table: one interned
-    Column per _u1_residue, written to its stride-12 progression of a row
-    (the residue has period 12 in the stem).  Only cells with stem + filt
+    Column per _u1_residue, written to its stride-E2_STRIDE progression of a
+    row (the residue's period in the stem).  Only cells with stem + filt
     even are visited: _u1_range is empty on the others.  Above filt 0 the
-    residue has period 12 in filt too: row filt > 12 is row filt - 12."""
+    residue has that period in filt too: row filt > 12 is row filt - 12."""
     K, start, width = window.K, window.stem_range.start, len(window.stem_range)
     table, rows = ColumnTable(), []
     columns: dict[tuple, Column | None] = {}  # by _u1_residue, None if empty
-    for filt in range(min(13, len(window.filt_range))):  # filt_range starts at 0
+    for filt in range(min(E2_STRIDE + 1, len(window.filt_range))):  # filt_range starts at 0
         row = [None] * width
-        for i in range((start + filt) % 2, min(12, width), 2):
+        for i in range((start + filt) % 2, min(E2_STRIDE, width), 2):
             key = _u1_residue(start + i, filt)
             try:
                 col = columns[key]
@@ -66,8 +68,8 @@ def build_e2(target: Target, window: Window) -> Page:
                 col = columns[key] = (table[tuple(bs), (0,) * n, (K if free else 1,) * n,
                                             free] if bs else None)
             if col is not None:
-                row[i::12] = [col] * ((width - 1 - i) // 12 + 1)
+                row[i::E2_STRIDE] = [col] * ((width - 1 - i) // E2_STRIDE + 1)
         rows.append(table.row(row))
-    rows += [rows[f % 12 or 12] for f in range(13, len(window.filt_range))]  # = rows[f - 12]
+    rows += [rows[f % E2_STRIDE or E2_STRIDE] for f in range(len(rows), len(window.filt_range))]
     return Page(target, 2, window, tuple(rows), table)
 

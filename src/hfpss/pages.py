@@ -14,18 +14,19 @@ d7 value of a trusted class leaves it.  Each page turn checks d_r∘d_r = 0:
 homology_at sees every composable pair of maps, as d_in and d_out of
 their middle bidegree, and rejects an image that exceeds the kernel.
 
-Pages are tuples of immutable rows of interned columns (modules.Page),
-and propagate places one LinearMap, in the same rows, at every cell that
-gives it: the d_r target of cell i of row filt is cell i - 1 of row
-filt + r.  A page turn computes a row once per distinct (row, d_out row,
-d_in row) objects, reused wherever they meet again, and runs homology_at
-once per distinct (column, d_in, d_out); each cell it computes is
-checked, by identity, to have d_out start and d_in end at its column.
-The checks a reused row skips are pure functions of the same objects,
-which passed them: the column memo's argument, one level up.  An
-unchanged column is the same object on the next page.  Rule coverage is
-checked by propagate, which factorizes every residue class of the page
-it acts on (E2 for d3, E4 for d7) at least once.
+Pages are tuples of immutable rows of interned columns (modules.Page), and
+propagate places one LinearMap, in the same rows, at every cell that gives
+it: the d_r target of cell i of row filt is cell i - 1 of row filt + r.  A
+page turn computes a row once per distinct (row, d_out row, d_in row)
+objects, reused wherever they meet again, and runs homology_at once per
+distinct (column, d_in, d_out); each cell it computes is checked, by
+identity, to have d_out start and d_in end at its column.  A row whose
+three input rows repeat with Propagation.period copies its interior
+(modules.Tiling).  The checks a reused row or a copied cell skips are pure
+functions of the same objects, which passed them: the column memo's
+argument, one level up.  An unchanged column is the same object on the
+next page.  Rule coverage is checked by propagate, which factorizes every
+residue class of the page it acts on (E2 for d3, E4 for d7) at least once.
 
 Freeness of a tower comes from E2, which flags the free summands
 (filtration 0 of the integral pages); page turns carry the flag from each
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 
 from .e2 import build_e2
 from .groupexpr import Term, term_order_exp
-from .modules import Column, Page, PipelineError, homology_at
+from .modules import Column, Page, PipelineError, Tiling, homology_at
 from .monomials import Monomial
 from .rules import Propagation, propagate, rule_table
 from .targets import Target, Window
@@ -62,6 +63,7 @@ def turn_page(page: Page, prop: Propagation) -> Page:
     row; d_in is cell i + 1 of map row filt - r (a blank row below r)."""
     r, table, start = prop.r, page.table, page.window.stem_range.start
     blank = table.row([None] * len(page.window.stem_range))
+    tiling, last = Tiling(len(blank), prop.period), len(blank) - 1
     memo: dict[tuple, Column | None] = {}  # the new column, None if empty
     done, rows = {}, []  # done: each new row, by the identity of its three input rows
     for filt, (row, outs) in enumerate(zip(page.rows, prop.rows)):
@@ -70,9 +72,12 @@ def turn_page(page: Page, prop: Propagation) -> Page:
         new_row = done.get(key)
         if new_row is None:
             cells = [None] * len(row)
-            for i, (col, d_out, d_in) in enumerate(zip(row, outs, ins[1:] + (None,))):
+            tiled = tiling.walk is not None and all(map(tiling.periodic, (row, outs, ins)))
+            for i in tiling.walk if tiled else range(len(row)):
+                col = row[i]
                 if col is None:
                     continue
+                d_out, d_in = outs[i], ins[i + 1] if i < last else None
                 if d_out is not None and d_out.source is not col:
                     raise PipelineError(f"d_out source mismatch at ({start + i},{filt})")
                 if d_in is not None and d_in.target is not col:
@@ -83,6 +88,8 @@ def turn_page(page: Page, prop: Propagation) -> Page:
                 except KeyError:
                     found, _lifts = homology_at(start + i, filt, col, d_in, d_out)
                     cells[i] = memo[key_i] = table[found] if found[0] else None
+            if tiled:
+                tiling.fill(cells, [])
             new_row = done[key] = table.row(cells)
         rows.append(new_row)
     return Page(page.target, r + 1, page.window, tuple(rows), table)

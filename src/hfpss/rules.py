@@ -36,9 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import lcm
 from typing import Mapping
 
-from .modules import Column, HfpssError, LinearMap, Page, PipelineError, rows_view
+from .e2 import E2_STRIDE
+from .modules import Column, HfpssError, LinearMap, Page, PipelineError, Tiling, rows_view
 from .monomials import Monomial, parse_monomial
 from .targets import Target, Window
 
@@ -73,8 +75,6 @@ class RuleSet:
         r = -((-(m.u + s)) % self.u_modulus)
         g = Monomial(r, 0, c)
         l = Monomial(m.u - r, m.u1, m.al - c)
-        if l * g != m:
-            raise RuleCoverageError(f"factorization of {m} failed")
         if g not in self.transversal:
             raise RuleCoverageError(f"residual monomial {g} of {m} not in transversal")
         return l, g
@@ -181,6 +181,7 @@ class Propagation:
     r: int
     window: Window
     rows: tuple[tuple[LinearMap | None, ...], ...]
+    period: int  # the stem period p the rows were tiled with; turn_page tiles by it too
     boundary: set[tuple[int, int]] = field(default_factory=set)
 
     @cached_property
@@ -191,30 +192,32 @@ class Propagation:
 def propagate(page: Page, rules: RuleSet) -> Propagation:
     """Evaluate d_r on every basis class of the page.
 
-    The map at a cell depends only on its RuleSet.bidegree_key (period
-    P = 2 * u_modulus in the stem, and in filt together with filt == 0),
-    its column, the column of cell i - 1 of row filt + r, or its absence,
-    and whether that cell is in the padded window.  So it is computed
-    once per distinct such input, in a memo for this call keyed by column
-    objects, and one LinearMap, validated once, serves every cell with
-    the same (source, target, cols); an invalid one names the first of
-    them in row order.  So is a map row, once per distinct (filt mod P,
-    filt == 0, row, target row), rows by identity; a reused row moves its
-    boundary cells to its filtration.  Each computation factorizes once
-    per residue class of the slots (RuleSet.residue_classes); within a
-    class d_r is one u1-shift.  Values are reduced in the current page
-    presentation: a target slot that is no longer present contributes
-    zero, a scalar-prefixed target absorbs the matching 2-power, and an
-    entry whose 2-exponent reaches the target's order is zero and is
-    dropped.  Values landing outside the padded window flag the source
-    bidegree as a boundary effect.
+    The map at a cell depends only on its RuleSet.bidegree_key (period P =
+    2 * u_modulus in the stem, and in filt together with filt == 0), its
+    column, the column of cell i - 1 of row filt + r, or its absence, and
+    whether that cell is in the padded window.  So it is computed once per
+    distinct such input, in a memo for this call keyed by column objects,
+    and one LinearMap, validated once, serves every cell with the same
+    (source, target, cols); an invalid one names the first of them in row
+    order.  So is a map row, once per distinct (filt mod P, filt == 0, row,
+    target row), rows by identity; a reused row moves its boundary cells to
+    its filtration.  A map row whose row and target row repeat with p =
+    lcm(E2_STRIDE, P) copies its interior (modules.Tiling): a copied cell
+    has the memo key, so the map, boundary flag and error, of the cell p to
+    its left.  Each computation factorizes once per residue class of the
+    slots (RuleSet.residue_classes); within a class d_r is one u1-shift.
+    Values are reduced in the current page presentation: a target slot that
+    is no longer present contributes zero, a scalar-prefixed target absorbs
+    the matching 2-power, and an entry whose 2-exponent reaches the
+    target's order is zero and is dropped.  Values landing outside the
+    padded window flag the source bidegree as a boundary effect.
     """
     r, rows, window = rules.page, page.rows, page.window
     start, period = window.stem_range.start, 2 * rules.u_modulus
+    tiling = Tiling(len(window.stem_range), lcm(E2_STRIDE, period))
     memo: dict[tuple, tuple[LinearMap | None, bool]] = {}  # per distinct input
     made: dict[tuple, LinearMap] = {}  # per distinct (source, target, cols)
     done, out_rows, boundary = {}, [], set()  # done: (row, boundary cells) per row input
-    row_of = page.table.row
     for filt, row in enumerate(rows):
         tgt_row = rows[filt + r] if filt + r < len(rows) else None
         key = (filt % period, filt == 0, id(row), id(tgt_row))  # the rows are alive
@@ -222,7 +225,9 @@ def propagate(page: Page, rules: RuleSet) -> Propagation:
         if found_row is None:
             cells, edge = [None] * len(row), []
             keys = [None] * period  # bidegree_key by stem residue, found on first use
-            for i, col in enumerate(row):
+            tiled = tiling.walk is not None and tiling.periodic(row) and tiling.periodic(tgt_row)
+            for i in tiling.walk if tiled else range(len(row)):
+                col = row[i]
                 if col is None:
                     continue
                 padded = tgt_row is not None and i > 0
@@ -244,11 +249,12 @@ def propagate(page: Page, rules: RuleSet) -> Propagation:
                 cells[i], edged = found
                 if edged:
                     edge.append(i)
-            found_row = done[key] = (row_of(cells), edge)
+            edge += tiling.fill(cells, edge) if tiled else []
+            found_row = done[key] = (page.table.row(cells), edge)
         out_rows.append(found_row[0])
         for i in found_row[1]:
             boundary.add((start + i, filt))
-    return Propagation(r, window, tuple(out_rows), boundary)
+    return Propagation(r, window, tuple(out_rows), tiling.p, boundary)
 
 
 def _values_at(stem: int, filt: int, col: Column, tgt: Column | None, padded: bool,

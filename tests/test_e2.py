@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfpss.e2 import _u1_range, _u1_residue, build_e2
+from hfpss.e2 import E2_STRIDE, _u1_range, _u1_residue, build_e2
 from hfpss.modules import Column, Page, rows_view
 from hfpss.monomials import NAMED, Monomial
 from hfpss.targets import Target, Window
@@ -30,17 +30,20 @@ def test_u1_range_depends_only_on_its_residue(target):
 
 @pytest.mark.parametrize("target", list(Target))
 def test_u1_residue_has_period_12_in_stem_and_in_filt_above_0(target):
-    # build_e2 fills each row with one stride-12 progression per residue,
-    # and copies each row above 12 from the row 12 below it
+    # build_e2 fills each row with one stride-E2_STRIDE progression per
+    # residue, and copies each row above 12 from the row 12 below it
+    p = E2_STRIDE
+    assert p == 12
     for stem in range(-40, 60):
         for filt in range(0, 30):
-            assert _u1_residue(stem + 12, filt) == _u1_residue(stem, filt), (stem, filt)
-            assert _u1_range(target, stem + 12, filt, 18) == _u1_range(target, stem, filt, 18)
+            assert _u1_residue(stem + p, filt) == _u1_residue(stem, filt), (stem, filt)
+            assert _u1_range(target, stem + p, filt, 18) == _u1_range(target, stem, filt, 18)
             if filt > 0:
-                assert _u1_residue(stem, filt + 12) == _u1_residue(stem, filt), (stem, filt)
-                assert _u1_range(target, stem, filt + 12, 18) == \
-                    _u1_range(target, stem, filt, 18)
-    assert _u1_residue(0, 12) != _u1_residue(0, 0)  # filt 0 has its own residue
+                assert _u1_residue(stem, filt + p) == _u1_residue(stem, filt), (stem, filt)
+                assert _u1_range(target, stem, filt + p, 18) == _u1_range(target, stem, filt, 18)
+    assert _u1_residue(0, p) != _u1_residue(0, 0)  # filt 0 has its own residue
+    # and no smaller stride is a period of the residue
+    assert all(_u1_residue(k, 1) != _u1_residue(0, 1) for k in range(1, p))
 
 
 @st.composite

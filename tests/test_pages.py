@@ -53,7 +53,7 @@ def page_of(target, r, window, modules):
 
 def prop_of(r, window, maps):
     """A propagation of d_r holding these maps, by source bidegree."""
-    return Propagation(r, window, place(empty_rows(window), window, maps))
+    return Propagation(r, window, place(empty_rows(window), window, maps), 48)
 
 
 def _col(mod):

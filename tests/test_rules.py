@@ -6,8 +6,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hfpss import modules, pages, rules as rules_module
 from hfpss.e2 import build_e2
-from hfpss.modules import BidegreeModule, HfpssError, homology_at, rows_view
+from hfpss.modules import BidegreeModule, HfpssError, Tiling, homology_at, rows_view
 from hfpss.monomials import Monomial, parse_monomial
 from hfpss.engine import DEFAULT_STEMS
 from hfpss.pages import check_even_r_vanishing, run_to_einfty, turn_page
@@ -363,18 +364,31 @@ def _outcome(f, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _lockstep(target, window, rule_of):
-    """E2 to E8 twice from one E2 page: with its shared rows, and with every
-    walk given fresh rows.  Each cell holds the same Column object, each map
-    has the same ends and columns, the boundary sets are equal, and a
-    failing walk raises the same error at the same first cell, which is
-    returned (None if every walk passes)."""
-    page = ref = build_e2(target, window)
+def _on_fresh_rows(f, *args):
+    """f on copies of its pages and propagations with all rows fresh."""
+    return _outcome(f, *(_fresh(a) if hasattr(a, "rows") else a for a in args))
+
+
+def _full_walk(f, *args):
+    """f with every row walked in full: no interior is ever copied."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modules, "TILE_EDGE", 10 ** 6)
+        return _outcome(f, *args)
+
+
+def _lockstep(target, window, rule_of, reference=_on_fresh_rows, e2=None):
+    """E2 to E8 twice from one E2 page (build_e2's unless given): as the
+    engine walks it, and by reference (default: with every walk given fresh
+    rows).  Each cell holds the same Column object, each map has the same
+    ends and columns, the boundary sets are equal, and a failing walk raises
+    the same error at the same first cell, which is returned (None if every
+    walk passes)."""
+    page = ref = build_e2(target, window) if e2 is None else e2
     for r in (3, 7):
         rules = rule_of(target, r)
         assert _outcome(check_even_r_vanishing, page) is None
-        assert _outcome(check_even_r_vanishing, _fresh(ref)) is None
-        prop, ref_prop = _outcome(propagate, page, rules), _outcome(propagate, _fresh(ref), rules)
+        assert reference(check_even_r_vanishing, ref) is None
+        prop, ref_prop = _outcome(propagate, page, rules), reference(propagate, ref, rules)
         if isinstance(prop, str) or isinstance(ref_prop, str):
             assert prop == ref_prop
             return prop
@@ -384,8 +398,7 @@ def _lockstep(target, window, rule_of):
                 assert (lm is None) == (ref_lm is None)
                 assert lm is None or (lm.source, lm.target, lm.cols) == \
                     (ref_lm.source, ref_lm.target, ref_lm.cols)
-        page, ref = (_outcome(turn_page, page, prop),
-                     _outcome(turn_page, _fresh(ref), _fresh(ref_prop)))
+        page, ref = _outcome(turn_page, page, prop), reference(turn_page, ref, ref_prop)
         if isinstance(page, str) or isinstance(ref, str):
             assert page == ref
             return page
@@ -423,6 +436,109 @@ def test_row_memo_matches_fresh_rows(case):
 
     error = _lockstep(target, window, rule_of)
     assert error is None or drop and error.startswith("RuleCoverageError")
+
+
+class _SpyTiling(Tiling):
+    """A Tiling that keeps itself in `made` and counts the rows it fills."""
+
+    made = []
+
+    def __init__(self, width, p):
+        super().__init__(width, p)
+        self.fills = 0
+        _SpyTiling.made.append(self)
+
+    def fill(self, cells, marked):
+        self.fills += 1
+        return super().fill(cells, marked)
+
+
+@pytest.mark.parametrize("target", list(Target))
+def test_tiled_walks_match_slotwise_reference_on_a_wide_off_phase_window(target, monkeypatch):
+    """On 200 stems starting off the phase of every stem period, each of
+    the four walks (d3, E4, d7, E8) copies the interior of every row it
+    computes, with period 24 for d3 (48 on Y, whose tables have u_modulus
+    24) and 48 for d7, and every map and turned module still equals the
+    slotwise reference at its bidegree."""
+    monkeypatch.setattr(_SpyTiling, "made", [])
+    monkeypatch.setattr(rules_module, "Tiling", _SpyTiling)
+    monkeypatch.setattr(pages, "Tiling", _SpyTiling)
+    stack = run_to_einfty(target, Window(-29, 170, filt_max=60))
+    p3 = 48 if target.y_page else 24
+    assert [t.p for t in _SpyTiling.made] == [p3, p3, 48, 48]
+    assert [stack.maps[3].period, stack.maps[7].period] == [p3, 48]
+    for t in _SpyTiling.made:  # never a fall-back to the full walk
+        assert t.walk is not None and t.fills > 0 and all(t.seen.values())
+    assert _reference_entries(stack) > 0
+    _reference_turns(stack)
+
+
+@st.composite
+def _wide_windows(draw):
+    """A target, a window of 102 to 150 stems (over 2p + 6 for p = 48, so
+    every walk tiles), whether d7 drops a transversal element it stores no
+    value on, and an E2 cell (filt, i) to swap for another column."""
+    target = draw(st.sampled_from(list(Target)))
+    lo = draw(st.integers(-48, 48))
+    window = Window(lo, lo + draw(st.integers(101, 149)),
+                    filt_max=draw(st.one_of(st.integers(0, 12), st.integers(41, 60))),
+                    N=draw(st.integers(4, 14)))
+    swap = draw(st.none() | st.tuples(st.integers(0, 10 ** 3), st.integers(0, 10 ** 3)))
+    return target, window, draw(st.booleans()), swap
+
+
+def _swapped(e2, filt, i):
+    """e2 with the nonempty cell i of row filt swapped for another column of
+    its table (or emptied if there is none), so stem + filt stays even."""
+    row = e2.rows[filt]
+    new = next((col for col in e2.table.values() if col is not row[i]), None)
+    return replace(e2, rows=e2.rows[:filt] + (row[:i] + (new,) + row[i + 1:],)
+                   + e2.rows[filt + 1:])
+
+
+@settings(max_examples=25, deadline=None)
+@given(_wide_windows())
+def test_tiled_walk_matches_the_full_walk(case):
+    """Every cell, map, boundary set and first error of the tiled walks is
+    that of the walks with every row walked in full, also with one E2 cell
+    swapped for another column: the rows whose period the swap breaks are
+    walked in full."""
+    target, window, drop, swap = case
+
+    def rule_of(target, r):
+        rules = rule_table(target, r)
+        if r == 7 and drop:  # a coverage error at the first cell that meets it
+            bare = [g for g in rules.transversal if g not in rules.values]
+            rules = replace(rules, transversal=tuple(g for g in rules.transversal
+                                                     if g != bare[-1]))
+        return rules
+
+    e2 = build_e2(target, window)
+    if swap is not None:
+        filts = [f for f, row in enumerate(e2.rows) if any(row)]
+        filt = filts[swap[0] % len(filts)]
+        cells = [i for i, col in enumerate(e2.rows[filt]) if col is not None]
+        e2 = _swapped(e2, filt, cells[swap[1] % len(cells)])
+    _lockstep(target, window, rule_of, _full_walk, e2)
+
+
+def test_tiled_walk_matches_the_full_walk_with_a_cell_swapped_near_a_seam():
+    """A swapped E2 cell next to an end of the walked cells (the row ends,
+    the end of the first walked period for p = 24 and 48, the tail) gives
+    what the full walk gives: the check reads one cell past the interior,
+    as far as a cell's neighbours reach.  Each swapped cell is the target
+    of a nonzero d3, so the swap changes that map too."""
+    window = Window(-29, 70, filt_max=6)
+    e2, width, edge = build_e2(Target.C2_V0, window), len(window.stem_range), modules.TILE_EDGE
+    d3 = propagate(e2, rule_table(Target.C2_V0, 3)).rows
+    assert width - 2 * edge >= 2 * 48
+    seams = {0, 1, 2, edge + 23, edge + 24, edge + 47, edge + 48,
+             width - edge - 2, width - edge - 1, width - edge, width - 1}
+    for i in sorted(seams):
+        filt = next(f for f in range(3, len(e2.rows)) if e2.rows[f][i] is not None
+                    and (i + 1 == width or d3[f - 3][i + 1] is not None))
+        assert _lockstep(Target.C2_V0, window, rule_table, _full_walk,
+                         _swapped(e2, filt, i)) is None, i
 
 
 def test_row_memo_tells_filtration_0_from_48_on_y():
