@@ -21,7 +21,7 @@ here, once, and page turns carry the flag.
 
 from __future__ import annotations
 
-from .modules import Column, ColumnTable, Page
+from .modules import Page, column_table
 from .targets import Target, Window
 
 E2_STRIDE = 12  # the period of _u1_residue in the stem, and in filt above 0
@@ -48,14 +48,15 @@ def _u1_range(target: Target, stem: int, filt: int, n_u1: int) -> range:
 
 
 def build_e2(target: Target, window: Window) -> Page:
-    """The E2 page on the padded window, in a new column table: one interned
-    Column per _u1_residue, written to its stride-E2_STRIDE progression of a
-    row (the residue's period in the stem).  Only cells with stem + filt
-    even are visited: _u1_range is empty on the others.  Above filt 0 the
-    residue has that period in filt too: row filt > 12 is row filt - 12."""
+    """The E2 page on the padded window, in the column table of (target, K,
+    n_u1), which keeps one interned Column per _u1_residue across computes,
+    written to its stride-E2_STRIDE progression of a row (the residue's
+    period in the stem).  Only cells with stem + filt even are visited:
+    _u1_range is empty on the others.  Above filt 0 the residue has that
+    period in filt too: row filt > 12 is row filt - 12."""
     K, start, width = window.K, window.stem_range.start, len(window.stem_range)
-    table, rows = ColumnTable(), []
-    columns: dict[tuple, Column | None] = {}  # by _u1_residue, None if empty
+    table, rows = column_table(target, K, window.n_u1), []
+    columns = table.e2  # by _u1_residue, None if empty
     for filt in range(min(E2_STRIDE + 1, len(window.filt_range))):  # filt_range starts at 0
         row = [None] * width
         for i in range((start + filt) % 2, min(E2_STRIDE, width), 2):

@@ -5,11 +5,11 @@ module is a u1-column: sorted u1-exponents b and, parallel to them,
 scalars j and orders e (slot b is W/2^e generated by 2^j u^a u1^b
 alpha^c), with one flag for free summands (order K - j), which only fill
 a whole filtration-0 bidegree of an integral page.  A stack holds a
-handful of distinct columns, interned in the ColumnTable of the stack:
-one object per content, hashed by identity, and a Page holds them in
-rows: one per filtration, one cell per padded stem, None if empty.  Rows
-are tuples, shared by identity between filtrations and pages (all blank
-rows of a stack are one, ColumnTable.row), and memoised by it.  Every
+handful of distinct columns, interned in the ColumnTable of its (target,
+K, n_u1): one object per content, hashed by identity, and a Page holds
+them in rows: one per filtration, one cell per padded stem, None if
+empty.  Rows are tuples, shared by identity between filtrations and
+pages (a table has one blank row per width), and memoised by it.  Every
 differential sends a generator to a 2-power times one generator and hits
 each generator at most once, so a LinearMap between two columns stores
 (row, 2-exponent) pairs, and homology is slotwise valuation arithmetic.
@@ -22,7 +22,7 @@ groupexpr expands terms into Summand records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -68,25 +68,40 @@ class Column:
     free: bool = False
 
 
-class ColumnTable(dict):
-    """The columns of one stack: table[u1s, scalars, orders, free] is the one
-    Column of that content, made on first use.  build_e2 starts a table and
-    page turns hand it on.  `shapes` keeps the tower shapes of each column,
-    by the (period, N) they read, so Page.towers finds them once per stack.
-    """
+class ColumnTable:
+    """The columns of one (target, K, n_u1): table[u1s, scalars, orders,
+    free] is the one Column of that content, made on first use, and no
+    caller stores one.  Kept across computes (column_table) with the cell
+    memos: `e2` by _u1_residue, `rules` propagate's per RuleSet content,
+    `turns` turn_page's, and `shapes` by the (period, N) they read.  Each
+    key names all its value reads and a failing cell stores nothing."""
 
     def __init__(self):
-        super().__init__()
+        self._columns: dict[tuple, Column] = {}
+        self.e2: dict[tuple, Column | None] = {}
+        self.rules: dict[tuple, tuple[dict, dict]] = {}
+        self.turns: dict[tuple, Column | None] = {}
         self.shapes: dict[tuple[int, int], dict[Column, tuple]] = {}
         self.blanks: dict[int, tuple[None, ...]] = {}
 
-    def __missing__(self, key: tuple) -> Column:
-        col = self[key] = Column(*key)
+    def __getitem__(self, key: tuple) -> Column:
+        col = self._columns.get(key)
+        if col is None:
+            col = self._columns[key] = Column(*key)
         return col
 
+    def __len__(self) -> int:
+        return len(self._columns)
+
     def row(self, cells: list) -> tuple:
-        """The cells as a row: a tuple, or the stack's blank row if all are None."""
+        """The cells as a row: a tuple, or the table's blank row if all are None."""
         return tuple(cells) if any(cells) else self.blanks.setdefault(len(cells), tuple(cells))
+
+
+@lru_cache(maxsize=16)
+def column_table(target: Target, K: int, n_u1: int) -> ColumnTable:
+    """The ColumnTable of (target, K, n_u1), one per process for the 16 used last."""
+    return ColumnTable()
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,7 +133,7 @@ class BidegreeModule:
                      for b, j, e in zip(self.u1s, self.scalars, self.orders))
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class LinearMap:
     """A monomial-sparse map between two columns.
 
@@ -126,9 +141,10 @@ class LinearMap:
     2^exp times the row-th target generator.  Every differential acts this
     way, so a map with two entries in one column or on one row, or one
     that does not respect the summand orders, is rejected when built.
-    propagate builds one map per distinct (source, target, cols), placed
-    at every bidegree that gives it, so each is validated once.  Maps are
-    compared and hashed by identity, so they key the memo of a page turn.
+    propagate builds one map per distinct (source, target, cols) of its
+    table, placed at every bidegree that gives it, so each is validated
+    once.  Maps are read-only, compared and hashed by identity, so they
+    key the memo of a page turn.
     """
 
     source: Column
@@ -137,7 +153,7 @@ class LinearMap:
 
     def __post_init__(self):
         if type(self.cols) is not tuple:
-            self.cols = tuple(map(tuple, self.cols))
+            object.__setattr__(self, "cols", tuple(map(tuple, self.cols)))
         src, tgt, rows = self.source.orders, self.target.orders, set()
         for j, col in enumerate(self.cols):
             for i, exp in col:
@@ -233,8 +249,8 @@ class Page:
     """One page of one spectral sequence on a padded window.
 
     `rows` holds a tuple per filtration of the padded window, each cell
-    the Column of its stem in `table`, the table every page of its stack
-    shares, or None; pages share rows by identity.  Complete when
+    the Column of its stem in `table`, the table of its (target, K, n_u1)
+    that every page of its stack shares, or None; pages share rows by identity.  Complete when
     build_e2 or turn_page returns it, so `towers`, the chart `layout` and
     the views are built on first read and kept.  Trust and truncation are the
     window's (pages.check_padding certifies the padding), K is window.K,
@@ -264,8 +280,8 @@ class Page:
         """The towers of each trusted bidegree with any, in bidegree order:
         the one place that decides what the edges report.  A cell has towers
         iff its column has a slot below N; each distinct row is read once, stem
-        by stem.  Shapes are found once per column of the stack (ColumnTable),
-        named in bidegree order, so an error names the first bidegree that
+        by stem.  Shapes are found once per column of the table (ColumnTable),
+        across computes, named in bidegree order, so an error names the first bidegree that
         fails.  One record shared by every reader; do not mutate it."""
         from .pages import tower_shapes, towers_at  # pages imports this module
         w, period, N, rows = self.window, self.target.period, self.window.N, self.rows

@@ -19,7 +19,8 @@ propagate places one LinearMap, in the same rows, at every cell that gives
 it: the d_r target of cell i of row filt is cell i - 1 of row filt + r.  A
 page turn computes a row once per distinct (row, d_out row, d_in row)
 objects, reused wherever they meet again, and runs homology_at once per
-distinct (column, d_in, d_out); each cell it computes is checked, by
+distinct (column, d_in, d_out) in a memo its column table keeps across
+computes (modules.column_table); each cell it computes is checked, by
 identity, to have d_out start and d_in end at its column.  A row whose
 three input rows repeat with Propagation.period copies its interior
 (modules.Tiling).  The checks a reused row or a copied cell skips are pure
@@ -58,13 +59,14 @@ class CertificateError(PipelineError):
 
 def turn_page(page: Page, prop: Propagation) -> Page:
     """Homology at every cell, generator names carried by pure lifts, once
-    per distinct (column, d_in, d_out) and (row, d_out row, d_in row) in
-    memos for this call.  d_out of cell i of row filt is cell i of its map
-    row; d_in is cell i + 1 of map row filt - r (a blank row below r)."""
+    per distinct (column, d_in, d_out), in a memo of the page's table, and
+    (row, d_out row, d_in row), in a memo for this call.  d_out of cell i
+    of row filt is cell i of its map row; d_in is cell i + 1 of map row
+    filt - r (a blank row below r)."""
     r, table, start = prop.r, page.table, page.window.stem_range.start
     blank = table.row([None] * len(page.window.stem_range))
     tiling, last = Tiling(len(blank), prop.period), len(blank) - 1
-    memo: dict[tuple, Column | None] = {}  # the new column, None if empty
+    memo = table.turns  # the new column, None if empty
     done, rows = {}, []  # done: each new row, by the identity of its three input rows
     for filt, (row, outs) in enumerate(zip(page.rows, prop.rows)):
         ins = prop.rows[filt - r] if filt >= r else blank

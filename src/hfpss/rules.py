@@ -196,9 +196,11 @@ def propagate(page: Page, rules: RuleSet) -> Propagation:
     2 * u_modulus in the stem, and in filt together with filt == 0), its
     column, the column of cell i - 1 of row filt + r, or its absence, and
     whether that cell is in the padded window.  So it is computed once per
-    distinct such input, in a memo for this call keyed by column objects,
-    and one LinearMap, validated once, serves every cell with the same
-    (source, target, cols); an invalid one names the first of them in row
+    distinct such input, in a memo that the page's table keeps across
+    computes per RuleSet content (page, u_modulus, transversal, values,
+    y_mode), keyed by column objects, and one LinearMap, validated once,
+    serves every cell with the same (source, target, cols); an invalid
+    one is stored nowhere and names the first of them in row
     order.  So is a map row, once per distinct (filt mod P, filt == 0, row,
     target row), rows by identity; a reused row moves its boundary cells to
     its filtration.  A map row whose row and target row repeat with p =
@@ -215,8 +217,9 @@ def propagate(page: Page, rules: RuleSet) -> Propagation:
     r, rows, window = rules.page, page.rows, page.window
     start, period = window.stem_range.start, 2 * rules.u_modulus
     tiling = Tiling(len(window.stem_range), lcm(E2_STRIDE, period))
-    memo: dict[tuple, tuple[LinearMap | None, bool]] = {}  # per distinct input
-    made: dict[tuple, LinearMap] = {}  # per distinct (source, target, cols)
+    memo, made = page.table.rules.setdefault(  # per distinct input; (source, target, cols)
+        (r, rules.u_modulus, rules.transversal, tuple(sorted(rules.values.items())),
+         rules.y_mode), ({}, {}))
     done, out_rows, boundary = {}, [], set()  # done: (row, boundary cells) per row input
     for filt, row in enumerate(rows):
         tgt_row = rows[filt + r] if filt + r < len(rows) else None

@@ -148,11 +148,10 @@ def verify_target(result: ComputeResult, fixtures: list[FixtureEntry] | None = N
             raise FixtureError(f"fixture file {_source(result.target, path)}, "
                                f"stem {fe.stem}: {exc}") from exc
         iso = expected == [iso_invariants(got_expr, k, N) for k in (K, K + 1)]
-        names = got_expr.render() == fe.expr.render()
+        computed, wanted = got_expr.render(), fe.expr.render()
         if fe.underlined and got is not None and not got.consulted:
             iso = False  # assembly must have examined an underlined stem
         report.entries.append(VerifyEntry(
-            stem=fe.stem, iso_match=iso, name_match=names,
-            exception=fe.exception, computed=got_expr.render(),
-            expected=fe.expr.render()))
+            stem=fe.stem, iso_match=iso, name_match=computed == wanted,
+            exception=fe.exception, computed=computed, expected=wanted))
     return report

@@ -1,7 +1,15 @@
 import pytest
 
 from hfpss.engine import compute
+from hfpss.modules import column_table
 from hfpss.targets import Target
+
+
+@pytest.fixture
+def cold_tables():
+    """No column table kept from earlier computes: a test that counts the
+    work of one compute counts a cold one, whatever ran before it."""
+    column_table.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -58,7 +58,8 @@ def _e2_windows(draw):
 @given(_e2_windows())
 def test_row_built_e2_is_the_cellwise_build(case):
     """The E2 rows equal a build that calls _u1_range on every cell, and
-    equal columns are one interned object."""
+    equal columns are one interned object: the table's column of that
+    content, which examples of one (target, K, n_u1) share."""
     target, window = case
     page = build_e2(target, window)
     expected = {}
@@ -72,7 +73,8 @@ def test_row_built_e2_is_the_cellwise_build(case):
     cols = rows_view(page.rows, page.window)
     got = {key: (c.u1s, c.scalars, c.orders, c.free) for key, c in cols.items()}
     assert got == expected
-    assert len(set(cols.values())) == len(set(expected.values())) == len(page.table)
+    assert all(page.table[got[key]] is c for key, c in cols.items())
+    assert len(set(cols.values())) == len(set(expected.values()))
     assert all(len(row) == len(window.stem_range) for row in page.rows)
     assert len(page.rows) == len(window.filt_range)
 

@@ -27,7 +27,7 @@ def _content(col):
     return None if col is None else (col.u1s, col.scalars, col.orders, col.free)
 
 
-def test_wide_window_work_is_per_distinct_column(monkeypatch):
+def test_wide_window_work_is_per_distinct_column(monkeypatch, cold_tables):
     made, validated, built, residues, rows = [], [], [], [], []
     column, validate, residue = modules.Column, LinearMap.__post_init__, e2._u1_residue
     build, row = BidegreeModule.__init__, ColumnTable.row

@@ -435,7 +435,7 @@ def _propagation_key(page, rules, stem, filt):
             tgt and (tgt.u1s, tgt.scalars, tgt.orders), page.window.in_padded(*tgt_bid))
 
 
-def test_each_slot_factorized_once_per_differential(monkeypatch):
+def test_each_slot_factorized_once_per_differential(monkeypatch, cold_tables):
     # d3 factorizes E2 and d7 E4, each once per (distinct propagation key,
     # residue class of its slots), and nothing else factorizes; every
     # residue class of the page is still factorized, so coverage is
@@ -855,7 +855,7 @@ def _reported_cells(page):
             and any(b < window.N for b in col.u1s)}
 
 
-def test_each_page_recognises_its_towers_once(monkeypatch):
+def test_each_page_recognises_its_towers_once(monkeypatch, cold_tables):
     """Every reader of a page's towers reads Page.towers, recognised once.
 
     compute recognises the Einfty towers only (assembly reads no other
@@ -877,7 +877,7 @@ def test_each_page_recognises_its_towers_once(monkeypatch):
     assert len(shaped) == len(set(shaped)) == len(distinct) <= len(stack.einfty.table)
 
 
-def test_tower_shapes_once_per_column_of_the_stack(monkeypatch):
+def test_tower_shapes_once_per_column_of_the_stack(monkeypatch, cold_tables):
     """On c6-y d3 is zero, so E4 holds E2's columns; E8 adds one more.
     Shapes are found once per distinct column of the stack, 5, not once
     per column of each page (4 + 4 + 5)."""

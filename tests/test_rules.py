@@ -488,10 +488,11 @@ def _wide_windows(draw):
 
 
 def _swapped(e2, filt, i):
-    """e2 with the nonempty cell i of row filt swapped for another column of
-    its table (or emptied if there is none), so stem + filt stays even."""
+    """e2 with the nonempty cell i of row filt swapped for the first other
+    column of its rows, in row order (or emptied if there is none), so
+    stem + filt stays even."""
     row = e2.rows[filt]
-    new = next((col for col in e2.table.values() if col is not row[i]), None)
+    new = next((col for cells in e2.rows for col in cells if col not in (None, row[i])), None)
     return replace(e2, rows=e2.rows[:filt] + (row[:i] + (new,) + row[i + 1:],)
                    + e2.rows[filt + 1:])
 

@@ -12,6 +12,8 @@ import ast
 import pathlib
 from collections import Counter
 
+from hfpss.modules import column_table
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hfpss"
 BENCH = SRC.parent.parent / "bench"
 ORACLE = {"snf", "scalars"}
@@ -104,11 +106,14 @@ def _functools_caches(tree):
     return found
 
 
-def test_src_keeps_no_module_level_cache():
-    """Columns and maps live as long as their stack's column table, in no
-    cache that outlives it: src/ uses no functools.cache or lru_cache
-    (functools.cached_property keeps a value on its own instance)."""
-    assert {m: _functools_caches(t) for m, t in _trees().items() if _functools_caches(t)} == {}
+def test_src_keeps_one_module_level_cache():
+    """Columns, maps and the cell memos live in the column table of their
+    (target, K, n_u1), kept across computes by modules.column_table, a
+    cache of bounded size; src/ uses functools.cache or lru_cache nowhere
+    else (functools.cached_property keeps a value on its own instance)."""
+    assert {m: _functools_caches(t) for m, t in _trees().items()
+            if _functools_caches(t)} == {"modules": ["lru_cache"]}
+    assert column_table.cache_info().maxsize == 16
     bad = ast.parse("import functools\nfrom functools import lru_cache\n"
                     "@functools.cache\ndef f(): pass\n")
     assert _functools_caches(bad) == ["lru_cache", "cache"]
