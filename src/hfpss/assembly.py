@@ -1,13 +1,14 @@
 """From Einfty columns to homotopy groups.
 
-Extensions are resolved by one declared table, MERGE_STEMS_MOD_8, never
-inferred.  On the mod-2 targets the only nonsplit extensions pair a filtration-0 tower with
-the filtration-2 tower one u1-step and one u-step above it (the relation
-"2x = eta*alpha*x climbed by one cell"); the pair merges into a single
-W/4-series on the filtration-0 generator and any upper classes below the
-pairing threshold survive as separate F4 summands.  These pairs occur
-exactly in stems congruent to 2 mod 8.  On the integral targets and on
-the smash-with-Y target every extension splits.
+Extensions are read off the towers of a column.  On the Moore targets
+c2-v0 and c6-v0 (smash with the mod-2 Moore spectrum V(0)), 2 = i*eta*p
+(Toda), so "2x = eta*alpha*x climbed by one cell": a column holding a
+filtration-0 series with no alpha and a filtration-2 series, which must be
+eta*alpha partners, merges them into a single W/4-series on the lower
+generator; upper classes below the pairing threshold survive as F4
+summands.  On the integral targets and on Y every extension splits.  No
+stem is read: that the merges fall on the stems congruent to 2 mod 8 is a
+consequence of the page, which the tests check.
 """
 
 from __future__ import annotations
@@ -22,18 +23,12 @@ from .targets import Target
 
 
 class ExtensionError(PipelineError):
-    """A merge stem's pairing predicate failed against the page."""
-
-
-# Stems, mod 8, where an eta*alpha pair merges; every other extension splits.
-MERGE_STEMS_MOD_8 = {Target.C2_V0: 2, Target.C6_V0: 2}
+    """A column's eta*alpha pairing failed against the page."""
 
 
 def _eta_alpha_partner(lower: Term, upper: Term) -> bool:
-    """Is `upper` the alpha^2*u*u1-shift of the series `lower`?"""
-    return (lower.period is not None and upper.period == lower.period
-            and lower.mono.al == 0
-            and lower.coeff == upper.coeff == "F4"
+    """Is the series `upper` the alpha^2*u*u1-shift of the series `lower`?"""
+    return (upper.period == lower.period and lower.coeff == upper.coeff == "F4"
             and upper.covers(lower.mono * ETA_ALPHA_CLIMB))
 
 
@@ -41,22 +36,25 @@ def _eta_alpha_partner(lower: Term, upper: Term) -> bool:
 class AssembledGroup:
     stem: int
     expr: GroupExpr
-    consulted: bool                  # a merge stem, or a column of two or more towers
+    consulted: bool                  # a column of two or more towers, as a merge needs
     merged: list[tuple[str, str]] = field(default_factory=list)  # provenance
 
 
 def assemble_pi(stem: int, towers: list[Term], target: Target) -> AssembledGroup:
-    """Resolve the extensions in one Einfty column."""
-    merge = stem % 8 == MERGE_STEMS_MOD_8.get(target)
-    consulted = len(towers) >= 2 or merge
+    """Resolve the extensions in one Einfty column from its towers alone.
 
+    >>> from hfpss.groupexpr import parse_term
+    >>> pair = [parse_term("u^{-3}F4[[u1]]"), parse_term("u^{-2}a^{2}F4[[u1]]")]
+    >>> assemble_pi(6, pair, Target.C2_V0).expr.render()
+    'u^{-2}a^{2}F4 + u^{-3}W/4[[u1]]'
+    """
+    consulted = len(towers) >= 2
     towers = list(towers)
     terms: list[Term] = []
     merged: list[tuple[str, str]] = []
 
-    if merge:
-        lowers = [t for t in towers if t.filt == 0 and t.period is not None
-                  and t.mono.al == 0]
+    if consulted and target.mod2 and not target.y_page:
+        lowers = [t for t in towers if t.filt == 0 and t.period is not None and t.mono.al == 0]
         uppers = [t for t in towers if t.filt == 2 and t.period is not None]
         if lowers and uppers:
             if len(lowers) != 1 or len(uppers) != 1:
@@ -71,8 +69,7 @@ def assemble_pi(stem: int, towers: list[Term], target: Target) -> AssembledGroup
             terms.append(replace(lower, coeff="W/4"))
             merged.append((lower.label(), upper.label()))
             # upper classes below the pairing threshold stay as F4 summands
-            terms.extend(Term(upper.scalar, Monomial(upper.mono.u, b, upper.mono.al),
-                              "F4", None)
+            terms.extend(Term(upper.scalar, Monomial(upper.mono.u, b, upper.mono.al), "F4", None)
                          for b in upper.offsets(lower.mono.u1 + 1))
 
     terms.extend(towers)

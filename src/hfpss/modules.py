@@ -218,14 +218,14 @@ TILE_EDGE = 3  # cells a tiled walk computes at each end of a row
 
 
 class Tiling:
-    """One walk's plan for rows of `width` cells with stem period p.
+    """The plan of one d_r's two walks, for rows of `width` cells, stem period p.
 
     A row whose input rows are all `periodic` (equal, by cell identity, to
     themselves shifted by p, one cell past the interior each way; checked
-    once per row object) computes only `walk`, TILE_EDGE cells at each end
-    and one period; `fill` copies the interior from the cells p to its
-    left, which have the same memo keys, so the same objects, and fail
-    first.  Below 2p of interior `walk` is None: every row is walked in full."""
+    once per row, which `seen` keeps) computes only `walk`, TILE_EDGE cells
+    at each end and one period; `fill` copies the interior from the cells p
+    to its left, which have the same memo keys, so the same objects, and
+    fail first.  Below 2p of interior `walk` is None: every row is walked in full."""
 
     def __init__(self, width: int, p: int):
         self.p, self.lo, self.hi, self.seen = p, TILE_EDGE + p, width - TILE_EDGE, {}
@@ -233,9 +233,9 @@ class Tiling:
         self.span = slice(TILE_EDGE - 1, self.hi + 1 - p), slice(self.lo - 1, self.hi + 1)
 
     def periodic(self, row: tuple | None) -> bool:
-        if id(row) not in self.seen:  # the rows are alive
-            self.seen[id(row)] = row is None or row[self.span[0]] == row[self.span[1]]
-        return self.seen[id(row)]
+        if id(row) not in self.seen:  # kept, so no other row gets its id while the plan lives
+            self.seen[id(row)] = row, row is None or row[self.span[0]] == row[self.span[1]]
+        return self.seen[id(row)][1]
 
     def fill(self, cells: list, marked: list[int]) -> list[int]:
         """Copy the interior into cells; return the copies of the marked cells."""

@@ -22,12 +22,12 @@ objects, reused wherever they meet again, and runs homology_at once per
 distinct (column, d_in, d_out) in a memo its column table keeps across
 computes (modules.column_table); each cell it computes is checked, by
 identity, to have d_out start and d_in end at its column.  A row whose
-three input rows repeat with Propagation.period copies its interior
-(modules.Tiling).  The checks a reused row or a copied cell skips are pure
-functions of the same objects, which passed them: the column memo's
-argument, one level up.  An unchanged column is the same object on the
-next page.  Rule coverage is checked by propagate, which factorizes every
-residue class of the page it acts on (E2 for d3, E4 for d7) at least once.
+three input rows repeat copies its interior (by Propagation.tiling).  The
+checks a reused row or a copied cell skips are pure functions of the same
+objects, which passed them: the column memo's argument, one level up.  An
+unchanged column is the same object on the next page.  Rule coverage is
+checked by propagate, which factorizes every residue class of the page it
+acts on (E2 for d3, E4 for d7) at least once.
 
 Freeness of a tower comes from E2, which flags the free summands
 (filtration 0 of the integral pages); page turns carry the flag from each
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 from .e2 import build_e2
 from .groupexpr import Term, term_order_exp
-from .modules import Column, Page, PipelineError, Tiling, homology_at
+from .modules import Column, Page, PipelineError, homology_at
 from .monomials import Monomial
 from .rules import Propagation, propagate, rule_table
 from .targets import Target, Window
@@ -65,7 +65,7 @@ def turn_page(page: Page, prop: Propagation) -> Page:
     filt - r (a blank row below r)."""
     r, table, start = prop.r, page.table, page.window.stem_range.start
     blank = table.row([None] * len(page.window.stem_range))
-    tiling, last = Tiling(len(blank), prop.period), len(blank) - 1
+    tiling, last = prop.tiling, len(blank) - 1
     memo = table.turns  # the new column, None if empty
     done, rows = {}, []  # done: each new row, by the identity of its three input rows
     for filt, (row, outs) in enumerate(zip(page.rows, prop.rows)):
@@ -126,7 +126,10 @@ def check_collapse(page: Page) -> None:
 
 
 def check_padding(prop: Propagation) -> None:
-    """No d_r value of a trusted source leaves the padded window."""
+    """No d_r value of a trusted source leaves the padded window.  propagate
+    flags a source only at stem stem_lo - STEM_PAD or at filt > filt_max +
+    FILT_PAD - r, never trusted while STEM_PAD >= 1 and FILT_PAD >= r (d3, d7):
+    only a hand-built propagation fails it.  The JSON prints its certificate."""
     leak = min((key for key in prop.boundary if prop.window.trusted(*key)), default=None)
     if leak is not None:
         raise CertificateError(f"d{prop.r} of trusted ({leak[0]},{leak[1]}) leaves the padding")

@@ -181,7 +181,7 @@ class Propagation:
     r: int
     window: Window
     rows: tuple[tuple[LinearMap | None, ...], ...]
-    period: int  # the stem period p the rows were tiled with; turn_page tiles by it too
+    tiling: Tiling  # the plan the rows were walked with; turn_page walks by it too
     boundary: set[tuple[int, int]] = field(default_factory=set)
 
     @cached_property
@@ -257,7 +257,7 @@ def propagate(page: Page, rules: RuleSet) -> Propagation:
         out_rows.append(found_row[0])
         for i in found_row[1]:
             boundary.add((start + i, filt))
-    return Propagation(r, window, tuple(out_rows), tiling.p, boundary)
+    return Propagation(r, window, tuple(out_rows), tiling, boundary)
 
 
 def _values_at(stem: int, filt: int, col: Column, tgt: Column | None, padded: bool,

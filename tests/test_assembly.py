@@ -2,20 +2,23 @@
 
 import pytest
 
-from hfpss.assembly import MERGE_STEMS_MOD_8, ExtensionError, assemble_pi
+from hfpss.assembly import ExtensionError, assemble_pi
+from hfpss.engine import compute
 from hfpss.groupexpr import GroupExpr, Term
 from hfpss.les import degraded_log4
 from hfpss.monomials import Monomial
-from hfpss.targets import Target
+from hfpss.targets import Target, Window
 from hfpss.verify import load_fixtures
+
+MOORE = (Target.C2_V0, Target.C6_V0)
+SPLIT = (Target.C2, Target.C6, Target.C6_Y)
 
 
 def _eta_alpha_pair(stem):
     """A filtration-0 F4 series and its eta*alpha partner in filtration 2.
 
     The pair sits at the even stem 2 * (stem // 2); assemble_pi reads the
-    stem it is given only through MERGE_STEMS_MOD_8, so odd stems test the
-    table too."""
+    stem it is given only to label the group, so odd stems test that too."""
     u = -(stem // 2)
     return [Term(0, Monomial(u, 0, 0), "F4", 1), Term(0, Monomial(u + 1, 0, 2), "F4", 1)]
 
@@ -36,14 +39,40 @@ def _merged_stems(target):
 
 
 def test_directives_by_target():
-    assert MERGE_STEMS_MOD_8 == {Target.C2_V0: 2, Target.C6_V0: 2}
-    for target in (Target.C2, Target.C6, Target.C6_Y):
+    """The rule reads the target and the towers, never the stem: an eta*alpha
+    pair merges at every stem on the Moore targets, and at none elsewhere."""
+    for target in MOORE:
+        assert _merged_stems(target) == list(range(48)), target
+    for target in SPLIT:
         assert _merged_stems(target) == [], target
 
 
 def test_merge_stems_are_2_mod_8():
-    for target in (Target.C2_V0, Target.C6_V0):
-        assert _merged_stems(target) == [2, 10, 18, 26, 34, 42], target
+    """The mod-8 law is a consequence of the page: on a wide window off the
+    phase of every stem period, at two (K, N), the merges of the Moore
+    targets fall exactly on the stems congruent to 2 mod 8."""
+    for K, N in ((3, 12), (5, 30)):
+        window = Window(-40, 200, filt_max=60, K=K, N=N)
+        for target in Target:
+            groups = compute(target, window).groups
+            merged = [n for n, g in groups.items() if g.merged]
+            expected = [n for n in groups if n % 8 == 2] if target in MOORE else []
+            assert merged == expected, (target, K, N)
+            assert all(groups[n].consulted for n in merged)
+
+
+@pytest.mark.parametrize("filt_max", [0, 1])
+def test_no_merge_below_filtration_2(filt_max):
+    """Below filtration 2 no column holds an upper series, so nothing
+    merges, and a group is consulted exactly when its column has two or
+    more towers (the stems 2 mod 8 of the Moore targets are not)."""
+    for target in Target:
+        res = compute(target, Window(0, 47, filt_max=filt_max))
+        count = {n: 0 for n in res.groups}
+        for (stem, _), towers in res.stack.einfty.towers.items():
+            count[stem] += len(towers)
+        for stem, g in res.groups.items():
+            assert not g.merged and g.consulted == (count[stem] >= 2), (target, stem)
 
 
 def test_extension_spot_check_stem_2(computed_c2_v0):
@@ -98,6 +127,19 @@ def test_merge_predicate_rejects_wrong_partner():
     upper = Term(0, Monomial(3, 0, 2), "F4", 1)  # wrong u-power
     with pytest.raises(ExtensionError):
         assemble_pi(2, [lower, upper], Target.C2_V0)
+
+
+@pytest.mark.parametrize("pair", [
+    [Term(0, Monomial(-2, 0, 0), "F4", 1), Term(0, Monomial(2, 0, 2), "F4", 1)],
+    [Term(0, Monomial(-2, 0, 0), "F4", 1), Term(0, Monomial(-1, 0, 2), "F4", 3)],
+    [Term(0, Monomial(-2, 0, 0), "F4", 1), Term(0, Monomial(-2, 1, 0), "F4", 1),
+     Term(0, Monomial(-1, 0, 2), "F4", 1)],
+], ids=["wrong-u-power", "wrong-period", "two-lowers"])
+def test_pairing_off_the_merge_stems_raises(pair):
+    # at stem 4, not 2 mod 8, a column that is not one eta*alpha pair still raises
+    for target in MOORE:
+        with pytest.raises(ExtensionError):
+            assemble_pi(4, pair, target)
 
 
 def test_merge_residual_classes():

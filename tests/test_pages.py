@@ -12,7 +12,7 @@ from hfpss.charts import glyph_count, render_svg, render_text, tower_count
 from hfpss.engine import DEFAULT_STEMS, compute, default_window
 from hfpss.groupexpr import Term, truncate_term
 from hfpss.modules import (BidegreeModule, Column, ColumnTable, LinearMap, Page, PipelineError,
-                           Summand, homology_at, rows_view)
+                           Summand, Tiling, homology_at, rows_view)
 from hfpss.monomials import Monomial, parse_monomial
 from hfpss import charts, pages, targets
 from hfpss.pages import (CertificateError, check_collapse, check_even_r_vanishing,
@@ -53,7 +53,8 @@ def page_of(target, r, window, modules):
 
 def prop_of(r, window, maps):
     """A propagation of d_r holding these maps, by source bidegree."""
-    return Propagation(r, window, place(empty_rows(window), window, maps), 48)
+    return Propagation(r, window, place(empty_rows(window), window, maps),
+                       Tiling(len(window.stem_range), 48))
 
 
 def _col(mod):
@@ -662,6 +663,29 @@ def test_boundary_effects_marked_untrusted(computed_all):
             assert trusted == [], (stack.target, r, trusted)
             flags += len(prop.boundary)
     assert flags > 0  # the propagations really flagged boundary effects
+
+
+@pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)
+def test_boundary_cells_lie_on_the_first_padded_stem_or_the_top_rows(target):
+    """check_padding's scope.  propagate flags a source only where its d_r
+    target is off the rows: at the first padded stem, stem_lo - STEM_PAD,
+    or at filt >= filt_max + FILT_PAD + 1 - r.  No trusted cell is there
+    while STEM_PAD >= 1 and FILT_PAD >= r, so on run_to_einfty the check
+    cannot fail: only a hand-built propagation can.  Shown on the default
+    window, a wide one off the phase of every stem period, and one stem at
+    filt_max 0; both kinds of cell occur."""
+    edges = Counter()
+    for window in (default_window(target), Window(-40, 200, filt_max=60),
+                   Window(5, 5, filt_max=0)):
+        for r, prop in run_to_einfty(target, window).maps.items():
+            for stem, filt in prop.boundary:
+                on_stem = stem == window.stem_range.start
+                on_top = filt >= window.filt_max + targets.FILT_PAD + 1 - r
+                assert on_stem or on_top, (window, r, stem, filt)
+                assert not window.trusted(stem, filt)
+                edges["stem"] += on_stem
+                edges["top"] += on_top
+    assert edges["stem"] > 0 and edges["top"] > 0, edges
 
 
 def test_padding_certificate_names_a_trusted_source_whose_value_leaves(monkeypatch):

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfpss import modules, pages, rules as rules_module
+from hfpss import modules, rules as rules_module
 from hfpss.e2 import build_e2
 from hfpss.modules import BidegreeModule, HfpssError, Tiling, homology_at, rows_view
 from hfpss.monomials import Monomial, parse_monomial
@@ -457,18 +457,19 @@ class _SpyTiling(Tiling):
 def test_tiled_walks_match_slotwise_reference_on_a_wide_off_phase_window(target, monkeypatch):
     """On 200 stems starting off the phase of every stem period, each of
     the four walks (d3, E4, d7, E8) copies the interior of every row it
-    computes, with period 24 for d3 (48 on Y, whose tables have u_modulus
-    24) and 48 for d7, and every map and turned module still equals the
-    slotwise reference at its bidegree."""
+    computes, by the one plan of its d_r (Propagation.tiling), with period
+    24 for d3 (48 on Y, whose tables have u_modulus 24) and 48 for d7, and
+    every map and turned module still equals the slotwise reference at its
+    bidegree."""
     monkeypatch.setattr(_SpyTiling, "made", [])
     monkeypatch.setattr(rules_module, "Tiling", _SpyTiling)
-    monkeypatch.setattr(pages, "Tiling", _SpyTiling)
     stack = run_to_einfty(target, Window(-29, 170, filt_max=60))
     p3 = 48 if target.y_page else 24
-    assert [t.p for t in _SpyTiling.made] == [p3, p3, 48, 48]
-    assert [stack.maps[3].period, stack.maps[7].period] == [p3, 48]
+    assert [t.p for t in _SpyTiling.made] == [p3, 48]  # one plan per d_r, for both walks
+    assert [stack.maps[3].tiling, stack.maps[7].tiling] == _SpyTiling.made
     for t in _SpyTiling.made:  # never a fall-back to the full walk
-        assert t.walk is not None and t.fills > 0 and all(t.seen.values())
+        assert t.walk is not None and t.fills > 0
+        assert all(flag for _, flag in t.seen.values())
     assert _reference_entries(stack) > 0
     _reference_turns(stack)
 
