@@ -169,7 +169,7 @@ class LinearMap:
 
 
 def homology_at(stem: int, filt: int, col: Column, d_in: LinearMap | None,
-                d_out: LinearMap | None) -> tuple[tuple, tuple[int, ...]]:
+                d_out: LinearMap | None) -> tuple:
     """ker(d_out)/im(d_in) on the column col of (stem, filt), generators named.
 
     The maps are monomial-sparse, so each slot sits in its own little
@@ -179,11 +179,14 @@ def homology_at(stem: int, filt: int, col: Column, d_in: LinearMap | None,
     t = max(v_in, e - e_src), and the subquotient is cyclic of order
     2^(t - a) <= 2^e on the pure lift 2^a * generator: no slot grows (a
     test enumerates small cases to prove it).  Returns the new column's
-    (u1s, scalars, orders, free), a ColumnTable key, and its lifts: per
-    new slot, the a of the old slot with the same u1-exponent; it is free
-    iff col is.  (stem, filt) only names errors: PipelineError if d_in
-    enters a free summand or if im is not in ker.  The caller checks that
-    the maps start and end at col.
+    (u1s, scalars, orders, free), a ColumnTable key, free iff col is; a
+    slot's lift a is its new scalar minus its old one.  (stem, filt) only
+    names errors: PipelineError if d_in enters a free summand or if im is
+    not in ker.  The caller checks that the maps start and end at col.
+
+    >>> src, tgt = Column((0,), (0,), (3,)), Column((1,), (0,), (3,))
+    >>> homology_at(0, 0, src, None, LinearMap(src, tgt, (((0, 1),),)))
+    ((0,), (2,), (1,), False)
     """
     orders = col.orders
     kers = [0] * len(orders)   # kernel generated by 2^a
@@ -201,10 +204,8 @@ def homology_at(stem: int, filt: int, col: Column, d_in: LinearMap | None,
         if t < a:
             raise PipelineError(f"image exceeds kernel at ({stem},{filt}) "
                                 f"slot u1^{col.u1s[idx]}: d∘d != 0")
-    kept = [(b, j + a, t - a, a)
-            for b, j, a, t in zip(col.u1s, col.scalars, kers, ims) if t > a]
-    u1s, scalars, new_orders, lifts = map(tuple, zip(*kept)) if kept else ((),) * 4
-    return (u1s, scalars, new_orders, col.free), lifts
+    kept = [(b, j + a, t - a) for b, j, a, t in zip(col.u1s, col.scalars, kers, ims) if t > a]
+    return (*map(tuple, zip(*kept)), col.free) if kept else ((), (), (), col.free)
 
 
 def rows_view(rows: tuple[tuple, ...], window: Window) -> MappingProxyType:
@@ -277,27 +278,24 @@ class Page:
 
     @cached_property
     def towers(self) -> dict[tuple[int, int], list[Term]]:
-        """The towers of each trusted bidegree with any, in bidegree order:
-        the one place that decides what the edges report.  A cell has towers
-        iff its column has a slot below N; each distinct row is read once, stem
-        by stem.  Shapes are found once per column of the table (ColumnTable),
-        across computes, named in bidegree order, so an error names the first bidegree that
-        fails.  One record shared by every reader; do not mutate it."""
+        """The towers of each trusted bidegree with any, in bidegree order: the one place
+        that decides what the edges report.  A cell has towers iff its column has a slot
+        below N; each distinct trusted row lists such stems once, and each stem its filts
+        in order.  Shapes are found once per column of the table (ColumnTable), across
+        computes, in bidegree order, so an error names the first bidegree that fails.
+        One record shared by every reader; do not mutate it."""
         from .pages import tower_shapes, towers_at  # pages imports this module
         w, period, N, rows = self.window, self.target.period, self.window.N, self.rows
         shapes = self.table.shapes.setdefault((period, N), {})
-        trusted = rows[:w.filt_max + 1]
-        distinct = list({id(row): row for row in trusted}.values())  # the rows are alive
-        start, filts_of, towers = w.stem_range.start, {}, {}  # filts_of[j]: distinct[j]'s filts
-        by_stem = list(zip(*distinct))[w.stem_lo - start:w.stem_hi - start + 1]  # trusted stems
-        for stem, cells in enumerate(by_stem, w.stem_lo):  # cells: one per distinct row
-            filts = []
-            for j, col in enumerate(cells):
-                if col is not None and col.u1s[0] < N:
-                    if j not in filts_of:
-                        filts_of[j] = [f for f, row in enumerate(trusted) if row is distinct[j]]
-                    filts += filts_of[j]
-            for filt in sorted(filts):
+        start, hits, towers = w.stem_range.start, {}, {}
+        filts = {stem: [] for stem in range(w.stem_lo, w.stem_hi + 1)}  # the trusted stems
+        for filt, row in enumerate(rows[:w.filt_max + 1]):
+            if id(row) not in hits:  # the rows are alive
+                hits[id(row)] = [n for n in filts if row[n - start] and row[n - start].u1s[0] < N]
+            for stem in hits[id(row)]:
+                filts[stem].append(filt)
+        for stem, stem_filts in filts.items():
+            for filt in stem_filts:
                 col = rows[filt][stem - start]
                 found = shapes.get(col)
                 if found is None:

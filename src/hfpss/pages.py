@@ -88,7 +88,7 @@ def turn_page(page: Page, prop: Propagation) -> Page:
                 try:
                     cells[i] = memo[key_i]
                 except KeyError:
-                    found, _lifts = homology_at(start + i, filt, col, d_in, d_out)
+                    found = homology_at(start + i, filt, col, d_in, d_out)
                     cells[i] = memo[key_i] = table[found] if found[0] else None
             if tiled:
                 tiling.fill(cells, [])

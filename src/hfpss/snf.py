@@ -229,21 +229,19 @@ def subquotient(orders: list[int], in_cols: list[Vector], out_cols: list[Vector]
 
 
 def homology(stem: int, filt: int, col: Column, in_cols: list[Vector], out_cols: list[Vector],
-             out_orders: list[int], K: int) -> tuple[tuple, tuple[int, ...]]:
+             out_orders: list[int], K: int) -> tuple:
     """ker(d_out)/im(d_in) on the column col of (stem, filt), maps as in
     subquotient; returns what modules.homology_at returns.
 
     Surviving generators are named greedily by minimal pure lifts
-    2^j * (old generator), slots in u1 order; the lifts give j per new
-    slot.  (stem, filt) only names errors: PipelineError if pure lifts
-    cannot realize the invariants (possible only for maps that mix
-    monomials).
+    2^j * (old generator), slots in u1 order; a slot's lift j is its new
+    scalar minus the old one.  (stem, filt) only names errors:
+    PipelineError if pure lifts cannot realize the invariants (possible
+    only for maps that mix monomials).
     """
     n = len(col.u1s)
-    if n == 0:
-        return ((), (), (), col.free), ()
     ker, acc, invariants = subquotient(list(col.orders), in_cols, out_cols, out_orders, K)
-    u1s, scalars, orders, lifts = [], [], [], []
+    u1s, scalars, orders = [], [], []
     for i, (b, scalar) in enumerate(zip(col.u1s, col.scalars)):
         lift = next((j for j in range(K) if ker.contains(_unit_vector(n, i, j, K))), None)
         if lift is None:
@@ -256,16 +254,15 @@ def homology(stem: int, filt: int, col: Column, in_cols: list[Vector], out_cols:
         u1s.append(b)
         scalars.append(scalar + lift)
         orders.append(order)
-        lifts.append(lift)
         acc = acc.extended(_unit_vector(n, i, lift, K))
     if sorted(orders) != invariants:
         raise PipelineError(
             f"pure lifts cannot realize the invariants {invariants} at ({stem},{filt})")
-    return (tuple(u1s), tuple(scalars), tuple(orders), col.free), tuple(lifts)
+    return tuple(u1s), tuple(scalars), tuple(orders), col.free
 
 
 def homology_at(stem: int, filt: int, col: Column, d_in: LinearMap | None,
-                d_out: LinearMap | None, K: int) -> tuple[tuple, tuple[int, ...]]:
+                d_out: LinearMap | None, K: int) -> tuple:
     """modules.homology_at by Smith normal form: each (row, exp) becomes 2^exp."""
     def dense(lm: LinearMap | None) -> list[Vector]:
         if lm is None:

@@ -34,8 +34,7 @@ def test_pipeline_identical_through_general_snf(target):
                 got = modules.homology_at(stem, filt, col, d_in, d_out)
                 assert snf.homology_at(stem, filt, col, d_in, d_out, w.K) == got, \
                     (stem, filt, w.K)
-                found = got[0]
-                assert (BidegreeModule(stem, filt, *found) if found[0] else None) \
+                assert (BidegreeModule(stem, filt, *got) if got[0] else None) \
                     == turned.modules.get((stem, filt)), (r, stem, filt, w.K)
                 checked.add((r, w.K))
     # every bidegree of E2 and E4, at K and at K+1

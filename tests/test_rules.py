@@ -291,8 +291,8 @@ def _reference_turns(stack):
         maps = stack.maps[r].maps
         expected = {}
         for (stem, filt), col in rows_view(page.rows, page.window).items():
-            found, _ = homology_at(stem, filt, col, maps.get((stem + 1, filt - r)),
-                                   maps.get((stem, filt)))
+            found = homology_at(stem, filt, col, maps.get((stem + 1, filt - r)),
+                                maps.get((stem, filt)))
             if found[0]:
                 expected[(stem, filt)] = BidegreeModule(stem, filt, *found)
         assert turned.modules == expected, (stack.target, r)

@@ -392,7 +392,7 @@ def test_sparse_homology_agrees_with_enumeration_on_100_random_presentations():
         d_out = LinearMap(mid_col, tgt_col, out_cols)
         d_in = None if src is None else LinearMap(_column(src), mid_col, in_cols)
         got = homology_at(mid.stem, mid.filt, mid_col, d_in, d_out)
-        (_u1s, _scalars, orders, _free), _lifts = got
+        _u1s, _scalars, orders, _free = got
         assert sorted(orders) == oracle, f"trial {trial}"
         assert snf.homology_at(mid.stem, mid.filt, mid_col, d_in, d_out, K) == got, \
             f"trial {trial}"
